@@ -1,7 +1,9 @@
 """Metric reconstruction and curvature verification from a radial profile.
 
-Given a gauge-fixed profile g(s), the potential is u(s) = int g/t dt,
-the metric at z is delta_jk u' + u'' zbar_j z_k, and the scalar
+Given a gauge-fixed profile g(s), the potential is the closed form
+u(s) = A log s + G(g(s)) + const, with A the Lelong number and G the
+antiderivative of x^k (x - A) / H from RadialSolution.G. The metric at
+z is delta_jk u' + u'' zbar_j z_k with u' = g/s, and the scalar
 curvature comes out of the density f = log(g^{n-1} g' / s^{n-1}) as
 
     R = -[s g^{n-1} f']' / (g^{n-1} g').
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NotKahlerError, OutOfDomainError
 from .quadrature import RadialSolution, solve_g
@@ -68,6 +69,11 @@ def _check_domain(sol: RadialSolution, s: float) -> None:
         raise OutOfDomainError(f"s = {s!r} is outside the solution domain ({lo}, {hi})")
 
 
+def _slope(ode, s: float, g: float) -> float:
+    """g' = H(g) / (s g^k), from the first order equation."""
+    return ode.H(g) / (s * g**ode.k)
+
+
 def _profile_derivatives(ode, s: float, g: float):
     """g', g'', g''' at (s, g), differentiating s g^k g' = H(g)."""
     H = ode.H
@@ -95,29 +101,28 @@ def _g_handle(sol: RadialSolution) -> FunctionHandle:
         return solve_g(sol, t)
 
     def deriv(t: float) -> float:
-        g = solve_g(sol, t)
-        return sol.ode.H(g) / (t * g ** sol.ode.k)
+        return _slope(sol.ode, t, solve_g(sol, t))
 
     return FunctionHandle(value=value, deriv=deriv)
 
 
 def potential_u(sol: RadialSolution, s: float) -> float:
-    """u(s) = integral of g(t)/t, anchored so the potential vanishes at s = 1.
+    """u(s) = A log(s / s_a) + G(g(s)) - G(g(s_a)), which vanishes at s_a = 1.
 
-    When 1 is not interior to the domain (ball-normalized solutions end at
-    s = 1) the anchor falls back to the domain midpoint; the additive
-    constant carries no geometric content.
+    du = g ds / s integrates in closed form through RadialSolution.G, so
+    no quadrature is involved. When 1 is not interior to the domain
+    (ball-normalized solutions end at s = 1) the anchor s_a falls back to
+    the domain midpoint; the additive constant carries no geometric content.
     """
     _check_domain(sol, s)
     lo, hi = sol.s_domain
     anchor = 1.0 if lo < 1.0 < hi else 0.5 * (lo + hi)
     if s == anchor:
         return 0.0
-    val, err = quad(
-        lambda t: solve_g(sol, t) / t, anchor, s, epsabs=1e-11, epsrel=1e-11, limit=200
+    G = sol.G()
+    return sol.branch.A * math.log(s / anchor) + (
+        G(solve_g(sol, s)) - G(solve_g(sol, anchor))
     )
-    assert abs(err) <= 1e-9 * (1.0 + abs(val))
-    return float(val)
 
 
 def metric_tensor(sol: RadialSolution, z) -> np.ndarray:
@@ -134,7 +139,7 @@ def metric_tensor(sol: RadialSolution, z) -> np.ndarray:
         raise OutOfDomainError("the metric is defined away from the origin")
     _check_domain(sol, s)
     g = solve_g(sol, s)
-    g1 = sol.ode.H(g) / (s * g ** sol.ode.k)
+    g1 = _slope(sol.ode, s, g)
     up = g / s
     upp = (g1 - up) / s
     if not (up > 0.0 and g1 > 0.0):
@@ -170,10 +175,8 @@ def curvature_fd(sol: RadialSolution, s: float) -> float:
     d1 = (_phi(sol, s + h) - _phi(sol, s - h)) / (2.0 * h)
     d2 = (_phi(sol, s + 0.5 * h) - _phi(sol, s - 0.5 * h)) / h
     phi1 = (4.0 * d2 - d1) / 3.0
-    k = sol.ode.k
     g = solve_g(sol, s)
-    g1 = sol.ode.H(g) / (s * g**k)
-    return -phi1 / (g**k * g1)
+    return -phi1 / (g**sol.ode.k * _slope(sol.ode, s, g))
 
 
 def metric_sample(sol: RadialSolution, s: float) -> MetricSample:
@@ -181,7 +184,7 @@ def metric_sample(sol: RadialSolution, s: float) -> MetricSample:
     _check_domain(sol, s)
     n = sol.ode.problem.n
     g = solve_g(sol, s)
-    g1 = sol.ode.H(g) / (s * g ** sol.ode.k)
+    g1 = _slope(sol.ode, s, g)
     up = g / s
     upp = (g1 - up) / s
     if not (up > 0.0 and g1 > 0.0):
@@ -221,7 +224,7 @@ def verify_solution(sol: RadialSolution, n_samples: int) -> VerificationReport:
     for s in grid:
         s = float(s)
         g = solve_g(sol, s)
-        g1 = sol.ode.H(g) / (s * g ** sol.ode.k)
+        g1 = _slope(sol.ode, s, g)
         up = g / s
         upp = (g1 - up) / s
         margin = min(margin, up, g1)

@@ -9,9 +9,11 @@ so everything reduces to three steps: split x^k / H into tagged
 closed-form terms (logs, reciprocal powers, arctangents), fix the gauge
 constant c (through an anchor point, or by normalizing a finite
 extension so its boundary sits at s = 1), and invert the relation with
-a bracketed bisection plus a Newton polish. A direct Runge-Kutta shoot
-of the first order equation s g^k g' = H(g) is provided as an
-independent cross check.
+a bracketed bisection plus a Newton polish. The same split applied to
+x^k (x - A) / H gives the potential in closed form (RadialSolution.G).
+A direct Runge-Kutta shoot of the first order equation s g^k g' = H(g)
+is provided as an independent cross check; it is the only code that
+needs scipy, imported when it runs.
 """
 
 import bisect
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .branches import admissible_branches
 from .errors import (
@@ -97,14 +98,23 @@ class ArcTan:
 
 
 @dataclass(frozen=True)
+class Linear:
+    """c * x, the polynomial part of the potential's antiderivative at R = 0."""
+
+    c: float
+
+
+@dataclass(frozen=True)
 class AntiderivativeF:
-    """Antiderivative of x^k / H as a sum of tagged closed-form terms.
+    """Antiderivative of x^k / H (or of the potential's x^k (x - A) / H)
+    as a sum of tagged closed-form terms.
 
     The value at x is overall_scale times the sum of the term values;
     the terms here already absorb the leading coefficient of H, so the
-    scale stays at 1. At a log or pole abscissa evaluation reports the
-    signed infinite limit from the right, matching the convention that
-    window interiors are approached from above the left endpoint.
+    scale stays at 1. At a log or pole abscissa the value and the
+    derivative report the signed infinite limit from the right, matching
+    the convention that window interiors are approached from above the
+    left endpoint.
     """
 
     terms: tuple
@@ -115,17 +125,34 @@ class AntiderivativeF:
 
     def derivative(self, x: float) -> float:
         total = 0.0
+        pole_c = 0.0
+        pole_p = 0
         for t in self.terms:
             if isinstance(t, LogLinear):
-                total += t.c / (x - t.alpha)
+                d = x - t.alpha
+                if d == 0.0:
+                    if pole_p < 1:
+                        pole_p, pole_c = 1, t.c
+                else:
+                    total += t.c / d
             elif isinstance(t, RecipPower):
-                total -= t.p * t.c / (x - t.alpha) ** (t.p + 1)
+                d = x - t.alpha
+                if d == 0.0:
+                    if t.p + 1 > pole_p:
+                        pole_p, pole_c = t.p + 1, -t.c
+                else:
+                    total -= t.p * t.c / d ** (t.p + 1)
             elif isinstance(t, LogQuadratic):
                 q = (x - t.beta) ** 2 + t.gamma**2
                 total += 2.0 * t.c * (x - t.beta) / q
-            else:
+            elif isinstance(t, ArcTan):
                 q = (x - t.beta) ** 2 + t.gamma**2
                 total += t.c * t.gamma / q
+            else:
+                total += t.c
+        # as in eval_F: the strongest pole wins, approached from the right
+        if pole_p > 0:
+            return math.copysign(math.inf, pole_c * self.overall_scale)
         return self.overall_scale * total
 
     def limit_at_inf(self) -> float:
@@ -171,8 +198,10 @@ def eval_F(F: AntiderivativeF, x: float) -> float:
                 total += t.c / d**t.p
         elif isinstance(t, LogQuadratic):
             total += t.c * math.log((x - t.beta) ** 2 + t.gamma**2)
-        else:
+        elif isinstance(t, ArcTan):
             total += t.c * math.atan((x - t.beta) / t.gamma)
+        else:
+            total += t.c * x
     # the strongest pole wins; a bare log diverges to -inf from either side
     if pole_p > 0:
         return math.copysign(math.inf, pole_c * F.overall_scale)
@@ -192,8 +221,16 @@ def partial_fractions(ode: OdeData, branch) -> AntiderivativeF:
     factor raises UnsupportedMultiplicityError. Shared roots of x^k and H
     cancel automatically because their leading quotient entries vanish.
     """
-    H = ode.H
-    k = ode.k
+    return _split(ode.H, ode.k, branch)
+
+
+def _split(H, k: int, branch, root: Optional[float] = None) -> AntiderivativeF:
+    """Antiderivative of P / H with P = x^k, or P = x^k (x - root) when given.
+
+    The second numerator is the one of the potential (see RadialSolution.G).
+    Its degree reaches deg H when R = 0; the polynomial part of P / H is
+    then the constant 1 / lead(H), integrated as a Linear term.
+    """
     profile = real_root_profile(H)
     for beta, gamma, mult in profile.quad_factors:
         if mult >= 2:
@@ -201,16 +238,21 @@ def partial_fractions(ode: OdeData, branch) -> AntiderivativeF:
                 f"quadratic factor at ({beta}, {gamma}) has multiplicity {mult}"
             )
 
-    terms = []
+    d = len(H.coeffs) - 1
+    lin = 1.0 / H.coeffs[-1] if root is not None and k + 1 == d else 0.0
+    terms = [Linear(lin)] if lin else []
     principal = []
     for value, mult in profile.real_roots:
         shifted = _taylor(H.coeffs, value)
         denom = shifted[mult:]
         assert denom and denom[0] != 0.0
+        # Taylor coefficients of P at value; (value - root) is exactly 0 at root
         numer = [
             float(math.comb(k, j)) * value ** (k - j) if j <= k else 0.0
             for j in range(mult)
         ]
+        if root is not None:
+            numer = [(value - root) * a + b for a, b in zip(numer, [0.0] + numer)]
         quo = []
         for i in range(mult):
             acc = numer[i]
@@ -229,11 +271,15 @@ def partial_fractions(ode: OdeData, branch) -> AntiderivativeF:
                 terms.append(RecipPower(a / (1.0 - j), value, j - 1))
 
     if profile.quad_factors:
-        # remainder after subtracting the real-root principal parts:
-        # T = x^k - sum a_j H/(x-r)^j equals sum (B x + C) H/q over the quads
-        d = len(H.coeffs) - 1
-        target = np.zeros(d)
-        target[k] = 1.0
+        # remainder after subtracting the polynomial and real-root principal
+        # parts: T = P - lin H - sum a_j H/(x-r)^j equals sum (B x + C) H/q
+        # over the quads
+        numer = np.zeros(d + 1)
+        numer[k] = 1.0
+        if root is not None:
+            numer[k] = -root
+            numer[k + 1] = 1.0
+        target = (numer - lin * np.asarray(H.coeffs))[:d]
         for value, j, a in principal:
             work = list(H.coeffs)
             for _ in range(j):
@@ -268,8 +314,10 @@ def partial_fractions(ode: OdeData, branch) -> AntiderivativeF:
                 terms.append(ArcTan(aq, beta, gamma))
 
     F = AntiderivativeF(tuple(terms), 1.0)
-    probe = branch.A + 1.0 if math.isinf(branch.B) else 0.5 * (branch.A + branch.B)
+    probe = _probe_point(branch.A, branch.B)
     want = probe**k / H(probe)
+    if root is not None:
+        want *= probe - root
     got = F.derivative(probe)
     assert got > 0.0 and abs(got - want) <= 1e-8 * (1.0 + abs(want))
     return F
@@ -281,10 +329,11 @@ class RadialSolution:
     Immutable apart from a monotone sample cache that warm-starts the
     inversion: reads grab the current tuple pair without locking and
     writes swap in a fresh pair under a lock, so concurrent readers are
-    safe and writers are serialized.
+    safe and writers are serialized. The potential's antiderivative G is
+    built on first use; a race builds it twice, to the same value.
     """
 
-    __slots__ = ("ode", "branch", "F", "c", "s_domain", "_lock", "_cache")
+    __slots__ = ("ode", "branch", "F", "c", "s_domain", "_lock", "_cache", "_G")
 
     def __init__(self, ode, branch, F, c, s_domain, seed_samples=()):
         self.ode = ode
@@ -298,9 +347,22 @@ class RadialSolution:
             tuple(s for s, _ in seeds),
             tuple(g for _, g in seeds),
         )
+        self._G = None
 
     def g(self, s: float) -> float:
         return solve_g(self, s)
+
+    def G(self) -> AntiderivativeF:
+        """Antiderivative of x^k (x - A) / H, A the window's left endpoint.
+
+        Along the profile du = g ds / s = x^n dx / H, and x^n splits as
+        x^k (x - A) + A x^k, so u(s) = A log s + G(g(s)) + const. The
+        A log s part takes the log|x - A| term of a simple root A, so G is
+        smooth at A and stays accurate where rounding pins g to A.
+        """
+        if self._G is None:
+            self._G = _split(self.ode.H, self.ode.k, self.branch, self.branch.A)
+        return self._G
 
     def _remember(self, s: float, g: float) -> None:
         with self._lock:
@@ -461,6 +523,8 @@ def shoot_ode(ode, s0: float, g0: float, s_targets) -> ShootResult:
             break
     if window is None:
         raise BadAnchorError(f"g0 = {g0!r} lies in no admissible window")
+
+    from scipy.integrate import solve_ivp  # only the cross-check needs scipy
 
     k = ode.k
     H = ode.H

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from csck import (
     NotKahlerError,
@@ -58,10 +59,11 @@ def solution_for(label, params=None):
 
 
 def plain_solution(n, R, lam, mu, anchor):
+    """First branch, anchored at (1, A + 1) when anchor is None."""
     ode = build_ode(RadialProblem(n, R, lam, mu))
     br = admissible_branches(ode)[0]
     F = partial_fractions(ode, br)
-    return gauge_from_anchor(ode, br, F, anchor)
+    return gauge_from_anchor(ode, br, F, anchor or (1.0, br.A + 1.0))
 
 
 def test_potential_euclidean_linear():
@@ -91,6 +93,32 @@ def test_potential_ball_anchored_at_midpoint():
     for s in (0.1, 0.25, 0.8):
         want = -math.log(1.0 - s) + math.log(0.5)
         assert potential_u(sol, s) == pytest.approx(want, abs=1e-10)
+
+
+def test_potential_at_the_float_wall():
+    # g(0.05) - A is about 9e-18, below ulp(A): g is pinned at A to
+    # rounding, so a log|g - A| term in the potential would be O(1) wrong;
+    # the reference is a 30-digit ODE integration
+    sol = plain_solution(6, 0.0, 2.7270930784596272, -1.0966327986975504, None)
+    assert potential_u(sol, 0.05) == pytest.approx(-1.39871963672175, abs=1e-10)
+
+
+@pytest.mark.parametrize("label", BRANCHED)
+def test_potential_matches_quadrature(label):
+    # independent oracle: u(s) = integral of g(t)/t from the anchor
+    sol = solution_for(label)
+    lo, hi = sol.s_domain
+    anchor = 1.0 if lo < 1.0 < hi else 0.5 * (lo + hi)
+    if math.isinf(hi):
+        grid = np.geomspace(0.01, 100.0, 12)
+    else:
+        grid = np.geomspace(max(0.05, 2.0 * lo), 0.998 * hi, 12)
+    for s in grid:
+        s = float(s)
+        want, _ = quad(
+            lambda t: solve_g(sol, t) / t, anchor, s, epsabs=1e-12, epsrel=1e-12, limit=200
+        )
+        assert abs(potential_u(sol, s) - want) <= 1e-10 * (1.0 + abs(want))
 
 
 def test_potential_out_of_domain():

@@ -120,6 +120,20 @@ def test_double_root_terms():
     assert eval_F(F, 1.0) == -math.inf
 
 
+def test_derivative_at_singular_abscissa_is_signed_infinity():
+    # bisection can collapse onto A here; the Newton polish then asks for
+    # F'(A), which must be the right-hand limit, not a ZeroDivisionError
+    ode = build_ode(RadialProblem(6, 0.0, 2.7270930784596272, -1.0966327986975504))
+    br = admissible_branches(ode)[0]
+    assert br.A > 0.0
+    F = partial_fractions(ode, br)
+    assert F.derivative(br.A) == math.inf
+    # H = (x - 1)^2: the pole term -1/(x - 1) dominates the log at x = 1
+    ode = build_ode(RadialProblem(2, 0.0, -2.0, 1.0))
+    F = partial_fractions(ode, admissible_branches(ode)[0])
+    assert F.derivative(1.0) == math.inf
+
+
 def test_quadratic_factor_residues():
     # H = x^3 + x^2 - 2 = (x - 1)((x + 1)^2 + 1); residue at 1 is 1/H'(1) = 1/5,
     # and matching x - (x^2 + 2x + 2)/5 forces B = -1/5, C = 2/5
