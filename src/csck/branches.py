@@ -9,7 +9,7 @@ stays finite at the left endpoint never reaches s = 0 and is discarded.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -108,12 +108,11 @@ def _enumerate(ode: OdeData):
                 "at the left endpoint, s = 0 is unreachable"
             )
             continue
-        if dl and dr:
-            smooth = a == 0.0 and ode.problem.lam == 0.0 and ode.problem.mu == 0.0
-            kind = BranchKind.SMOOTH_ORIGIN if smooth else BranchKind.FULL_RAY
-        else:
-            kind = BranchKind.FINITE_EXTENSION
-        branches.append(Branch(a, b, dl, dr, kind))
+        kind = BranchKind.FULL_RAY if dr else BranchKind.FINITE_EXTENSION
+        branch = Branch(a, b, dl, dr, kind)
+        if dr and smooth_origin_test(branch, ode):
+            branch = replace(branch, kind=BranchKind.SMOOTH_ORIGIN)
+        branches.append(branch)
     return tuple(branches), roots, has_quad, tuple(notes)
 
 

@@ -1,10 +1,29 @@
 """Catalogued solution families of the low-dimensional classification.
 
-Each fixture freezes one family: dimension, curvature sign, the
-constraint clauses its parameters must satisfy, the (lambda, mu) pair it
-plants in the slope polynomial, the branch window it occupies and, where
-a closed form exists, g(s) itself together with the implicit
-antiderivative identity F(g) = log s + c.
+Every family is one factorization of the slope polynomial
+
+    H(x) = -c x^(n+1) + x^n + lambda x + mu = lead * prod (x - r)^m * q,
+
+with c = R / (n (n + 1)) the curvature factor, lead = -c (or 1 when
+c = 0) and q an optional factor (x - beta)^2 + gamma^2. A family is
+written once, as a spec:
+
+- roots(p, n): the real roots and multiplicities, increasing in value;
+- quad: the names of the (beta, gamma) parameters of q, if present;
+- ineqs: the inequality clauses, comparison chains whose predicates
+  are read from their texts;
+- eqs: the texts of the equality clauses. H has x^n coefficient 1 and
+  coefficients n-1 ... 2 equal to 0; the texts name these constraints
+  on the product from the top coefficient down (the x^n one holds by
+  itself when c = 0). A family whose roots satisfy them identically
+  lists none;
+- window: the index of the left root A of the branch window; B is the
+  next root, or infinity after the last one.
+
+validate, lambda_mu (through Poly.from_factors), branch_range,
+labels_for, canonical_label and match_label are derived from the specs.
+The verdict, the branch kind and the oracles are written by hand: the
+closed form g(s) and the implicit identity F(g) = log s + c.
 
 reference_F closures return F already divided by the overall scale of
 the identity, so F'(x) = x^(n-1) / H(x) holds exactly and cross checks
@@ -13,10 +32,13 @@ Families without a usable identity carry reference_F = None.
 """
 
 import math
+import operator
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import ConstraintViolationError, NotClassifiedError
+from .polynomials import Poly
 from .reduction import FunctionHandle
 
 # Equality clauses are checked to this absolute slack; the catalogued
@@ -45,15 +67,6 @@ class CaseFixture:
     def curvature(self, n=None) -> float:
         m = self.n if n is None else n
         return float(self.curv_factor * m * (m + 1))
-
-
-def _check(label, ok, clause):
-    if not ok:
-        raise ConstraintViolationError(label, clause)
-
-
-def _eq(value, target=0.0):
-    return abs(value - target) <= _EQ_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -368,594 +381,321 @@ def _F_ball_double(p):
 
 
 # ---------------------------------------------------------------------------
-# validators and (lambda, mu) maps
+# root-pattern specs
 
-def _v_smooth_flat(p):
-    _check("1.1.1", p["a"] > 0, "a > 0")
+_COMPARE = {"<": operator.lt, ">": operator.gt, "!=": operator.ne}
 
 
-def _v_smooth_round(p):
-    _check("1.1.2", p["a"] > 0, "a > 0")
+def _clause(text):
+    """(text, predicate) of a comparison chain such as 'alpha < 0 < beta'.
 
+    Each operand is a number or a product of parameter names.
+    """
+    parts = re.split(r" (<|>|!=) ", text)
+    ops = [_COMPARE[op] for op in parts[1::2]]
+    terms = [term.split() for term in parts[::2]]
 
-def _v_smooth_none(p):
-    pass
+    def holds(p):
+        v = [
+            math.prod(p[f] if f.isidentifier() else float(f) for f in term)
+            for term in terms
+        ]
+        return all(op(a, b) for op, a, b in zip(ops, v, v[1:]))
 
+    return text, holds
 
-def _v_121(p):
-    _check("1.2.1", p["a"] > 0, "a > 0")
 
+@dataclass(frozen=True)
+class _Spec:
+    """Root pattern of one family; see the module docstring."""
 
-def _v_122(p):
-    _check("1.2.2", p["a"] > 0, "a > 0")
-    _check("1.2.2", p["b"] > 0, "b > 0")
+    label: str
+    n: int
+    curv_factor: int
+    defaults: dict
+    roots: Callable
+    quad: Optional[tuple]
+    ineqs: tuple
+    eqs: tuple
+    window: Optional[int]
 
+    def _coeffs(self, p):
+        # the dimension-free families have lambda = mu = 0 in every
+        # dimension, so expanding them at the fixture n serves
+        quads = ((p[self.quad[0]], p[self.quad[1]], 1),) if self.quad else ()
+        lead = float(-self.curv_factor or 1)
+        return Poly.from_factors(self.roots(p, self.n), quads, lead).coeffs
 
-def _v_123(p):
-    al, be = p["alpha"], p["beta"]
-    _check("1.2.3", al != 0, "alpha != 0")
-    _check("1.2.3", be > 0, "beta > 0")
-    _check("1.2.3", al < be, "alpha < beta")
+    def validate(self, p):
+        for text, holds in self.ineqs:
+            if not holds(p):
+                raise ConstraintViolationError(self.label, text)
+        if not self.eqs:
+            return
+        cs = self._coeffs(p)
+        top = self.n if self.curv_factor else self.n - 1
+        for j, text in zip(range(top, 1, -1), self.eqs):
+            target = 1.0 if j == self.n else 0.0
+            if not abs(cs[j] - target) <= _EQ_TOL:
+                raise ConstraintViolationError(self.label, text)
 
+    def lambda_mu(self, p):
+        cs = self._coeffs(p)
+        # + 0.0 turns the signed zero an exact zero root can leave into 0.0
+        return float(cs[1]) + 0.0, float(cs[0]) + 0.0
 
-def _v_124(p):
-    _check("1.2.4", p["alpha"] > 0, "alpha > 0")
+    def branch_range(self, p):
+        values = [r for r, _ in self.roots(p, self.n)]
+        right = self.window + 1
+        return values[self.window], values[right] if right < len(values) else math.inf
 
+    def match_key(self, n):
+        """What match_label sees of the default member in dimension n."""
+        R = float(self.curv_factor * n * (n + 1))
+        return _match_key(n, R, self.roots(self.defaults, n), self.quad is not None)
 
-def _v_131(p):
-    _check("1.3.1", p["a"] > 0, "a > 0")
 
+def _match_key(n, R, roots, has_quad):
+    # multiplicities in root order, each with whether that root is exactly 0
+    return n, R, tuple([(m, r == 0.0) for r, m in roots]), has_quad
 
-def _v_132(p):
-    _check("1.3.2", p["a"] > 0, "a > 0")
-    _check("1.3.2", 0 < p["k"] < 1, "0 < k < 1")
 
+def _named(*names):
+    # simple roots, one per named parameter
+    return lambda p, n: tuple((p[x], 1) for x in names)
 
-def _v_133(p):
-    al, be, ga = p["alpha"], p["beta"], p["gamma"]
-    _check("1.3.3", al != 0, "alpha != 0")
-    _check("1.3.3", be > 0, "beta > 0")
-    _check("1.3.3", al < be < ga, "alpha < beta < gamma")
-    _check("1.3.3", _eq(al + be + ga, 1.0), "alpha + beta + gamma = 1")
 
+def _origin(p, n):  # H = x^n
+    return ((0.0, n),)
 
-def _v_134(p):
-    al, be = p["alpha"], p["beta"]
-    _check("1.3.4", 0 < be < al, "0 < beta < alpha")
-    _check("1.3.4", _eq(al + 2.0 * be, 1.0), "alpha + 2 beta = 1")
 
+def _sphere(p, n):  # H = -x^n (x - 1)
+    return ((0.0, n), (1.0, 1))
 
-def _v_141(p):
-    _check("1.4.1", p["a"] > 0, "a > 0")
 
+def _ball(p, n):  # H = x^n (x + 1)
+    return ((-1.0, 1), (0.0, n))
 
-def _v_142(p):
-    _check("1.4.2", p["a"] > 0, "a > 0")
-    _check("1.4.2", p["b"] > 0, "b > 0")
 
+# (verdict, kind) of a family
+_SMOOTH = ("SmoothFamily", "SmoothOrigin")
+_SINGULAR = ("SingularFamilies", "FullRay")
+_FINITE = ("FiniteExtensionOnly", "FiniteExtension")
+_NONE = ("Nonexistent", None)
 
-def _v_143(p):
-    al, be, ga = p["alpha"], p["beta"], p["gamma"]
-    _check("1.4.3", al < 0, "alpha < 0")
-    _check("1.4.3", be != 0, "beta != 0")
-    _check("1.4.3", ga > 0, "gamma > 0")
-    _check("1.4.3", al < be < ga, "alpha < beta < gamma")
-    _check("1.4.3", _eq(al + be + ga, 0.0), "alpha + beta + gamma = 0")
 
-
-def _v_144(p):
-    _check("1.4.4", p["alpha"] < 0, "alpha < 0")
-
-
-def _v_145(p):
-    _check("1.4.5", p["alpha"] > 0, "alpha > 0")
-
-
-def _v_146(p):
-    al, be, ga = p["alpha"], p["beta"], p["gamma"]
-    _check("1.4.6", al > 0, "alpha > 0")
-    _check("1.4.6", ga > 0, "gamma > 0")
-    _check("1.4.6", _eq(al + 2.0 * be, 0.0), "alpha + 2 beta = 0")
-
-
-def _v_151(p):
-    _check("1.5.1", p["a"] > 0, "a > 0")
-
-
-def _v_152(p):
-    al, be, ga = p["alpha"], p["beta"], p["gamma"]
-    _check("1.5.2", al < 0 < be and be < ga, "alpha < 0 < beta < gamma")
-    _check("1.5.2", _eq(al + be + ga, 1.0), "alpha + beta + gamma = 1")
-    _check(
-        "1.5.2",
-        _eq(al * be + be * ga + ga * al, 0.0),
-        "alpha beta + beta gamma + gamma alpha = 0",
-    )
-
-
-def _v_153(p):
-    al, be, ga, de = p["alpha"], p["beta"], p["gamma"], p["delta"]
-    _check("1.5.3", al < be < ga < de, "alpha < beta < gamma < delta")
-    _check("1.5.3", _eq(al + be + ga + de, 1.0), "alpha + beta + gamma + delta = 1")
-    pair_sum = al * be + al * ga + al * de + be * ga + be * de + ga * de
-    _check("1.5.3", _eq(pair_sum, 0.0), "sum of pairwise products = 0")
-    _check("1.5.3", ga > 0, "gamma > 0")
-    _check("1.5.3", al * be * de != 0, "alpha beta delta != 0")
-
-
-def _i_quantity(al, be, ga):
-    return al * al + 2.0 * al * be + 2.0 * al * ga + be * ga
-
-
-def _v_154(p):
-    al, be, ga = p["alpha"], p["beta"], p["gamma"]
-    _check("1.5.4", _eq(2.0 * al + be + ga, 1.0), "2 alpha + beta + gamma = 1")
-    _check(
-        "1.5.4",
-        _eq(_i_quantity(al, be, ga), 0.0),
-        "alpha^2 + 2 alpha beta + 2 alpha gamma + beta gamma = 0",
-    )
-    _check("1.5.4", al < 0 < be and be < ga, "alpha < 0 < beta < gamma")
-
-
-def _v_155(p):
-    al, be, ga = p["alpha"], p["beta"], p["gamma"]
-    _check("1.5.5", _eq(2.0 * al + be + ga, 1.0), "2 alpha + beta + gamma = 1")
-    _check(
-        "1.5.5",
-        _eq(_i_quantity(al, be, ga), 0.0),
-        "alpha^2 + 2 alpha beta + 2 alpha gamma + beta gamma = 0",
-    )
-    _check("1.5.5", be < 0 < al and al < ga, "beta < 0 < alpha < gamma")
-
-
-def _v_156(p):
-    a1, a2, be, ga = p["alpha1"], p["alpha2"], p["beta"], p["gamma"]
-    _check("1.5.6", 0 < a1 < a2, "0 < alpha1 < alpha2")
-    _check("1.5.6", ga > 0, "gamma > 0")
-    _check("1.5.6", _eq(a1 + a2 + 2.0 * be, 1.0), "alpha1 + alpha2 + 2 beta = 1")
-    _check(
-        "1.5.6",
-        _eq(a1 * a2 + 2.0 * be * (a1 + a2) + be * be + ga * ga, 0.0),
-        "alpha1 alpha2 + 2 beta (alpha1 + alpha2) + beta^2 + gamma^2 = 0",
-    )
-
-
-def _v_171(p):
-    pass
-
-
-def _v_172(p):
-    _check("1.7.2", p["k"] > 1, "k > 1")
-
-
-def _v_173(p):
-    al, be, ga = p["alpha"], p["beta"], p["gamma"]
-    _check("1.7.3", _eq(al + be + ga, -1.0), "alpha + beta + gamma = -1")
-    _check("1.7.3", al < be < ga, "alpha < beta < gamma")
-    _check("1.7.3", ga > 0, "gamma > 0")
-
-
-def _v_174(p):
-    al, be = p["alpha"], p["beta"]
-    _check("1.7.4", al < 0, "alpha < 0")
-    _check("1.7.4", be > 0, "beta > 0")
-    _check("1.7.4", _eq(al + 2.0 * be, -1.0), "alpha + 2 beta = -1")
-
-
-def _v_175(p):
-    al, be = p["alpha"], p["beta"]
-    _check("1.7.5", al > 0, "alpha > 0")
-    _check("1.7.5", be < 0, "beta < 0")
-    _check("1.7.5", _eq(al + 2.0 * be, -1.0), "alpha + 2 beta = -1")
-
-
-def _v_176(p):
-    al, ga = p["alpha"], p["gamma"]
-    _check("1.7.6", al > 0, "alpha > 0")
-    _check("1.7.6", ga > 0, "gamma > 0")
-    _check("1.7.6", _eq(al + 2.0 * p["beta"], -1.0), "alpha + 2 beta = -1")
-
-
-def _lm_zero(p):
-    return 0.0, 0.0
-
-
-def _lm_122(p):
-    return -p["b"], 0.0
-
-
-def _lm_two_roots(p):
-    al, be = p["alpha"], p["beta"]
-    return -(al + be), al * be
-
-
-def _lm_124(p):
-    al = p["alpha"]
-    return -2.0 * al, al * al
-
-
-def _lm_132(p):
-    k = p["k"]
-    return -0.25 * (1.0 - k * k), 0.0
-
-
-def _lm_133(p):
-    al, be, ga = p["alpha"], p["beta"], p["gamma"]
-    return -(al * be + be * ga + ga * al), al * be * ga
-
-
-def _lm_134(p):
-    al, be = p["alpha"], p["beta"]
-    return -(2.0 * al * be + be * be), al * be * be
-
-
-def _lm_142(p):
-    c = p["a"] * p["b"]
-    return -c * c, 0.0
-
-
-def _lm_143(p):
-    al, be, ga = p["alpha"], p["beta"], p["gamma"]
-    return al * be + be * ga + ga * al, -al * be * ga
-
-
-def _lm_cubic_double(p):
-    al = p["alpha"]
-    return -3.0 * al * al, 2.0 * al**3
-
-
-def _lm_146(p):
-    al, be, ga = p["alpha"], p["beta"], p["gamma"]
-    q = be * be + ga * ga
-    return q + 2.0 * al * be, -al * q
-
-
-def _lm_152(p):
-    al, be, ga = p["alpha"], p["beta"], p["gamma"]
-    return al * be * ga, 0.0
-
-
-def _lm_153(p):
-    al, be, ga, de = p["alpha"], p["beta"], p["gamma"], p["delta"]
-    e3 = al * be * ga + al * be * de + al * ga * de + be * ga * de
-    return e3, -al * be * ga * de
-
-
-def _lm_15_double(p):
-    al, be, ga = p["alpha"], p["beta"], p["gamma"]
-    e3 = al * al * (be + ga) + 2.0 * al * be * ga
-    return e3, -al * al * be * ga
-
-
-def _lm_156(p):
-    a1, a2, be, ga = p["alpha1"], p["alpha2"], p["beta"], p["gamma"]
-    q = be * be + ga * ga
-    return 2.0 * be * a1 * a2 + (a1 + a2) * q, -a1 * a2 * q
-
-
-def _lm_172(p):
-    k = p["k"]
-    return 0.25 * (1.0 - k * k), 0.0
-
-
-def _lm_173(p):
-    al, be, ga = p["alpha"], p["beta"], p["gamma"]
-    return al * be + be * ga + ga * al, -al * be * ga
-
-
-def _lm_17_double(p):
-    al, be = p["alpha"], p["beta"]
-    return 2.0 * al * be + be * be, -al * be * be
-
-
-def _lm_176(p):
-    al, be, ga = p["alpha"], p["beta"], p["gamma"]
-    q = be * be + ga * ga
-    return q + 2.0 * al * be, -al * q
-
-
-# ---------------------------------------------------------------------------
-# branch windows
-
-_INF = math.inf
-
-
-def _fix(
-    label,
-    n,
-    curv_factor,
-    param_names,
-    defaults,
-    verdict,
-    kind,
-    validate,
-    lambda_mu,
-    branch_range,
-    closed_form=None,
-    reference_F=None,
-    n_is_free=False,
+def _family(
+    label, n, curv_factor, defaults, outcome, roots, *, quad=None, ineqs=(),
+    eqs=(), window=None, closed_form=None, reference_F=None, n_is_free=False,
 ):
-    return CaseFixture(
+    ineqs = tuple(_clause(text) for text in ineqs)
+    spec = _Spec(label, n, curv_factor, defaults, roots, quad, ineqs, eqs, window)
+    fixture = CaseFixture(
         label=label,
         n=n,
         curv_factor=curv_factor,
-        param_names=tuple(param_names),
+        param_names=tuple(defaults),
         defaults=dict(defaults),
         n_is_free=n_is_free,
-        verdict=verdict,
-        kind=kind,
-        validate=validate,
-        lambda_mu=lambda_mu,
-        branch_range=branch_range,
+        verdict=outcome[0],
+        kind=outcome[1],
+        validate=spec.validate,
+        lambda_mu=spec.lambda_mu,
+        branch_range=None if window is None else spec.branch_range,
         closed_form=closed_form,
         reference_F=reference_F,
     )
+    return spec, fixture
 
 
 _SQ5 = math.sqrt(5.0)
 _SQ6 = math.sqrt(6.0)
 _SQ21 = math.sqrt(21.0)
-_SQ3 = math.sqrt(3.0)
+
+# coefficient 2 of the n = 3, R = 12 quartic with a double root alpha
+_E2_DOUBLE = "alpha^2 + 2 alpha beta + 2 alpha gamma + beta gamma = 0"
 
 _ALL = (
     # smooth metrics on the whole of C^n, any dimension
-    _fix(
-        "1.1.1", 2, 0, ("a",), {"a": 1.0},
-        "SmoothFamily", "SmoothOrigin",
-        _v_smooth_flat, _lm_zero,
-        lambda p: (0.0, _INF),
-        closed_form=lambda p: _g_linear(p["a"]),
-        reference_F=_F_log,
+    _family(
+        "1.1.1", 2, 0, {"a": 1.0}, _SMOOTH, _origin, ineqs=("a > 0",), window=0,
+        closed_form=lambda p: _g_linear(p["a"]), reference_F=_F_log, n_is_free=True,
+    ),
+    _family(
+        "1.1.2", 2, 1, {"a": 1.0}, _SMOOTH, _sphere, ineqs=("a > 0",), window=0,
+        closed_form=lambda p: _g_round_sphere(p["a"]), reference_F=_F_round_sphere,
         n_is_free=True,
     ),
-    _fix(
-        "1.1.2", 2, 1, ("a",), {"a": 1.0},
-        "SmoothFamily", "SmoothOrigin",
-        _v_smooth_round, _lm_zero,
-        lambda p: (0.0, 1.0),
-        closed_form=lambda p: _g_round_sphere(p["a"]),
-        reference_F=_F_round_sphere,
-        n_is_free=True,
-    ),
-    _fix(
-        "1.1.3", 2, -1, (), {},
-        "Nonexistent", None,
-        _v_smooth_none, _lm_zero,
-        None,
-        n_is_free=True,
-    ),
+    _family("1.1.3", 2, -1, {}, _NONE, _ball, n_is_free=True),
     # n = 2, R = 0
-    _fix(
-        "1.2.1", 2, 0, ("a", "b"), {"a": 1.0, "b": 0.0},
-        "SmoothFamily", "SmoothOrigin",
-        _v_121, _lm_zero,
-        lambda p: (0.0, _INF),
-        closed_form=lambda p: _g_linear(p["a"]),
-        reference_F=_F_log,
+    _family(
+        "1.2.1", 2, 0, {"a": 1.0, "b": 0.0}, _SMOOTH, _origin, ineqs=("a > 0",),
+        window=0, closed_form=lambda p: _g_linear(p["a"]), reference_F=_F_log,
     ),
-    _fix(
-        "1.2.2", 2, 0, ("a", "b"), {"a": 1.0, "b": 1.0},
-        "SingularFamilies", "FullRay",
-        _v_122, _lm_122,
-        lambda p: (p["b"], _INF),
-        closed_form=lambda p: _g_affine(p["a"], p["b"]),
-        reference_F=_F_log_shift,
+    _family(
+        "1.2.2", 2, 0, {"a": 1.0, "b": 1.0}, _SINGULAR,
+        lambda p, n: ((0.0, 1), (p["b"], 1)), ineqs=("a > 0", "b > 0"), window=1,
+        closed_form=lambda p: _g_affine(p["a"], p["b"]), reference_F=_F_log_shift,
     ),
-    _fix(
-        "1.2.3", 2, 0, ("alpha", "beta"), {"alpha": -1.0, "beta": 1.0},
-        "SingularFamilies", "FullRay",
-        _v_123, _lm_two_roots,
-        lambda p: (p["beta"], _INF),
+    _family(
+        "1.2.3", 2, 0, {"alpha": -1.0, "beta": 1.0}, _SINGULAR, _named("alpha", "beta"),
+        ineqs=("alpha != 0", "beta > 0", "alpha < beta"), window=1,
         reference_F=_F_two_log_ratio,
     ),
-    _fix(
-        "1.2.4", 2, 0, ("alpha",), {"alpha": 1.0},
-        "SingularFamilies", "FullRay",
-        _v_124, _lm_124,
-        lambda p: (p["alpha"], _INF),
-        reference_F=_F_double_root_n2,
+    _family(
+        "1.2.4", 2, 0, {"alpha": 1.0}, _SINGULAR, lambda p, n: ((p["alpha"], 2),),
+        ineqs=("alpha > 0",), window=0, reference_F=_F_double_root_n2,
     ),
     # n = 2, R = 6
-    _fix(
-        "1.3.1", 2, 1, ("a",), {"a": 1.0},
-        "SmoothFamily", "SmoothOrigin",
-        _v_131, _lm_zero,
-        lambda p: (0.0, 1.0),
-        closed_form=lambda p: _g_round_sphere(p["a"]),
-        reference_F=_F_round_sphere,
+    _family(
+        "1.3.1", 2, 1, {"a": 1.0}, _SMOOTH, _sphere, ineqs=("a > 0",), window=0,
+        closed_form=lambda p: _g_round_sphere(p["a"]), reference_F=_F_round_sphere,
     ),
-    _fix(
-        "1.3.2", 2, 1, ("a", "k"), {"a": 1.0, "k": 0.5},
-        "SingularFamilies", "FullRay",
-        _v_132, _lm_132,
-        lambda p: (0.5 * (1.0 - p["k"]), 0.5 * (1.0 + p["k"])),
-        closed_form=lambda p: _g_power_pole(p["a"], p["k"]),
-        reference_F=_F_power_pole,
+    _family(
+        "1.3.2", 2, 1, {"a": 1.0, "k": 0.5}, _SINGULAR,
+        lambda p, n: ((0.0, 1), (0.5 * (1.0 - p["k"]), 1), (0.5 * (1.0 + p["k"]), 1)),
+        ineqs=("a > 0", "0 < k < 1"), window=1,
+        closed_form=lambda p: _g_power_pole(p["a"], p["k"]), reference_F=_F_power_pole,
     ),
-    _fix(
-        "1.3.3", 2, 1, ("alpha", "beta", "gamma"),
-        {"alpha": -1.0, "beta": 0.5, "gamma": 1.5},
-        "SingularFamilies", "FullRay",
-        _v_133, _lm_133,
-        lambda p: (p["beta"], p["gamma"]),
-        reference_F=_F_three_log_capped,
+    _family(
+        "1.3.3", 2, 1, {"alpha": -1.0, "beta": 0.5, "gamma": 1.5}, _SINGULAR,
+        _named("alpha", "beta", "gamma"),
+        ineqs=("alpha != 0", "beta > 0", "alpha < beta < gamma"),
+        eqs=("alpha + beta + gamma = 1",), window=1, reference_F=_F_three_log_capped,
     ),
-    _fix(
-        "1.3.4", 2, 1, ("alpha", "beta"), {"alpha": 0.5, "beta": 0.25},
-        "SingularFamilies", "FullRay",
-        _v_134, _lm_134,
-        lambda p: (p["beta"], p["alpha"]),
-        reference_F=_F_double_below_simple,
+    _family(
+        "1.3.4", 2, 1, {"alpha": 0.5, "beta": 0.25}, _SINGULAR,
+        lambda p, n: ((p["beta"], 2), (p["alpha"], 1)), ineqs=("0 < beta < alpha",),
+        eqs=("alpha + 2 beta = 1",), window=0, reference_F=_F_double_below_simple,
     ),
     # n = 3, R = 0
-    _fix(
-        "1.4.1", 3, 0, ("a", "b"), {"a": 1.0, "b": 0.0},
-        "SmoothFamily", "SmoothOrigin",
-        _v_141, _lm_zero,
-        lambda p: (0.0, _INF),
-        closed_form=lambda p: _g_linear(p["a"]),
-        reference_F=_F_log,
+    _family(
+        "1.4.1", 3, 0, {"a": 1.0, "b": 0.0}, _SMOOTH, _origin, ineqs=("a > 0",),
+        window=0, closed_form=lambda p: _g_linear(p["a"]), reference_F=_F_log,
     ),
-    _fix(
-        "1.4.2", 3, 0, ("a", "b"), {"a": 1.0, "b": 1.0},
-        "SingularFamilies", "FullRay",
-        _v_142, _lm_142,
-        lambda p: (p["a"] * p["b"], _INF),
+    _family(
+        "1.4.2", 3, 0, {"a": 1.0, "b": 1.0}, _SINGULAR,
+        lambda p, n: ((-p["a"] * p["b"], 1), (0.0, 1), (p["a"] * p["b"], 1)),
+        ineqs=("a > 0", "b > 0"), window=2,
         closed_form=lambda p: _g_hyperbolic_sqrt(p["a"], p["b"]),
         reference_F=_F_sqrt_profile,
     ),
-    _fix(
-        "1.4.3", 3, 0, ("alpha", "beta", "gamma"),
-        {"alpha": -3.0, "beta": 1.0, "gamma": 2.0},
-        "SingularFamilies", "FullRay",
-        _v_143, _lm_143,
-        lambda p: (p["gamma"], _INF),
-        reference_F=_F_three_log_open,
+    _family(
+        "1.4.3", 3, 0, {"alpha": -3.0, "beta": 1.0, "gamma": 2.0}, _SINGULAR,
+        _named("alpha", "beta", "gamma"),
+        ineqs=("alpha < 0", "beta != 0", "gamma > 0", "alpha < beta < gamma"),
+        eqs=("alpha + beta + gamma = 0",), window=2, reference_F=_F_three_log_open,
     ),
-    _fix(
-        "1.4.4", 3, 0, ("alpha",), {"alpha": -1.0},
-        "SingularFamilies", "FullRay",
-        _v_144, _lm_cubic_double,
-        lambda p: (-2.0 * p["alpha"], _INF),
-        reference_F=_F_cubic_double,
+    _family(
+        "1.4.4", 3, 0, {"alpha": -1.0}, _SINGULAR,
+        lambda p, n: ((p["alpha"], 2), (-2.0 * p["alpha"], 1)),
+        ineqs=("alpha < 0",), window=1, reference_F=_F_cubic_double,
     ),
-    _fix(
-        "1.4.5", 3, 0, ("alpha",), {"alpha": 1.0},
-        "SingularFamilies", "FullRay",
-        _v_145, _lm_cubic_double,
-        lambda p: (p["alpha"], _INF),
-        reference_F=_F_cubic_double,
+    _family(
+        "1.4.5", 3, 0, {"alpha": 1.0}, _SINGULAR,
+        lambda p, n: ((-2.0 * p["alpha"], 1), (p["alpha"], 2)),
+        ineqs=("alpha > 0",), window=1, reference_F=_F_cubic_double,
     ),
-    _fix(
-        "1.4.6", 3, 0, ("alpha", "beta", "gamma"),
-        {"alpha": 1.0, "beta": -0.5, "gamma": 1.0},
-        "SingularFamilies", "FullRay",
-        _v_146, _lm_146,
-        lambda p: (p["alpha"], _INF),
-        reference_F=_F_cubic_quad_pair,
+    _family(
+        "1.4.6", 3, 0, {"alpha": 1.0, "beta": -0.5, "gamma": 1.0}, _SINGULAR,
+        _named("alpha"), quad=("beta", "gamma"), ineqs=("alpha > 0", "gamma > 0"),
+        eqs=("alpha + 2 beta = 0",), window=0, reference_F=_F_cubic_quad_pair,
     ),
     # n = 3, R = 12
-    _fix(
-        "1.5.1", 3, 1, ("a",), {"a": 1.0},
-        "SmoothFamily", "SmoothOrigin",
-        _v_151, _lm_zero,
-        lambda p: (0.0, 1.0),
-        closed_form=lambda p: _g_round_sphere(p["a"]),
-        reference_F=_F_round_sphere,
+    _family(
+        "1.5.1", 3, 1, {"a": 1.0}, _SMOOTH, _sphere, ineqs=("a > 0",), window=0,
+        closed_form=lambda p: _g_round_sphere(p["a"]), reference_F=_F_round_sphere,
     ),
-    _fix(
-        "1.5.2", 3, 1, ("alpha", "beta", "gamma"),
+    _family(
+        "1.5.2", 3, 1,
         {"alpha": 0.25 * (1.0 - _SQ5), "beta": 0.5, "gamma": 0.25 * (1.0 + _SQ5)},
-        "SingularFamilies", "FullRay",
-        _v_152, _lm_152,
-        lambda p: (p["beta"], p["gamma"]),
-        reference_F=_F_three_log_capped,
+        _SINGULAR,
+        lambda p, n: ((p["alpha"], 1), (0.0, 1), (p["beta"], 1), (p["gamma"], 1)),
+        ineqs=("alpha < 0 < beta < gamma",),
+        eqs=("alpha + beta + gamma = 1", "alpha beta + beta gamma + gamma alpha = 0"),
+        window=2, reference_F=_F_three_log_capped,
     ),
-    _fix(
-        "1.5.3", 3, 1, ("alpha", "beta", "gamma", "delta"),
-        {
-            "alpha": 0.125 * (1.0 - _SQ21),
-            "beta": 0.25,
-            "gamma": 0.5,
-            "delta": 0.125 * (1.0 + _SQ21),
-        },
-        "SingularFamilies", "FullRay",
-        _v_153, _lm_153,
-        lambda p: (p["gamma"], p["delta"]),
-        reference_F=_F_four_log,
+    _family(
+        "1.5.3", 3, 1,
+        {"alpha": 0.125 * (1.0 - _SQ21), "beta": 0.25, "gamma": 0.5,
+         "delta": 0.125 * (1.0 + _SQ21)},
+        _SINGULAR, _named("alpha", "beta", "gamma", "delta"),
+        ineqs=("alpha < beta < gamma < delta", "gamma > 0", "alpha beta delta != 0"),
+        eqs=("alpha + beta + gamma + delta = 1", "sum of pairwise products = 0"),
+        window=2, reference_F=_F_four_log,
     ),
-    _fix(
-        "1.5.4", 3, 1, ("alpha", "beta", "gamma"),
-        {"alpha": -1.0 / 6.0, "beta": 0.5, "gamma": 5.0 / 6.0},
-        "SingularFamilies", "FullRay",
-        _v_154, _lm_15_double,
-        lambda p: (p["beta"], p["gamma"]),
-        reference_F=_F_quartic_double,
+    _family(
+        "1.5.4", 3, 1, {"alpha": -1.0 / 6.0, "beta": 0.5, "gamma": 5.0 / 6.0},
+        _SINGULAR, lambda p, n: ((p["alpha"], 2), (p["beta"], 1), (p["gamma"], 1)),
+        ineqs=("alpha < 0 < beta < gamma",),
+        eqs=("2 alpha + beta + gamma = 1", _E2_DOUBLE),
+        window=1, reference_F=_F_quartic_double,
     ),
-    _fix(
-        "1.5.5", 3, 1, ("alpha", "beta", "gamma"),
+    _family(
+        "1.5.5", 3, 1,
         {"alpha": 0.25, "beta": 0.25 * (1.0 - _SQ6), "gamma": 0.25 * (1.0 + _SQ6)},
-        "SingularFamilies", "FullRay",
-        _v_155, _lm_15_double,
-        lambda p: (p["alpha"], p["gamma"]),
-        reference_F=_F_quartic_double,
+        _SINGULAR, lambda p, n: ((p["beta"], 1), (p["alpha"], 2), (p["gamma"], 1)),
+        ineqs=("beta < 0 < alpha < gamma",),
+        eqs=("2 alpha + beta + gamma = 1", _E2_DOUBLE),
+        window=1, reference_F=_F_quartic_double,
     ),
-    _fix(
-        "1.5.6", 3, 1, ("alpha1", "alpha2", "beta", "gamma"),
-        {"alpha1": 0.5, "alpha2": 1.0, "beta": -0.25, "gamma": 0.25 * _SQ3},
-        "SingularFamilies", "FullRay",
-        _v_156, _lm_156,
-        lambda p: (p["alpha1"], p["alpha2"]),
-        reference_F=_F_quartic_quad_pair,
+    _family(
+        "1.5.6", 3, 1,
+        {"alpha1": 0.5, "alpha2": 1.0, "beta": -0.25, "gamma": 0.25 * math.sqrt(3.0)},
+        _SINGULAR, _named("alpha1", "alpha2"), quad=("beta", "gamma"),
+        ineqs=("0 < alpha1 < alpha2", "gamma > 0"),
+        eqs=(
+            "alpha1 + alpha2 + 2 beta = 1",
+            "alpha1 alpha2 + 2 beta (alpha1 + alpha2) + beta^2 + gamma^2 = 0",
+        ),
+        window=0, reference_F=_F_quartic_quad_pair,
     ),
     # n = 2, R = -6, metrics on the unit ball
-    _fix(
-        "1.7.1", 2, -1, (), {},
-        "FiniteExtensionOnly", "FiniteExtension",
-        _v_171, _lm_zero,
-        lambda p: (0.0, _INF),
-        closed_form=lambda p: _g_unit_ball(),
-        reference_F=_F_ball_smooth,
+    _family(
+        "1.7.1", 2, -1, {}, _FINITE, _ball, window=1,
+        closed_form=lambda p: _g_unit_ball(), reference_F=_F_ball_smooth,
     ),
-    _fix(
-        "1.7.2", 2, -1, ("k",), {"k": 2.0},
-        "FiniteExtensionOnly", "FiniteExtension",
-        _v_172, _lm_172,
-        lambda p: (0.5 * (p["k"] - 1.0), _INF),
-        closed_form=lambda p: _g_ball_power(p["k"]),
-        reference_F=_F_ball_power,
+    _family(
+        "1.7.2", 2, -1, {"k": 2.0}, _FINITE,
+        lambda p, n: ((-0.5 * (p["k"] + 1.0), 1), (0.0, 1), (0.5 * (p["k"] - 1.0), 1)),
+        ineqs=("k > 1",), window=2,
+        closed_form=lambda p: _g_ball_power(p["k"]), reference_F=_F_ball_power,
     ),
-    _fix(
-        "1.7.3", 2, -1, ("alpha", "beta", "gamma"),
-        {"alpha": -2.0, "beta": 0.2, "gamma": 0.8},
-        "FiniteExtensionOnly", "FiniteExtension",
-        _v_173, _lm_173,
-        lambda p: (p["gamma"], _INF),
-        reference_F=_F_ball_three_log,
+    _family(
+        "1.7.3", 2, -1, {"alpha": -2.0, "beta": 0.2, "gamma": 0.8}, _FINITE,
+        _named("alpha", "beta", "gamma"), ineqs=("alpha < beta < gamma", "gamma > 0"),
+        eqs=("alpha + beta + gamma = -1",), window=2, reference_F=_F_ball_three_log,
     ),
-    _fix(
-        "1.7.4", 2, -1, ("alpha", "beta"), {"alpha": -3.0, "beta": 1.0},
-        "FiniteExtensionOnly", "FiniteExtension",
-        _v_174, _lm_17_double,
-        lambda p: (p["beta"], _INF),
-        reference_F=_F_ball_double,
+    _family(
+        "1.7.4", 2, -1, {"alpha": -3.0, "beta": 1.0}, _FINITE,
+        lambda p, n: ((p["alpha"], 1), (p["beta"], 2)), ineqs=("alpha < 0", "beta > 0"),
+        eqs=("alpha + 2 beta = -1",), window=1, reference_F=_F_ball_double,
     ),
-    _fix(
-        "1.7.5", 2, -1, ("alpha", "beta"), {"alpha": 1.0, "beta": -1.0},
-        "FiniteExtensionOnly", "FiniteExtension",
-        _v_175, _lm_17_double,
-        lambda p: (p["alpha"], _INF),
-        reference_F=_F_ball_double,
+    _family(
+        "1.7.5", 2, -1, {"alpha": 1.0, "beta": -1.0}, _FINITE,
+        lambda p, n: ((p["beta"], 2), (p["alpha"], 1)), ineqs=("alpha > 0", "beta < 0"),
+        eqs=("alpha + 2 beta = -1",), window=1, reference_F=_F_ball_double,
     ),
-    _fix(
-        "1.7.6", 2, -1, ("alpha", "beta", "gamma"),
-        {"alpha": 1.0, "beta": -1.0, "gamma": 1.0},
-        "FiniteExtensionOnly", "FiniteExtension",
-        _v_176, _lm_176,
-        lambda p: (p["alpha"], _INF),
-        reference_F=None,
+    _family(
+        "1.7.6", 2, -1, {"alpha": 1.0, "beta": -1.0, "gamma": 1.0}, _FINITE,
+        _named("alpha"), quad=("beta", "gamma"), ineqs=("alpha > 0", "gamma > 0"),
+        eqs=("alpha + 2 beta = -1",), window=0,
     ),
 )
 
-CASES = {f.label: f for f in _ALL}
+_SPECS = {spec.label: spec for spec, _ in _ALL}
+CASES = {fix.label: fix for _, fix in _ALL}
 
-# The smooth families repeat inside the fixed-dimension tables; prefer
-# the dimension-specific label when one exists.
-_SMOOTH_ALIAS = {
-    ("1.1.1", 2): "1.2.1",
-    ("1.1.1", 3): "1.4.1",
-    ("1.1.2", 2): "1.3.1",
-    ("1.1.2", 3): "1.5.1",
+# One entry per windowed family of a fixed dimension: the multiplicity
+# sequence, the positions of exact zero roots and the presence of a
+# quadratic factor tell apart the families of one (n, R) table.
+_MATCH = {
+    _SPECS[label].match_key(fix.n): label
+    for label, fix in CASES.items()
+    if fix.branch_range is not None and not fix.n_is_free
 }
-
-_FAMILY_PREFIX = {
-    (2, "zero"): "1.2",
-    (2, "pos"): "1.3",
-    (3, "zero"): "1.4",
-    (3, "pos"): "1.5",
-    (2, "neg"): "1.7",
-}
+_FREE = tuple(f for f in CASES.values() if f.n_is_free and f.branch_range is not None)
+_SIGNS = {"neg": -1, "zero": 0, "pos": 1}
 
 
 def get_case(label):
@@ -967,7 +707,10 @@ def get_case(label):
 
 def canonical_label(label, n):
     """Dimension-specific alias of a smooth-family label, if one exists."""
-    return _SMOOTH_ALIAS.get((label, n), label)
+    fix = CASES.get(label)
+    if fix is None or not fix.n_is_free or fix.branch_range is None:
+        return label
+    return _MATCH.get(_SPECS[label].match_key(n), label)
 
 
 def labels_for(n, r_sign):
@@ -977,85 +720,18 @@ def labels_for(n, r_sign):
     the dimension-free smooth families.
     """
     if r_sign == "smooth":
-        return tuple(sorted(l for l in CASES if l.startswith("1.1")))
-    key = (n, r_sign)
-    if key not in _FAMILY_PREFIX:
+        return tuple(sorted(l for l, f in CASES.items() if f.n_is_free))
+    sign = _SIGNS.get(r_sign)
+    labels = sorted(
+        l
+        for l, f in CASES.items()
+        if not f.n_is_free and f.n == n and f.curv_factor == sign
+    )
+    if not labels:
         raise NotClassifiedError(
             f"no catalogued families for n = {n} with curvature sign {r_sign!r}"
         )
-    prefix = _FAMILY_PREFIX[key]
-    return tuple(sorted(l for l in CASES if l.startswith(prefix)))
-
-
-# ---------------------------------------------------------------------------
-# pattern matching from a root profile to a catalogued label
-
-def _match_n2_zero(roots):
-    if len(roots) == 1:
-        r, m = roots[0]
-        if m == 2:
-            return "1.2.1" if r == 0.0 else "1.2.4"
-    if len(roots) == 2 and all(m == 1 for _, m in roots):
-        return "1.2.2" if roots[0][0] == 0.0 else "1.2.3"
-    return "unclassified"
-
-
-def _match_n2_pos(roots):
-    if len(roots) == 2 and roots[0] == (0.0, 2):
-        return "1.3.1"
-    if len(roots) == 3 and all(m == 1 for _, m in roots):
-        return "1.3.2" if roots[0][0] == 0.0 else "1.3.3"
-    if len(roots) == 2 and roots[0][1] == 2 and roots[1][1] == 1:
-        return "1.3.4"
-    return "unclassified"
-
-
-def _match_n3_zero(roots, has_quad):
-    if has_quad:
-        return "1.4.6" if len(roots) == 1 and roots[0][1] == 1 else "unclassified"
-    if roots == ((0.0, 3),):
-        return "1.4.1"
-    if len(roots) == 3 and all(m == 1 for _, m in roots):
-        return "1.4.2" if any(r == 0.0 for r, _ in roots) else "1.4.3"
-    if len(roots) == 2 and roots[0][1] == 2 and roots[1][1] == 1:
-        return "1.4.4"
-    if len(roots) == 2 and roots[0][1] == 1 and roots[1][1] == 2:
-        return "1.4.5"
-    return "unclassified"
-
-
-def _match_n3_pos(roots, has_quad):
-    if has_quad:
-        return (
-            "1.5.6"
-            if len(roots) == 2 and all(m == 1 for _, m in roots)
-            else "unclassified"
-        )
-    if len(roots) == 2 and roots[0] == (0.0, 3):
-        return "1.5.1"
-    if len(roots) == 4 and all(m == 1 for _, m in roots):
-        return "1.5.2" if any(r == 0.0 for r, _ in roots) else "1.5.3"
-    if len(roots) == 3:
-        mults = tuple(m for _, m in roots)
-        if mults == (2, 1, 1) and roots[0][0] < 0.0:
-            return "1.5.4"
-        if mults == (1, 2, 1) and roots[1][0] > 0.0:
-            return "1.5.5"
-    return "unclassified"
-
-
-def _match_n2_neg(roots, has_quad):
-    if has_quad:
-        return "1.7.6" if len(roots) == 1 and roots[0][1] == 1 else "unclassified"
-    if len(roots) == 2 and roots[1] == (0.0, 2):
-        return "1.7.1"
-    if len(roots) == 3 and all(m == 1 for _, m in roots):
-        return "1.7.2" if any(r == 0.0 for r, _ in roots) else "1.7.3"
-    if len(roots) == 2 and roots[0][1] == 1 and roots[1][1] == 2:
-        return "1.7.4"
-    if len(roots) == 2 and roots[0][1] == 2 and roots[1][1] == 1:
-        return "1.7.5"
-    return "unclassified"
+    return tuple(labels)
 
 
 def match_label(n, R, lam, mu, real_roots, has_quad, has_branch):
@@ -1068,21 +744,7 @@ def match_label(n, R, lam, mu, real_roots, has_quad, has_branch):
     """
     if not has_branch:
         return None
-    roots = tuple(real_roots)
-    ncrit = float(n * (n + 1))
-    if n == 2 and R == 0.0:
-        return _match_n2_zero(roots)
-    if n == 2 and R == ncrit:
-        return _match_n2_pos(roots)
-    if n == 3 and R == 0.0:
-        return _match_n3_zero(roots, has_quad)
-    if n == 3 and R == ncrit:
-        return _match_n3_pos(roots, has_quad)
-    if n == 2 and R == -ncrit:
-        return _match_n2_neg(roots, has_quad)
-    if lam == 0.0 and mu == 0.0:
-        if R == 0.0:
-            return "1.1.1"
-        if R == ncrit:
-            return "1.1.2"
-    return "unclassified"
+    label = _MATCH.get(_match_key(n, R, real_roots, has_quad))
+    if label is None and lam == 0.0 and mu == 0.0:
+        label = next((f.label for f in _FREE if R == f.curvature(n)), None)
+    return label or "unclassified"

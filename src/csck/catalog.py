@@ -20,7 +20,7 @@ from .branches import BranchKind, classify
 from .cases import get_case, labels_for
 from .errors import ConstraintViolationError, NotClassifiedError, StageError
 from .geometry import VerificationReport, verify_solution
-from .quadrature import ball_normalize, gauge_from_anchor, partial_fractions
+from .quadrature import ball_normalize, gauge_from_anchor, partial_fractions, probe_point
 from .reduction import RadialProblem, build_ode
 
 __all__ = [
@@ -57,11 +57,16 @@ class CrossCheckReport:
     verification: Optional[VerificationReport]
 
 
-def _merged_params(fix, params):
+def merged_params(fix, params):
+    """Fixture defaults overridden by params, and the "n" entry split off.
+
+    Returns the merged parameter map without "n", and the value of "n"
+    (None when params does not set it).
+    """
     p = dict(fix.defaults)
     if params:
         p.update(params)
-    return p
+    return p, p.pop("n", None)
 
 
 def instantiate(label: str, params: Optional[dict] = None, n: Optional[int] = None):
@@ -74,8 +79,7 @@ def instantiate(label: str, params: Optional[dict] = None, n: Optional[int] = No
     solution return None in place of the expected branch.
     """
     fix = get_case(label)
-    p = _merged_params(fix, params)
-    dim = p.pop("n", None)
+    p, dim = merged_params(fix, params)
     if n is not None:
         dim = n
     dim = fix.n if dim is None else int(dim)
@@ -157,8 +161,7 @@ def cross_check(
     the stage tag.
     """
     fix = get_case(label)
-    p = _merged_params(fix, params)
-    p.pop("n", None)
+    p, _ = merged_params(fix, params)
     problem, expected = instantiate(label, params, n=n)
 
     # ball families only exist when finite extensions are admitted; every
@@ -203,10 +206,8 @@ def cross_check(
     else:
         if fix.closed_form is not None:
             anchor = (1.0, fix.closed_form(p).value(1.0))
-        elif math.isinf(branch.B):
-            anchor = (1.0, branch.A + 1.0)
         else:
-            anchor = (1.0, 0.5 * (branch.A + branch.B))
+            anchor = (1.0, probe_point(branch.A, branch.B))
         sol = _run_stage("gauge", gauge_from_anchor, ode, branch, F, anchor)
 
     deviation = None

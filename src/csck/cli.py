@@ -17,12 +17,14 @@ from typing import Optional
 import numpy as np
 
 from .branches import BranchKind, classify
-from .catalog import cross_check, enumerate_cases, instantiate
+from .catalog import cross_check, enumerate_cases, instantiate, merged_params
 from .cases import get_case
 from .errors import CsckError
 from .geometry import metric_sample, verify_solution
 from .inequalities import certify_negative
-from .quadrature import ball_normalize, eval_F, gauge_from_anchor, partial_fractions, solve_g
+from .quadrature import (
+    ball_normalize, eval_F, gauge_from_anchor, partial_fractions, probe_point, solve_g
+)
 from .reduction import RadialProblem, build_ode, ode_residual
 
 CSV_HEADER = "s,g,u,up,upp,f,R_num"
@@ -387,7 +389,7 @@ def _gauged_solution(cfg):
         sol = gauge_from_anchor(ode, branch, F, (cfg.gauge[1], cfg.gauge[2]))
     else:
         # realize an explicit additive constant through a probe anchor
-        probe = branch.A + 1.0 if math.isinf(branch.B) else 0.5 * (branch.A + branch.B)
+        probe = probe_point(branch.A, branch.B)
         s_probe = math.exp(eval_F(F, probe) - cfg.gauge[1])
         sol = gauge_from_anchor(ode, branch, F, (s_probe, probe))
     return sol, report
@@ -559,10 +561,7 @@ def _cmd_catalog(cfg, extras):
         }
         return payload, 0
     problem, expected = instantiate(label, params, n=cfg.n)
-    fixture = get_case(label)
-    merged = dict(fixture.defaults)
-    if params:
-        merged.update({k: v for k, v in params.items() if k != "n"})
+    merged, _ = merged_params(get_case(label), params)
     payload = {
         "type": "catalog_case",
         "label": label,

@@ -109,16 +109,14 @@ class AntiderivativeF:
     """Antiderivative of x^k / H (or of the potential's x^k (x - A) / H)
     as a sum of tagged closed-form terms.
 
-    The value at x is overall_scale times the sum of the term values;
-    the terms here already absorb the leading coefficient of H, so the
-    scale stays at 1. At a log or pole abscissa the value and the
+    The value at x is the sum of the term values; the terms absorb the
+    leading coefficient of H. At a log or pole abscissa the value and the
     derivative report the signed infinite limit from the right, matching
     the convention that window interiors are approached from above the
     left endpoint.
     """
 
     terms: tuple
-    overall_scale: float = 1.0
 
     def __call__(self, x: float) -> float:
         return eval_F(self, x)
@@ -152,8 +150,8 @@ class AntiderivativeF:
                 total += t.c
         # as in eval_F: the strongest pole wins, approached from the right
         if pole_p > 0:
-            return math.copysign(math.inf, pole_c * self.overall_scale)
-        return self.overall_scale * total
+            return math.copysign(math.inf, pole_c)
+        return total
 
     def limit_at_inf(self) -> float:
         """Limit of F at +infinity; signed infinity when the logs survive.
@@ -172,8 +170,8 @@ class AntiderivativeF:
             elif isinstance(t, ArcTan):
                 arctan_sum += t.c
         if abs(log_sum) > _LOG_CANCEL_TOL:
-            return math.copysign(math.inf, log_sum * self.overall_scale)
-        return self.overall_scale * arctan_sum * 0.5 * math.pi
+            return math.copysign(math.inf, log_sum)
+        return arctan_sum * 0.5 * math.pi
 
 
 def eval_F(F: AntiderivativeF, x: float) -> float:
@@ -204,10 +202,10 @@ def eval_F(F: AntiderivativeF, x: float) -> float:
             total += t.c * x
     # the strongest pole wins; a bare log diverges to -inf from either side
     if pole_p > 0:
-        return math.copysign(math.inf, pole_c * F.overall_scale)
+        return math.copysign(math.inf, pole_c)
     if log_c != 0.0:
-        return math.copysign(math.inf, -log_c * F.overall_scale)
-    return F.overall_scale * total
+        return math.copysign(math.inf, -log_c)
+    return total
 
 
 def partial_fractions(ode: OdeData, branch) -> AntiderivativeF:
@@ -313,8 +311,8 @@ def _split(H, k: int, branch, root: Optional[float] = None) -> AntiderivativeF:
             if aq != 0.0:
                 terms.append(ArcTan(aq, beta, gamma))
 
-    F = AntiderivativeF(tuple(terms), 1.0)
-    probe = _probe_point(branch.A, branch.B)
+    F = AntiderivativeF(tuple(terms))
+    probe = probe_point(branch.A, branch.B)
     want = probe**k / H(probe)
     if root is not None:
         want *= probe - root
@@ -377,7 +375,8 @@ class RadialSolution:
             self._cache = (ss[:i] + (s,) + ss[i:], gs[:i] + (g,) + gs[i:])
 
 
-def _probe_point(A: float, B: float) -> float:
+def probe_point(A: float, B: float) -> float:
+    """Interior point of the window (A, B): A + 1 on a ray, else the midpoint."""
     return A + 1.0 if math.isinf(B) else 0.5 * (A + B)
 
 
@@ -405,7 +404,7 @@ def solve_g(sol: RadialSolution, s: float) -> float:
     hi = gs[i] if i < len(ss) else None
 
     if lo is None or eval_F(F, lo) > t:
-        x = lo if lo is not None else (hi if hi is not None else _probe_point(A, B))
+        x = lo if lo is not None else (hi if hi is not None else probe_point(A, B))
         for _ in range(_EXPAND_CAP):
             if eval_F(F, x) <= t:
                 break

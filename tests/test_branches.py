@@ -123,6 +123,12 @@ def test_unclassified_high_dimension():
     report = classify(RadialProblem(n=4, R=0.0, lam=-1.0, mu=0.0))
     assert report.verdict is Verdict.SINGULAR_FAMILIES
     assert report.matched_case == "unclassified"
+    # a ball branch in a dimension with no catalogued table, and no
+    # dimension-free family at negative curvature
+    report = classify(RadialProblem(n=4, R=-20.0, lam=0.0, mu=0.0),
+                      allow_finite_extension=True)
+    assert report.verdict is Verdict.FINITE_EXTENSION_ONLY
+    assert report.matched_case == "unclassified"
 
 
 def test_report_carries_problem_and_diagnostics():

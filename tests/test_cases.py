@@ -152,6 +152,14 @@ def test_closed_form_matches_reference_gauge(label):
 def test_vieta_conventions_frozen():
     # hand-computed pairs freeze the sign conventions per family
     expect = {
+        "1.1.1": (0.0, 0.0),
+        "1.1.2": (0.0, 0.0),
+        "1.1.3": (0.0, 0.0),
+        "1.2.1": (0.0, 0.0),
+        "1.3.1": (0.0, 0.0),
+        "1.4.1": (0.0, 0.0),
+        "1.5.1": (0.0, 0.0),
+        "1.7.1": (0.0, 0.0),
         "1.2.2": (-1.0, 0.0),
         "1.2.3": (0.0, -1.0),
         "1.2.4": (-2.0, 1.0),
@@ -192,6 +200,21 @@ def test_single_clause_violations_are_reported():
          "alpha^2 + 2 alpha beta + 2 alpha gamma + beta gamma = 0"),
         ("1.7.2", {"k": 0.5}, "k > 1"),
         ("1.7.4", {"alpha": -1.0, "beta": 1.0}, "alpha + 2 beta = -1"),
+        # one violated equality per remaining family, every other clause held
+        ("1.3.4", {"alpha": 0.6}, "alpha + 2 beta = 1"),
+        ("1.4.3", {"gamma": 3.0}, "alpha + beta + gamma = 0"),
+        ("1.4.6", {"beta": -1.0}, "alpha + 2 beta = 0"),
+        ("1.5.2", {"alpha": -0.5, "beta": 0.5, "gamma": 1.0},
+         "alpha beta + beta gamma + gamma alpha = 0"),
+        ("1.5.3", {"alpha": -1.0, "beta": 0.25, "gamma": 0.5, "delta": 1.25},
+         "sum of pairwise products = 0"),
+        ("1.5.3", {"alpha": 0.25 * (1.0 - math.sqrt(5.0)), "beta": 0.0,
+                   "gamma": 0.5, "delta": 0.25 * (1.0 + math.sqrt(5.0))},
+         "alpha beta delta != 0"),
+        ("1.5.5", {"gamma": 1.0}, "2 alpha + beta + gamma = 1"),
+        ("1.7.3", {"gamma": 1.0}, "alpha + beta + gamma = -1"),
+        ("1.7.5", {"alpha": 2.0}, "alpha + 2 beta = -1"),
+        ("1.7.6", {"alpha": 2.0}, "alpha + 2 beta = -1"),
     ]
     for label, override, clause in bad:
         fix = get_case(label)
@@ -236,7 +259,14 @@ def test_canonical_label_aliases():
     assert canonical_label("1.1.2", 3) == "1.5.1"
     assert canonical_label("1.1.1", 5) == "1.1.1"
     assert canonical_label("1.3.3", 2) == "1.3.3"
+    aliases = {("1.1.1", 2): "1.2.1", ("1.1.1", 3): "1.4.1",
+               ("1.1.2", 2): "1.3.1", ("1.1.2", 3): "1.5.1"}
+    for label in ALL_LABELS:
+        for n in range(2, 7):
+            assert canonical_label(label, n) == aliases.get((label, n), label)
 
 
 def test_match_label_without_branches_is_none():
     assert match_label(2, 0.0, 1.0, 1.0, (), True, False) is None
+    # H = -x (x^2 - x + 1/2): only the simple root 0 is real, no window
+    assert classify(RadialProblem(2, 6.0, -0.5, 0.0)).matched_case is None
