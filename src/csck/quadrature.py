@@ -380,13 +380,19 @@ def probe_point(A: float, B: float) -> float:
     return A + 1.0 if math.isinf(B) else 0.5 * (A + B)
 
 
-def solve_g(sol: RadialSolution, s: float) -> float:
+def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
     """Invert F(g) = log s + c by bracketed bisection and a Newton polish.
 
     The bracket starts from cached neighbours when available and expands
     geometrically toward the window endpoints otherwise; bisection stops at
     relative width 1e-13 and Newton runs only inside the verified bracket.
+
+    A numpy array of s (any order, repeats allowed) returns the array of
+    g in the same shape. Its entries run the same steps in lockstep, from
+    the probe-point bracket, and neither read nor write the warm cache.
     """
+    if isinstance(s, np.ndarray):
+        return _solve_g_array(sol, s)
     s_lo, s_hi = sol.s_domain
     if not (s_lo < s < s_hi):
         raise OutOfDomainError(
@@ -448,6 +454,119 @@ def solve_g(sol: RadialSolution, s: float) -> float:
 
     sol._remember(s, g)
     return g
+
+
+def _F_array(F: AntiderivativeF, x: np.ndarray) -> np.ndarray:
+    """eval_F over an array.
+
+    An entry whose sum is not finite, such as one on a log or pole
+    abscissa, is recomputed by eval_F and so gets its signed infinity.
+    """
+    total = np.zeros_like(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t in F.terms:
+            if isinstance(t, LogLinear):
+                total += t.c * np.log(np.abs(x - t.alpha))
+            elif isinstance(t, RecipPower):
+                total += t.c / (x - t.alpha) ** t.p
+            elif isinstance(t, LogQuadratic):
+                total += t.c * np.log((x - t.beta) ** 2 + t.gamma**2)
+            elif isinstance(t, ArcTan):
+                total += t.c * np.arctan((x - t.beta) / t.gamma)
+            else:
+                total += t.c * x
+    bad = ~np.isfinite(total)
+    if bad.any():
+        total[bad] = [eval_F(F, float(v)) for v in x[bad]]
+    return total
+
+
+def _dF_array(F: AntiderivativeF, x: np.ndarray) -> np.ndarray:
+    """F.derivative over an array, with the same treatment of singular entries."""
+    total = np.zeros_like(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t in F.terms:
+            if isinstance(t, LogLinear):
+                total += t.c / (x - t.alpha)
+            elif isinstance(t, RecipPower):
+                total -= t.p * t.c / (x - t.alpha) ** (t.p + 1)
+            elif isinstance(t, LogQuadratic):
+                total += 2.0 * t.c * (x - t.beta) / ((x - t.beta) ** 2 + t.gamma**2)
+            elif isinstance(t, ArcTan):
+                total += t.c * t.gamma / ((x - t.beta) ** 2 + t.gamma**2)
+            else:
+                total += t.c
+    bad = ~np.isfinite(total)
+    if bad.any():
+        total[bad] = [F.derivative(float(v)) for v in x[bad]]
+    return total
+
+
+def _expand(F, x, t, step, too_far, side, s):
+    """Step each entry of x until too_far(F(x), t) fails, as solve_g does."""
+    todo = np.arange(x.size)
+    for _ in range(_EXPAND_CAP):
+        todo = todo[too_far(_F_array(F, x[todo]), t[todo])]
+        if not todo.size:
+            return x
+        x[todo] = step(x[todo])
+    raise OutOfDomainError(f"no {side} bracket for s = {float(s[todo[0]])!r}")
+
+
+def _solve_g_array(sol: RadialSolution, s: np.ndarray) -> np.ndarray:
+    """Cold solve_g of every entry of s, with bisection and Newton in lockstep."""
+    shape = s.shape
+    s = np.asarray(s, dtype=float).ravel()
+    s_lo, s_hi = sol.s_domain
+    outside = np.flatnonzero(~((s_lo < s) & (s < s_hi)))
+    if outside.size:
+        raise OutOfDomainError(
+            f"s = {float(s[outside[0]])!r} is outside the solution domain ({s_lo}, {s_hi})"
+        )
+    t = np.log(s) + sol.c
+    F = sol.F
+    A, B = sol.branch.A, sol.branch.B
+
+    lo = _expand(
+        F, np.full(s.size, probe_point(A, B)), t,
+        lambda x: A + 0.5 * (x - A), np.greater, "lower", s,
+    )
+    up = (lambda x: 2.0 * x - A + 1.0) if math.isinf(B) else (lambda x: B - 0.5 * (B - x))
+    hi = _expand(F, lo.copy(), t, up, np.less, "upper", s)
+
+    # the entries still bisecting, compacted only when some of them stop
+    idx, a, b, tt = np.arange(s.size), lo, hi, t
+    for _ in range(200):
+        if not idx.size:
+            break
+        mid = 0.5 * (a + b)
+        inside = (a < mid) & (mid < b)
+        below = _F_array(F, mid) < tt
+        a = np.where(inside & below, mid, a)
+        b = np.where(inside & ~below, mid, b)
+        stop = ~inside | (b - a <= _BISECT_REL * (1.0 + np.abs(mid)))
+        if stop.any():
+            lo[idx[stop]], hi[idx[stop]] = a[stop], b[stop]
+            go = ~stop
+            idx, a, b, tt = idx[go], a[go], b[go], tt[go]
+    lo[idx], hi[idx] = a, b
+    g = 0.5 * (lo + hi)
+
+    todo = np.arange(s.size)
+    for _ in range(3):
+        x = g[todo]
+        slope = _dF_array(F, x)
+        usable = np.isfinite(slope) & (slope > 0.0)
+        todo, x, slope = todo[usable], x[usable], slope[usable]
+        step = (_F_array(F, x) - t[todo]) / slope
+        cand = x - step
+        held = (lo[todo] <= cand) & (cand <= hi[todo])
+        todo, cand, step = todo[held], cand[held], step[held]
+        g[todo] = cand
+        todo = todo[np.abs(step) > 1e-16 * (1.0 + np.abs(cand))]
+        if not todo.size:
+            break
+    return g.reshape(shape)
 
 
 def gauge_from_anchor(ode, branch, F, anchor) -> RadialSolution:

@@ -12,6 +12,8 @@ candidate solution for round-trip validation.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -35,8 +37,13 @@ class RadialProblem:
     mu: float
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"dimension n = {self.n!r} must be an integer")
         if self.n < 2:
             raise ValueError("dimension n must be at least 2")
+        for name in ("R", "lam", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be finite")
 
 
 @dataclass(frozen=True)

@@ -350,3 +350,13 @@ def test_repeated_runs_are_byte_identical():
     lemmas_args = ["lemmas", "--which", "I", "--samples", "3000", "--seed", "9"]
     for args in (classify_args, solve_args, lemmas_args):
         assert run_cli(args) == run_cli(args)
+
+
+def test_non_finite_input_is_a_value_error():
+    code, out, err = run_cli(
+        ["solve", "--n", "2", "--scalar", "nan", "--lambda", "0", "--mu", "0",
+         "--anchor", "1,0.5"]
+    )
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["type"] == "error" and payload["error"] == "ValueError"

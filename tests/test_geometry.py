@@ -266,3 +266,56 @@ def test_verify_all_fixtures(label):
     assert rep.curvature_stddev < 1e-6 * scale
     assert rep.max_fd_mismatch < 1e-5
     assert rep.max_det_residual < 1e-9
+
+
+def _verify_point_by_point(sol, n_samples):
+    """verify_solution's report, rebuilt one grid point at a time."""
+    lo, hi = sol.s_domain
+    if math.isinf(hi):
+        grid = np.geomspace(max(0.01, 2.0 * lo), 100.0, n_samples)
+    else:
+        grid = np.geomspace(max(0.05, 2.0 * lo), 0.998 * hi, n_samples)
+    n = sol.ode.problem.n
+    R = sol.ode.problem.R
+    curv, fd_miss, det_res, margin = [], [], [], math.inf
+    for s in map(float, grid):
+        z = np.zeros(n, dtype=complex)
+        z[0] = math.sqrt(s)
+        metric = metric_tensor(sol, z)
+        # z lies on the first axis: the radial eigenvalue g' sits at (0, 0)
+        up, g1 = solve_g(sol, s) / s, metric[0, 0].real
+        margin = min(margin, up, g1)
+        r_an = scalar_curvature(sol, s)
+        curv.append(r_an)
+        fd_miss.append(abs(curvature_fd(sol, s) - r_an) / (1.0 + abs(r_an)))
+        want = up ** (n - 1) * g1
+        det_res.append(abs(float(np.real(np.linalg.det(metric))) - want) / abs(want))
+    curv = np.asarray(curv)
+    return dict(
+        s_lo=float(grid[0]),
+        s_hi=float(grid[-1]),
+        max_curvature_residual=float(np.max(np.abs(curv - R))),
+        curvature_stddev=float(np.std(curv)),
+        max_fd_mismatch=max(fd_miss),
+        max_det_residual=max(det_res),
+        positivity_margin=margin,
+        kahler_ok=margin > 0.0,
+    )
+
+
+@pytest.mark.parametrize("label", BRANCHED)
+def test_verify_matches_point_loop(label):
+    for n_samples in (1, 24):
+        rep = verify_solution(solution_for(label), n_samples)
+        ref = _verify_point_by_point(solution_for(label), n_samples)
+        assert (rep.s_lo, rep.s_hi, rep.kahler_ok) == (ref["s_lo"], ref["s_hi"], ref["kahler_ok"])
+        for field in ("max_curvature_residual", "curvature_stddev", "max_fd_mismatch",
+                      "max_det_residual", "positivity_margin"):
+            assert abs(getattr(rep, field) - ref[field]) <= 1e-9, field
+
+
+def test_verify_rejects_empty_grid():
+    sol = plain_solution(2, 6.0, 0.0, 0.0, (1.0, 0.5))
+    for n_samples in (0, -3):
+        with pytest.raises(ValueError):
+            verify_solution(sol, n_samples)

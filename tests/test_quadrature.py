@@ -1,6 +1,7 @@
 """Antiderivative splitting, gauge fixing, inversion, and the direct shoot."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from csck import (
     shoot_ode,
     solve_g,
 )
+from csck import quadrature
 from csck.cases import CASES
+from csck.quadrature import _dF_array, _F_array
 
 ALL_LABELS = sorted(CASES)
 BRANCHED = [l for l in ALL_LABELS if get_case(l).branch_range is not None]
@@ -387,3 +390,72 @@ def test_warm_cache_reuse_and_decimation():
     assert len(ss) <= 600 and list(ss) == sorted(ss)
     # cached points still invert correctly after decimation
     assert abs(solve_g(sol, 2.5) - a) < 1e-12
+
+
+def _singular_abscissae(F):
+    return [t.alpha for t in F.terms if hasattr(t, "alpha")]
+
+
+@pytest.mark.parametrize("label", BRANCHED)
+def test_array_F_matches_scalar(label):
+    sol = solution_for(label)
+    A, B = sol.branch.A, sol.branch.B
+    top = A + 50.0 if math.isinf(B) else B
+    inner = list(np.linspace(A, top, 41)[1:-1])
+    # G carries a Linear term at R = 0; both carry log and pole abscissae
+    for F in (sol.F, sol.G()):
+        x = np.array(inner + _singular_abscissae(F) + [A] + ([] if math.isinf(B) else [B]))
+        for array_fn, scalar_fn in ((_F_array, eval_F), (_dF_array, type(F).derivative)):
+            got = array_fn(F, x)
+            want = np.array([scalar_fn(F, float(v)) for v in x])
+            finite = np.isfinite(want)
+            assert np.array_equal(got[~finite], want[~finite])
+            got, want = got[finite], want[finite]
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+@pytest.mark.parametrize("label", BRANCHED)
+def test_array_solve_g_matches_scalar(label):
+    sol = solution_for(label)
+    lo, hi = sol.s_domain
+    grid = (
+        np.geomspace(max(0.01, 2.0 * lo), 100.0, 40)
+        if math.isinf(hi)
+        else np.geomspace(max(0.05, 2.0 * lo), 0.998 * hi, 40)
+    )
+    h = 1e-4 * grid
+    s = np.concatenate([grid, grid + h, grid - h, grid + 0.5 * h, grid - 0.5 * h])
+    rng = np.random.default_rng(7)
+    s = rng.permutation(np.concatenate([s, rng.choice(s, 30)]))
+    cache = sol._cache
+    got = solve_g(sol, s)
+    assert sol._cache is cache  # the array path neither reads nor writes it
+    assert got.shape == s.shape
+    want = np.array([solve_g(sol, float(v)) for v in s])
+    # both paths stop bisecting at a width relative to 1 + |g|, and either
+    # may keep that error when its Newton step lands outside the bracket
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+    first = {}
+    for v, g in zip(s, got):
+        assert first.setdefault(v, g) == g
+    assert isinstance(solve_g(sol, float(s[0])), float)
+
+
+def test_array_solve_g_out_of_domain():
+    sol = solution_for("1.7.1")
+    with pytest.raises(OutOfDomainError, match=r"s = 1\.5 is outside"):
+        solve_g(sol, np.array([0.5, 1.5, 0.2, -1.0]))
+    with pytest.raises(OutOfDomainError, match=r"s = nan is outside"):
+        solve_g(sol, np.array([0.5, math.nan]))
+
+
+def test_array_solve_g_bracket_exhaustion(monkeypatch):
+    # with one expansion step allowed, far targets run out of bracket the
+    # same way on both paths, naming the first such entry
+    monkeypatch.setattr(quadrature, "_EXPAND_CAP", 1)
+    sol = solution_for("1.1.2")
+    for far, side in ((1e-6, "lower"), (1e6, "upper")):
+        for s in (far, np.array([sol.s_domain[0] + 1.0, far, far * 2.0])):
+            message = re.escape(f"no {side} bracket for s = {far!r}")
+            with pytest.raises(OutOfDomainError, match=message):
+                solve_g(sol, s)

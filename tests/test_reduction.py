@@ -136,3 +136,24 @@ def test_ode_residual_endpoint_sample():
     ode = build_ode(RadialProblem(n=2, R=6.0, lam=0.0, mu=0.0))
     with pytest.raises(EndpointSampleError):
         ode_residual([(1.0, 1.0, 0.25)], ode)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"n": 2.5},
+        {"n": 3.0},
+        {"n": "3"},
+        {"n": True},
+        {"R": float("nan")},
+        {"R": float("-inf")},
+        {"lam": float("inf")},
+        {"mu": float("nan")},
+    ],
+)
+def test_malformed_problem_rejected(field):
+    # these used to leak TypeError (non-integral n) or, from classify,
+    # LinAlgError (non-finite coefficients)
+    args = {"n": 2, "R": 0.0, "lam": 0.0, "mu": 0.0, **field}
+    with pytest.raises(ValueError):
+        RadialProblem(**args)
