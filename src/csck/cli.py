@@ -119,14 +119,22 @@ def _classify_payload(cfg, report):
 # ---------------------------------------------------------------------------
 # flag plumbing
 
+def _finite_float(text):
+    """argparse type of every float flag: nan and +-inf are flag errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_problem_flags(sub):
     sub.add_argument("--n", type=int)
-    sub.add_argument("--scalar", type=float)
+    sub.add_argument("--scalar", type=_finite_float)
     sub.add_argument(
         "--curvature-sign", dest="curv_sign", choices=["neg", "zero", "pos"]
     )
-    sub.add_argument("--lambda", dest="lam", type=float)
-    sub.add_argument("--mu", type=float)
+    sub.add_argument("--lambda", dest="lam", type=_finite_float)
+    sub.add_argument("--mu", type=_finite_float)
 
 
 def _add_io_flags(sub, formats=("json",)):
@@ -137,13 +145,13 @@ def _add_io_flags(sub, formats=("json",)):
 
 def _add_gauge_flags(sub):
     sub.add_argument("--anchor", help="anchor point s0,g0")
-    sub.add_argument("--gauge-c", dest="gauge_c", type=float)
+    sub.add_argument("--gauge-c", dest="gauge_c", type=_finite_float)
     sub.add_argument("--branch-index", dest="branch_index", type=int)
 
 
 def _add_grid_flags(sub):
-    sub.add_argument("--s-min", dest="s_min", type=float)
-    sub.add_argument("--s-max", dest="s_max", type=float)
+    sub.add_argument("--s-min", dest="s_min", type=_finite_float)
+    sub.add_argument("--s-max", dest="s_max", type=_finite_float)
     sub.add_argument("--samples", type=int)
 
 
@@ -177,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(sub)
     _add_io_flags(sub)
     sub.add_argument("--input", help="CSV sample file produced by solve")
-    sub.add_argument("--tol", type=float)
+    sub.add_argument("--tol", type=_finite_float)
 
     sub = subs.add_parser("catalog", help="catalogued families: list, build, check")
     sub.add_argument("--list", dest="list_cases", action="store_const", const=True)
@@ -194,8 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("ball", help="unit-ball normalization of a negative family")
     sub.add_argument("--n", type=int)
-    sub.add_argument("--lambda", dest="lam", type=float)
-    sub.add_argument("--mu", type=float)
+    sub.add_argument("--lambda", dest="lam", type=_finite_float)
+    sub.add_argument("--mu", type=_finite_float)
     sub.add_argument("--branch-index", dest="branch_index", type=int)
     _add_grid_flags(sub)
     _add_io_flags(sub, formats=("json", "csv"))
@@ -240,15 +248,12 @@ def _apply_config(args, parser):
 
 
 def _parse_anchor(value, parser):
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return float(value[0]), float(value[1])
-    if isinstance(value, str):
-        parts = value.split(",")
-        if len(parts) == 2:
-            try:
-                return float(parts[0]), float(parts[1])
-            except ValueError:
-                pass
+    parts = value.split(",") if isinstance(value, str) else value
+    if isinstance(parts, (list, tuple)) and len(parts) == 2:
+        try:
+            return _finite_float(parts[0]), _finite_float(parts[1])
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            pass
     parser.error(f"--anchor: expected s0,g0, got {value!r}")
 
 

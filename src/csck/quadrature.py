@@ -11,9 +11,9 @@ constant c (through an anchor point, or by normalizing a finite
 extension so its boundary sits at s = 1), and invert the relation with
 a bracketed bisection plus a Newton polish. The same split applied to
 x^k (x - A) / H gives the potential in closed form (RadialSolution.G).
-A direct Runge-Kutta shoot of the first order equation s g^k g' = H(g)
-is provided as an independent cross check; it is the only code that
-needs scipy, imported when it runs.
+A direct Runge-Kutta shoot of the first order equation s g^k g' = H(g),
+a plain-float Dormand-Prince 5(4) integrator, is provided as an
+independent cross check.
 """
 
 import bisect
@@ -60,6 +60,9 @@ _EXPAND_CAP = 300
 _CACHE_CAP = 512
 # g value treated as a blow-up while shooting
 _SHOOT_GCAP = 1e9
+# the shoot's error tolerances: relative to |g|, and absolute
+_SHOOT_RTOL = 1e-10
+_SHOOT_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -447,6 +450,9 @@ def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
         step = (eval_F(F, g) - t) / slope
         cand = g - step
         if not (lo <= cand <= hi):
+            # the bracket is already narrower than the stopping width, so
+            # a candidate past one end takes that end (a nan one keeps g)
+            g = lo if cand < lo else hi if cand > hi else g
             break
         g = cand
         if abs(step) <= 1e-16 * (1.0 + abs(g)):
@@ -560,10 +566,12 @@ def _solve_g_array(sol: RadialSolution, s: np.ndarray) -> np.ndarray:
         todo, x, slope = todo[usable], x[usable], slope[usable]
         step = (_F_array(F, x) - t[todo]) / slope
         cand = x - step
-        held = (lo[todo] <= cand) & (cand <= hi[todo])
-        todo, cand, step = todo[held], cand[held], step[held]
-        g[todo] = cand
-        todo = todo[np.abs(step) > 1e-16 * (1.0 + np.abs(cand))]
+        known = ~np.isnan(cand)
+        todo, cand, step = todo[known], cand[known], step[known]
+        # as on the scalar path, a candidate past a bracket end takes that end
+        a, b = lo[todo], hi[todo]
+        g[todo] = np.clip(cand, a, b)
+        todo = todo[(a <= cand) & (cand <= b) & (np.abs(step) > 1e-16 * (1.0 + np.abs(cand)))]
         if not todo.size:
             break
     return g.reshape(shape)
@@ -624,13 +632,123 @@ class ShootResult:
     message: str
 
 
+def _dp_step(rhs, y: float, f: float, h: float):
+    """One Dormand-Prince 5(4) step (the tableau of Dormand & Prince 1980).
+
+    The equation is autonomous, so the stage nodes are not needed. Returns
+    the 5th order value, the slope there (first stage of the next step)
+    and the local error estimate, the 5th minus the embedded 4th order.
+    """
+    k2 = rhs(y + h * (1 / 5 * f))
+    k3 = rhs(y + h * (3 / 40 * f + 9 / 40 * k2))
+    k4 = rhs(y + h * (44 / 45 * f - 56 / 15 * k2 + 32 / 9 * k3))
+    k5 = rhs(y + h * (19372 / 6561 * f - 25360 / 2187 * k2 + 64448 / 6561 * k3
+                      - 212 / 729 * k4))
+    k6 = rhs(y + h * (9017 / 3168 * f - 355 / 33 * k2 + 46732 / 5247 * k3
+                      + 49 / 176 * k4 - 5103 / 18656 * k5))
+    y_new = y + h * (35 / 384 * f + 500 / 1113 * k3 + 125 / 192 * k4
+                     - 2187 / 6784 * k5 + 11 / 84 * k6)
+    f_new = rhs(y_new)
+    err = h * (-71 / 57600 * f + 71 / 16695 * k3 - 71 / 1920 * k4
+               + 17253 / 339200 * k5 - 22 / 525 * k6 + 1 / 40 * f_new)
+    return y_new, f_new, err
+
+
+def _first_step(rhs, y: float, f: float, span: float, direction: float) -> float:
+    """Hairer, Norsett & Wanner's starting step (Solving ODEs I, II.4)."""
+    if span == 0.0:
+        return 0.0
+    scale = _SHOOT_ATOL + abs(y) * _SHOOT_RTOL
+    d0 = abs(y) / scale
+    d1 = abs(f) / scale
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    d2 = abs(rhs(y + direction * h0 * f) - f) / scale / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100.0 * h0, h1, span)
+
+
+def _crossing(level, t, y, f, t_new, y_new, f_new) -> float:
+    """Abscissa where the step's cubic Hermite interpolant reaches level.
+
+    Bisects [t, t_new] until no float lies strictly between the ends; y
+    is on one side of level and y_new on the other (or on it).
+    """
+    h = t_new - t
+    c2 = 3.0 * (y_new - y) - h * (2.0 * f + f_new)
+    c3 = 2.0 * (y - y_new) + h * (f + f_new)
+    before = y < level
+    a, b = t, t_new
+    while True:
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            return b
+        th = (m - t) / h
+        if (y + th * (h * f + th * (c2 + th * c3)) < level) == before:
+            a = m
+        else:
+            b = m
+
+
+def _dopri(rhs, t: float, y: float, ts, floor: float, cap: float):
+    """Adaptive Dormand-Prince 5(4) from (t, y) through the abscissae ts.
+
+    ts is ordered away from t. Each step is clamped so that t lands on the
+    next target exactly. Returns the values at the targets reached and,
+    when integration stopped early, (abscissa, reason): y fell through
+    floor or rose through cap during a step, or the step size underflowed.
+    """
+    direction = 1.0 if ts[-1] > t else -1.0
+    f = rhs(y)
+    h_abs = _first_step(rhs, y, f, abs(ts[-1] - t), direction)
+    values = []
+    for target in ts:
+        while t != target:
+            min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    return values, (t, "step size underflow")
+                t_new = t + direction * h_abs
+                if direction * (t_new - target) > 0.0:
+                    t_new = target
+                h = t_new - t
+                h_abs = abs(h)
+                y_new, f_new, err = _dp_step(rhs, y, f, h)
+                norm = abs(err) / (_SHOOT_ATOL + max(abs(y), abs(y_new)) * _SHOOT_RTOL)
+                # a nan norm (the rhs left its domain) fails this test and
+                # shrinks the step by the largest factor
+                if norm < 1.0:
+                    factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm ** -0.2)
+                    h_abs *= min(1.0, factor) if rejected else factor
+                    break
+                h_abs *= max(0.2, 0.9 * norm ** -0.2)
+                rejected = True
+            if y >= floor >= y_new or y <= cap <= y_new:
+                level = floor if floor >= y_new else cap
+                return values, (_crossing(level, t, y, f, t_new, y_new, f_new),
+                                "g left the admissible window")
+            t, y, f = t_new, y_new, f_new
+        values.append(y)
+    return values, None
+
+
 def shoot_ode(ode, s0: float, g0: float, s_targets) -> ShootResult:
     """Integrate s g^k g' = H(g) from (s0, g0) to each target abscissa.
 
-    Runs an adaptive Runge-Kutta 4(5) in t = log s, forward and backward
-    from the anchor, with rtol 1e-10. When g blows up at a finite
-    extension boundary (or the stepper gives up) the result keeps the
-    partial samples and records the reached abscissa in domain_end.
+    Runs an adaptive Dormand-Prince 5(4) in t = log s on plain floats,
+    backward and then forward from the anchor, with rtol 1e-10 and atol
+    1e-12. It uses only H, never F or solve_g, so it checks the inversion
+    independently. Integration stops when g falls to the window's left
+    endpoint or, on a finite extension, rises to the window's top (or
+    to 1e9 on a ray); the crossing is located on the cubic Hermite
+    interpolant of the step. The result then keeps the partial samples
+    and records the reached abscissa in domain_end, as it does when the
+    step size underflows.
     """
     if not (s0 > 0.0 and math.isfinite(s0)):
         raise BadAnchorError(f"shoot abscissa s0 = {s0!r} must be positive and finite")
@@ -642,33 +760,23 @@ def shoot_ode(ode, s0: float, g0: float, s_targets) -> ShootResult:
     if window is None:
         raise BadAnchorError(f"g0 = {g0!r} lies in no admissible window")
 
-    from scipy.integrate import solve_ivp  # only the cross-check needs scipy
-
     k = ode.k
-    H = ode.H
+    coeffs = ode.H.coeffs[::-1]
 
-    def rhs(t, y):
-        g = y[0]
-        return (H(g) / g**k,)
+    def rhs(g):
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * g + c
+        try:
+            return acc / g**k
+        except (ZeroDivisionError, OverflowError):
+            return math.nan  # a trial stage left the domain; the step is rejected
 
     floor = window.A + 1e-12 * (1.0 + abs(window.A))
-
-    def hit_floor(t, y):
-        return y[0] - floor
-
-    hit_floor.terminal = True
-    hit_floor.direction = -1.0
-
-    events = [hit_floor]
-    if not window.diverges_right:
+    if window.diverges_right:
+        cap = math.inf
+    else:
         cap = _SHOOT_GCAP if math.isinf(window.B) else window.B
-
-        def hit_cap(t, y):
-            return y[0] - cap
-
-        hit_cap.terminal = True
-        hit_cap.direction = 1.0
-        events.append(hit_cap)
 
     t0 = math.log(s0)
     targets = sorted(set(float(s) for s in s_targets))
@@ -689,36 +797,11 @@ def shoot_ode(ode, s0: float, g0: float, s_targets) -> ShootResult:
             side = [s for s in targets if s > s0]
         if not side:
             continue
-        t_eval = [math.log(s) for s in side]
-        run = solve_ivp(
-            rhs,
-            (t0, t_eval[-1]),
-            [g0],
-            method="RK45",
-            rtol=1e-10,
-            atol=1e-12,
-            t_eval=t_eval,
-            events=events,
-        )
-        for t_val, g_val in zip(run.t, run.y[0]):
-            j = t_eval.index(float(t_val))
-            collected[side[j]] = float(g_val)
-        if run.status == 1:
-            stopped = min(
-                (float(te[0]) for te in run.t_events if te.size), default=None
-            )
-            if stopped is not None:
-                domain_end = math.exp(stopped)
-                message = (
-                    f"DomainEnd(s_reached={domain_end!r}): "
-                    "g left the admissible window"
-                )
-        elif run.status < 0:
-            edge = float(run.t[-1]) if run.t.size else t0
-            domain_end = math.exp(edge)
-            message = (
-                f"DomainEnd(s_reached={domain_end!r}): step size underflow"
-            )
+        values, stop = _dopri(rhs, t0, g0, [math.log(s) for s in side], floor, cap)
+        collected.update(zip(side, values))
+        if stop is not None:
+            domain_end = math.exp(stop[0])
+            message = f"DomainEnd(s_reached={domain_end!r}): {stop[1]}"
 
     samples = tuple(sorted(collected.items()))
     return ShootResult(samples=samples, domain_end=domain_end, message=message)

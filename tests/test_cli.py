@@ -352,11 +352,14 @@ def test_repeated_runs_are_byte_identical():
         assert run_cli(args) == run_cli(args)
 
 
-def test_non_finite_input_is_a_value_error():
-    code, out, err = run_cli(
-        ["solve", "--n", "2", "--scalar", "nan", "--lambda", "0", "--mu", "0",
-         "--anchor", "1,0.5"]
-    )
-    assert code == 1 and out == ""
-    payload = json.loads(err)
-    assert payload["type"] == "error" and payload["error"] == "ValueError"
+def test_non_finite_flags_exit_64():
+    base = ["solve", "--n", "2", "--scalar", "6", "--lambda", "0", "--mu", "0",
+            "--anchor", "1,0.5"]
+    # a flag given twice takes its last value
+    for flags in (["--scalar", "nan"], ["--lambda", "inf"], ["--anchor", "1,nan"],
+                  ["--mu=-inf"], ["--s-max", "inf"]):
+        code, out, _ = run_cli(base + flags)
+        assert code == 64 and out == "", flags
+    verify = ["verify", "--n", "2", "--scalar", "6", "--lambda", "0", "--mu", "0"]
+    assert run_cli(verify + ["--gauge-c", "nan"])[0] == 64
+    assert run_cli(verify + ["--anchor", "1,0.5", "--tol", "nan"])[0] == 64

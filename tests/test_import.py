@@ -1,4 +1,4 @@
-"""Import-time footprint of the package."""
+"""Import-time and run-time footprint of the package."""
 
 import os
 import subprocess
@@ -9,11 +9,18 @@ import csck
 
 
 def test_import_loads_no_scipy():
-    # scipy is only needed by shoot_ode, which imports it when it runs
+    # the package runs on numpy alone; scipy serves only the test oracles.
+    # A shoot runs too, since it is the part that used to need scipy
     src = str(Path(csck.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = "import sys, csck; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import sys, csck\n"
+        "ode = csck.build_ode(csck.RadialProblem(2, 6.0, 0.0, 0.0))\n"
+        "res = csck.shoot_ode(ode, 1.0, 0.5, [3.0])\n"
+        "assert res.domain_end is None and abs(res.samples[0][1] - 0.75) < 1e-6\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

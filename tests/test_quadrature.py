@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from csck import (
     ArcTan,
@@ -379,6 +380,75 @@ def test_shoot_agrees_with_inversion(label):
         assert abs(g - want) <= 1e-6 * (1.0 + abs(want))
 
 
+def scipy_shoot(ode, s0, g0, targets, cap=None):
+    """The reference shoot: scipy's RK45 in t = log s at tight tolerances,
+    backward and forward from s0, stopped by a rising cap event when given.
+
+    Returns the samples and the event abscissae."""
+    def rhs(t, y):
+        return ode.H(y[0]) / y[0] ** ode.k
+
+    def hit_cap(t, y):
+        return y[0] - cap
+
+    hit_cap.terminal = True
+    hit_cap.direction = 1.0
+    samples, ends = {}, []
+    for side in (sorted(s for s in targets if s < s0)[::-1],
+                 sorted(s for s in targets if s > s0)):
+        if not side:
+            continue
+        t_eval = [math.log(s) for s in side]
+        run = solve_ivp(rhs, (math.log(s0), t_eval[-1]), [g0], method="RK45",
+                        rtol=1e-12, atol=1e-14, t_eval=t_eval,
+                        events=None if cap is None else [hit_cap])
+        assert run.status >= 0, run.message
+        samples.update(zip(side, run.y[0]))
+        if cap is not None:
+            ends += [math.exp(te) for te in run.t_events[0]]
+    return samples, ends
+
+
+@pytest.mark.parametrize("label", BRANCHED)
+def test_shoot_matches_scipy_rk45(label):
+    # the criterion-3 grid and anchor of every fixture
+    sol = solution_for(label)
+    hi = sol.s_domain[1]
+    finite = not math.isinf(hi)
+    grid = [float(s) for s in np.geomspace(0.01, 0.95 * hi if finite else 100.0, 40)]
+    s0 = grid[-1] if finite else grid[20]
+    g0 = solve_g(sol, s0)
+    res = shoot_ode(sol.ode, s0, g0, grid)
+    assert res.domain_end is None and len(res.samples) == len(grid)
+    want, _ = scipy_shoot(sol.ode, s0, g0, grid)
+    want[s0] = g0
+    for s, g in res.samples:
+        assert abs(g - want[s]) <= 1e-8 * abs(want[s]), (s, g, want[s])
+
+
+def test_shoot_blowup_matches_scipy_event():
+    ode = build_ode(RadialProblem(2, -6.0, 0.0, 0.0))
+    targets = [float(s) for s in np.geomspace(0.5, 1e4, 60)]
+    res = shoot_ode(ode, 0.5, 1.0, targets)
+    want, ends = scipy_shoot(ode, 0.5, 1.0, targets, cap=quadrature._SHOOT_GCAP)
+    (end,) = ends
+    assert res.message.endswith("g left the admissible window")
+    assert res.domain_end is not None and abs(res.domain_end - end) < 1e-6
+    assert dict(res.samples).keys() == {s for s in want if s < end} | {0.5}
+    for s, g in res.samples[1:]:
+        assert abs(g - want[s]) <= 1e-8 * abs(want[s])
+
+
+def test_shoot_step_size_underflow(monkeypatch):
+    # with no cap, the stepper runs into the blow-up at s = 1 itself
+    monkeypatch.setattr(quadrature, "_SHOOT_GCAP", math.inf)
+    ode = build_ode(RadialProblem(2, -6.0, 0.0, 0.0))
+    res = shoot_ode(ode, 0.5, 1.0, [0.9, 2.0])
+    assert res.message.endswith("step size underflow")
+    assert abs(res.domain_end - 1.0) < 1e-9
+    assert [s for s, _ in res.samples] == [0.9]
+
+
 def test_warm_cache_reuse_and_decimation():
     sol = solution_for("1.2.3")
     a = solve_g(sol, 2.5)
@@ -390,6 +460,23 @@ def test_warm_cache_reuse_and_decimation():
     assert len(ss) <= 600 and list(ss) == sorted(ss)
     # cached points still invert correctly after decimation
     assert abs(solve_g(sol, 2.5) - a) < 1e-12
+
+
+def test_newton_polish_takes_the_crossed_bracket_end():
+    # F = log x and c = 0, so g(s) = s. Near these s the root lies within
+    # rounding of a bisection bracket end and the Newton candidate lands
+    # one ulp past it; keeping the midpoint instead cost up to 1e-13 relative
+    sol = solution_for("1.1.1")
+    grid = np.geomspace(0.01, 100.0, 80)
+    h = 1e-4 * grid
+    for s in np.concatenate([grid, grid + h, grid - h, grid + 0.5 * h]):
+        solve_g(sol, float(s))
+    want = 0.012625369798693631
+    assert abs(solve_g(sol, 0.012625369798693628) - want) <= 1e-15 * want
+    cold = solution_for("1.1.1")
+    for s in (6.2842832162211835, np.array([0.2845646915440767, 0.012625369798693628])):
+        got = solve_g(cold, s)
+        assert np.all(np.abs(got - s) <= 1e-15 * s)
 
 
 def _singular_abscissae(F):
@@ -432,8 +519,7 @@ def test_array_solve_g_matches_scalar(label):
     assert sol._cache is cache  # the array path neither reads nor writes it
     assert got.shape == s.shape
     want = np.array([solve_g(sol, float(v)) for v in s])
-    # both paths stop bisecting at a width relative to 1 + |g|, and either
-    # may keep that error when its Newton step lands outside the bracket
+    # both paths stop bisecting at a width relative to 1 + |g|
     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
     first = {}
     for v, g in zip(s, got):
