@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import CsckError
 from .geometry import metric_sample, verify_solution
 from .inequalities import certify_negative
 from .quadrature import (
-    ball_normalize, eval_F, gauge_from_anchor, partial_fractions, probe_point, solve_g
+    ball_normalize, eval_F, gauge_from_anchor, partial_fractions, probe_point
 )
 from .reduction import RadialProblem, build_ode, ode_residual
 
@@ -38,21 +38,25 @@ _F_CAP = 1e-8
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved invocation: problem data, gauge, grid, and output routing."""
+    """Resolved invocation: problem data, gauge, grid, and output routing.
+
+    The defaults live on the parser, per subcommand; a field whose flag
+    the subcommand does not take stays None.
+    """
 
     subcommand: str
+    output_format: str
     n: Optional[int] = None
     R: Optional[float] = None
     lam: Optional[float] = None
     mu: Optional[float] = None
-    branch_index: int = 0
+    branch_index: Optional[int] = None
     gauge: Optional[tuple] = None  # ("anchor", s0, g0) or ("c", value)
-    s_min: float = 0.01
-    s_max: float = 100.0
-    samples: int = 200
-    tol: float = 1e-6
-    seed: int = 0
-    output_format: str = "json"
+    s_min: Optional[float] = None
+    s_max: Optional[float] = None
+    samples: Optional[int] = None
+    tol: Optional[float] = None
+    seed: Optional[int] = None
     output_path: Optional[str] = None
 
 
@@ -127,32 +131,38 @@ def _finite_float(text):
     return value
 
 
+def _add_lambda_mu(sub):
+    sub.add_argument("--lambda", dest="lam", type=_finite_float, default=0.0)
+    sub.add_argument("--mu", type=_finite_float, default=0.0)
+
+
 def _add_problem_flags(sub):
     sub.add_argument("--n", type=int)
     sub.add_argument("--scalar", type=_finite_float)
     sub.add_argument(
         "--curvature-sign", dest="curv_sign", choices=["neg", "zero", "pos"]
     )
-    sub.add_argument("--lambda", dest="lam", type=_finite_float)
-    sub.add_argument("--mu", type=_finite_float)
+    _add_lambda_mu(sub)
 
 
 def _add_io_flags(sub, formats=("json",)):
     sub.add_argument("--config")
     sub.add_argument("--output", dest="output_path")
-    sub.add_argument("--format", dest="output_format", choices=list(formats))
+    sub.add_argument(
+        "--format", dest="output_format", choices=list(formats), default=formats[0]
+    )
 
 
 def _add_gauge_flags(sub):
     sub.add_argument("--anchor", help="anchor point s0,g0")
     sub.add_argument("--gauge-c", dest="gauge_c", type=_finite_float)
-    sub.add_argument("--branch-index", dest="branch_index", type=int)
+    sub.add_argument("--branch-index", dest="branch_index", type=int, default=0)
 
 
-def _add_grid_flags(sub):
-    sub.add_argument("--s-min", dest="s_min", type=_finite_float)
-    sub.add_argument("--s-max", dest="s_max", type=_finite_float)
-    sub.add_argument("--samples", type=int)
+def _add_grid_flags(sub, s_max=100.0):
+    sub.add_argument("--s-min", dest="s_min", type=_finite_float, default=0.01)
+    sub.add_argument("--s-max", dest="s_max", type=_finite_float, default=s_max)
+    sub.add_argument("--samples", type=int, default=200)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -165,12 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("classify", help="existence verdict and admissible windows")
     _add_problem_flags(sub)
     _add_io_flags(sub)
-    sub.add_argument(
-        "--allow-finite-extension",
-        dest="allow_fe",
-        action="store_const",
-        const=True,
-    )
+    sub.add_argument("--allow-finite-extension", dest="allow_fe", action="store_true")
     sub.add_argument("--grid", help="sweep lambda and mu over lo:hi:count")
 
     sub = subs.add_parser("solve", help="sample a gauged solution profile")
@@ -185,10 +190,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(sub)
     _add_io_flags(sub)
     sub.add_argument("--input", help="CSV sample file produced by solve")
-    sub.add_argument("--tol", type=_finite_float)
+    sub.add_argument("--tol", type=_finite_float, default=1e-6)
 
     sub = subs.add_parser("catalog", help="catalogued families: list, build, check")
-    sub.add_argument("--list", dest="list_cases", action="store_const", const=True)
+    sub.add_argument("--list", dest="list_cases", action="store_true")
     sub.add_argument("--n", type=int)
     sub.add_argument(
         "--curvature-sign",
@@ -197,108 +202,102 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--label")
     sub.add_argument("--params", help="JSON object of case parameters")
-    sub.add_argument("--check", action="store_const", const=True)
+    sub.add_argument("--check", action="store_true")
     _add_io_flags(sub)
 
     sub = subs.add_parser("ball", help="unit-ball normalization of a negative family")
     sub.add_argument("--n", type=int)
-    sub.add_argument("--lambda", dest="lam", type=_finite_float)
-    sub.add_argument("--mu", type=_finite_float)
-    sub.add_argument("--branch-index", dest="branch_index", type=int)
-    _add_grid_flags(sub)
+    _add_lambda_mu(sub)
+    sub.add_argument("--branch-index", dest="branch_index", type=int, default=0)
+    _add_grid_flags(sub, s_max=0.99)
     _add_io_flags(sub, formats=("json", "csv"))
 
     sub = subs.add_parser("lemmas", help="certify the constrained sign claims")
     sub.add_argument("--which", choices=["J", "I"])
-    sub.add_argument("--samples", type=int)
-    sub.add_argument("--seed", type=int)
+    sub.add_argument("--samples", type=int, default=100000)
+    sub.add_argument("--seed", type=int, default=0)
     _add_io_flags(sub)
 
     return parser
 
 
-_CONFIG_KEYMAP = {
-    "lambda": "lam",
-    "curvature_sign": "curv_sign",
-    "output": "output_path",
-    "format": "output_format",
-    "list": "list_cases",
-    "allow_finite_extension": "allow_fe",
-}
+def _parse_args(parser, argv):
+    """Parse argv, reading the keys of a --config file as long flags.
 
-
-def _apply_config(args, parser):
-    path = getattr(args, "config", None)
-    if path is None:
-        return
+    A config's flags go right after the subcommand, so each value passes
+    through its flag's type and check, and the explicit flags, parsed
+    after them, win. true stands for a bare switch, false and null for
+    an absent flag, a list for its comma-joined items (the anchor) and an
+    object for its JSON text (the params).
+    """
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
     try:
-        with open(path) as fh:
+        with open(args.config) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         parser.error(f"--config: {exc}")
     if not isinstance(data, dict):
         parser.error("--config: top level must be a JSON object")
-    for raw, value in data.items():
-        key = str(raw).replace("-", "_")
-        key = _CONFIG_KEYMAP.get(key, key)
-        if key in ("config", "subcommand") or not hasattr(args, key):
-            parser.error(f"--config: unknown key {raw!r}")
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+    tokens = []
+    for key, value in data.items():
+        flag = "--" + str(key).replace("_", "-")
+        if flag in ("--config", "--help"):
+            parser.error(f"--config: unknown key {key!r}")
+        if value is True:
+            tokens.append(flag)
+        elif value is not None and value is not False:
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            elif isinstance(value, dict):
+                value = json.dumps(value)
+            tokens.append(f"{flag}={value}")
+    args, unknown = parser.parse_known_args(argv[:1] + tokens + argv[1:])
+    if unknown:
+        parser.error(f"--config: unknown key in {unknown[0]!r}")
+    return args
 
 
 def _parse_anchor(value, parser):
-    parts = value.split(",") if isinstance(value, str) else value
-    if isinstance(parts, (list, tuple)) and len(parts) == 2:
+    parts = value.split(",")
+    if len(parts) == 2:
         try:
             return _finite_float(parts[0]), _finite_float(parts[1])
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
+        except (ValueError, argparse.ArgumentTypeError):
             pass
     parser.error(f"--anchor: expected s0,g0, got {value!r}")
 
 
 def _parse_grid(value, parser):
-    if isinstance(value, str):
-        parts = value.split(":")
-        if len(parts) == 3:
-            try:
-                lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-            except ValueError:
-                parser.error(f"--grid: expected lo:hi:count, got {value!r}")
-            if count < 2 or not lo < hi:
-                parser.error("--grid: need lo < hi and count >= 2")
-            return lo, hi, count
+    parts = value.split(":")
+    if len(parts) == 3:
+        try:
+            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError:
+            parser.error(f"--grid: expected lo:hi:count, got {value!r}")
+        if count < 2 or not lo < hi:
+            parser.error("--grid: need lo < hi and count >= 2")
+        return lo, hi, count
     parser.error(f"--grid: expected lo:hi:count, got {value!r}")
 
 
-def _resolve_R(args, parser, required=True):
-    scalar = getattr(args, "scalar", None)
-    sign = getattr(args, "curv_sign", None)
-    if scalar is not None and sign is not None:
+def _resolve_R(args, parser):
+    if args.scalar is not None and args.curv_sign is not None:
         parser.error("give either --scalar or --curvature-sign, not both")
-    if scalar is not None:
-        return float(scalar)
-    if sign is None:
-        if required:
-            parser.error("one of --scalar / --curvature-sign is required")
-        return None
-    unit = {"neg": -1.0, "zero": 0.0, "pos": 1.0}[sign]
+    if args.scalar is not None:
+        return args.scalar
+    if args.curv_sign is None:
+        parser.error("one of --scalar / --curvature-sign is required")
+    unit = {"neg": -1.0, "zero": 0.0, "pos": 1.0}[args.curv_sign]
     return unit * args.n * (args.n + 1)
 
 
 def _configure(args, parser):
-    _apply_config(args, parser)
     sub = args.subcommand
-
-    def pick(key, fallback):
-        value = getattr(args, key, None)
-        return fallback if value is None else value
-
     n = getattr(args, "n", None)
     if sub in ("classify", "solve", "verify", "ball") and n is None:
         parser.error("--n is required")
-    if n is not None:
-        n = int(n)
 
     if sub == "ball":
         R = -float(n * (n + 1))
@@ -309,61 +308,39 @@ def _configure(args, parser):
 
     gauge = None
     if sub in ("solve", "verify"):
-        anchor = getattr(args, "anchor", None)
-        gauge_c = getattr(args, "gauge_c", None)
-        if anchor is not None and gauge_c is not None:
+        if args.anchor is not None and args.gauge_c is not None:
             parser.error("give either --anchor or --gauge-c, not both")
-        if anchor is not None:
-            s0, g0 = _parse_anchor(anchor, parser)
+        if args.anchor is not None:
+            s0, g0 = _parse_anchor(args.anchor, parser)
             gauge = ("anchor", s0, g0)
-        elif gauge_c is not None:
-            gauge = ("c", float(gauge_c))
-        elif sub == "solve" or getattr(args, "input", None) is None:
+        elif args.gauge_c is not None:
+            gauge = ("c", args.gauge_c)
+        elif sub == "solve" or args.input is None:
             parser.error("a gauge is required: --anchor s0,g0 or --gauge-c value")
 
-    ball_like = sub == "ball"
+    names = {f.name for f in fields(RunConfig)}
     cfg = RunConfig(
-        subcommand=sub,
-        n=n,
-        R=R,
-        lam=float(pick("lam", 0.0)),
-        mu=float(pick("mu", 0.0)),
-        branch_index=int(pick("branch_index", 0)),
-        gauge=gauge,
-        s_min=float(pick("s_min", 0.01)),
-        s_max=float(pick("s_max", 0.99 if ball_like else 100.0)),
-        samples=int(pick("samples", 100000 if sub == "lemmas" else 200)),
-        tol=float(pick("tol", 1e-6)),
-        seed=int(pick("seed", 0)),
-        output_format=pick("output_format", "csv" if sub == "solve" else "json"),
-        output_path=getattr(args, "output_path", None),
+        R=R, gauge=gauge, **{k: v for k, v in vars(args).items() if k in names}
     )
-    if not cfg.s_min < cfg.s_max:
+    if cfg.s_min is not None and not cfg.s_min < cfg.s_max:
         parser.error("need --s-min < --s-max")
-    if cfg.samples < 2:
+    if cfg.samples is not None and cfg.samples < 2:
         parser.error("need --samples >= 2")
-    if not cfg.tol > 0:
+    if cfg.tol is not None and not cfg.tol > 0:
         parser.error("need --tol > 0")
 
     extras = {
-        "allow_fe": bool(pick("allow_fe", False)),
-        "grid": None,
-        "input": getattr(args, "input", None),
-        "list_cases": bool(pick("list_cases", False)),
-        "label": getattr(args, "label", None),
-        "params": getattr(args, "params", None),
-        "check": bool(pick("check", False)),
-        "r_sign": getattr(args, "curv_sign", None),
-        "which": getattr(args, "which", None),
+        key: getattr(args, key, None)
+        for key in ("allow_fe", "input", "list_cases", "label", "params", "check", "which")
     }
+    extras["r_sign"] = getattr(args, "curv_sign", None)
     grid = getattr(args, "grid", None)
-    if grid is not None:
-        extras["grid"] = _parse_grid(grid, parser)
+    extras["grid"] = None if grid is None else _parse_grid(grid, parser)
     if sub == "lemmas" and extras["which"] is None:
         parser.error("--which {J,I} is required")
     if sub == "catalog" and not extras["list_cases"] and extras["label"] is None:
         parser.error("catalog needs --list or --label")
-    if extras["params"] is not None and not isinstance(extras["params"], dict):
+    if extras["params"] is not None:
         try:
             extras["params"] = json.loads(extras["params"])
         except json.JSONDecodeError as exc:
@@ -401,12 +378,9 @@ def _gauged_solution(cfg):
 
 
 def _sample_rows(sol, cfg):
-    rows = []
-    for s in np.geomspace(cfg.s_min, cfg.s_max, cfg.samples):
-        s = float(s)
-        ms = metric_sample(sol, s)
-        rows.append((s, solve_g(sol, s), ms.u, ms.up, ms.upp, ms.f, ms.R_num))
-    return rows
+    ms = metric_sample(sol, np.geomspace(cfg.s_min, cfg.s_max, cfg.samples))
+    columns = (ms.s, ms.g, ms.u, ms.up, ms.upp, ms.f, ms.R_num)
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +628,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
         cfg, extras = _configure(args, parser)
     except SystemExit as exc:
         code = exc.code if exc.code is not None else 0

@@ -15,7 +15,8 @@ difference of the bracket s g^{n-1} f' across neighbouring abscissae,
 each inverted on its own, is what tests the inversion g(s).
 
 The formulas are written once, over numpy-broadcastable (s, g); the
-one-point functions and verify_solution's whole-grid pass share them.
+one-point functions, metric_sample's array path and verify_solution's
+whole-grid pass share them.
 """
 
 import math
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotKahlerError, OutOfDomainError
-from .quadrature import RadialSolution, solve_g
+from .quadrature import RadialSolution, _F_array, solve_g
 
 __all__ = [
     "MetricSample",
@@ -40,9 +41,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MetricSample:
-    """Radial data at one abscissa: potential, derivatives, density, curvature."""
+    """Radial data at s: profile, potential, derivatives, density, curvature.
+
+    Each field is a float, or an array of the shape of s when metric_sample
+    was given an array.
+    """
 
     s: float
+    g: float
     u: float
     up: float
     upp: float
@@ -74,12 +80,6 @@ class VerificationReport:
     kahler_ok: bool
 
 
-def _check_domain(sol: RadialSolution, s: float) -> None:
-    lo, hi = sol.s_domain
-    if not (lo < s < hi):
-        raise OutOfDomainError(f"s = {s!r} is outside the solution domain ({lo}, {hi})")
-
-
 def _slope(ode, s, g):
     """g' = H(g) / (s g^k), from the first order equation."""
     return ode.H(g) / (s * g**ode.k)
@@ -92,8 +92,11 @@ def _radial(ode, s, g):
     return up, (g1 - up) / s, g1
 
 
-def _require_kahler(s: float, up: float, g1: float) -> None:
-    if not (up > 0.0 and g1 > 0.0):
+def _require_kahler(s, up, g1) -> None:
+    """Raise at the first entry where u' or u' + s u'' = g' is not positive."""
+    bad = np.flatnonzero(np.logical_not((up > 0.0) & (g1 > 0.0)))
+    if bad.size:
+        s, up, g1 = (float(np.ravel(v)[bad[0]]) for v in (s, up, g1))
         raise NotKahlerError(f"u' = {up:.6g}, u' + s u'' = {g1:.6g} at s = {s:.6g}")
 
 
@@ -163,6 +166,20 @@ def _richardson(ode, s, g, h, phi):
     return -phi1 / (g**ode.k * _slope(ode, s, g))
 
 
+def _anchor(sol: RadialSolution) -> float:
+    """The abscissa s_a where the potential vanishes: 1, or the domain
+    midpoint when 1 is not interior (ball-normalized domains end at 1)."""
+    lo, hi = sol.s_domain
+    return 1.0 if lo < 1.0 < hi else 0.5 * (lo + hi)
+
+
+def _potential(sol: RadialSolution, s, g, g_a):
+    """A log(s / s_a) + G(g) - G(g_a), with g = g(s) and g_a = g(s_a)."""
+    G = sol.G()
+    Gg = _F_array(G, g) if isinstance(g, np.ndarray) else G(g)
+    return sol.branch.A * np.log(s / _anchor(sol)) + (Gg - G(g_a))
+
+
 def potential_u(sol: RadialSolution, s: float) -> float:
     """u(s) = A log(s / s_a) + G(g(s)) - G(g(s_a)), which vanishes at s_a = 1.
 
@@ -171,15 +188,7 @@ def potential_u(sol: RadialSolution, s: float) -> float:
     (ball-normalized solutions end at s = 1) the anchor s_a falls back to
     the domain midpoint; the additive constant carries no geometric content.
     """
-    _check_domain(sol, s)
-    lo, hi = sol.s_domain
-    anchor = 1.0 if lo < 1.0 < hi else 0.5 * (lo + hi)
-    if s == anchor:
-        return 0.0
-    G = sol.G()
-    return sol.branch.A * math.log(s / anchor) + (
-        G(solve_g(sol, s)) - G(solve_g(sol, anchor))
-    )
+    return _potential(sol, s, solve_g(sol, s), solve_g(sol, _anchor(sol)))
 
 
 def metric_tensor(sol: RadialSolution, z) -> np.ndarray:
@@ -194,7 +203,6 @@ def metric_tensor(sol: RadialSolution, z) -> np.ndarray:
     s = float(np.real(np.vdot(z, z)))
     if s == 0.0:
         raise OutOfDomainError("the metric is defined away from the origin")
-    _check_domain(sol, s)
     up, upp, g1 = _radial(sol.ode, s, solve_g(sol, s))
     _require_kahler(s, up, g1)
     return _tensor(up, upp, z)
@@ -206,7 +214,6 @@ def scalar_curvature(sol: RadialSolution, s: float) -> float:
     The chain returns R for any g, so this value does not test the
     inversion; curvature_fd does.
     """
-    _check_domain(sol, s)
     return _curvature(sol.ode, s, solve_g(sol, s))
 
 
@@ -216,26 +223,37 @@ def _phi(sol: RadialSolution, s: float) -> float:
 
 def curvature_fd(sol: RadialSolution, s: float) -> float:
     """Curvature with the outer derivative taken by Richardson differences."""
-    _check_domain(sol, s)
+    g = solve_g(sol, s)  # first, so an s outside the domain is named as such
     h, near = _neighbours(s)
     phi = [_phi(sol, x) for x in near]
-    return _richardson(sol.ode, s, solve_g(sol, s), h, phi)
+    return _richardson(sol.ode, s, g, h, phi)
 
 
-def metric_sample(sol: RadialSolution, s: float) -> MetricSample:
-    """Assemble the full radial record at s; rejects non-Kahler data."""
-    _check_domain(sol, s)
-    g = solve_g(sol, s)
-    up, upp, g1 = _radial(sol.ode, s, g)
+def metric_sample(sol: RadialSolution, s) -> MetricSample:
+    """Assemble the full radial record at s; rejects non-Kahler data.
+
+    s is a float or a numpy array. g(s) is inverted once and feeds the
+    potential and the curvature chain; for an array, the potential's
+    anchor g(s_a) joins the same solve_g call, and every field is
+    evaluated over the whole array at once.
+    """
+    if isinstance(s, np.ndarray):
+        gs = solve_g(sol, np.append(s, _anchor(sol)))
+        g, g_a = gs[:-1].reshape(s.shape), gs[-1]
+    else:
+        g, g_a = solve_g(sol, s), solve_g(sol, _anchor(sol))
+    ode = sol.ode
+    up, upp, g1 = _radial(ode, s, g)
     _require_kahler(s, up, g1)
     return MetricSample(
         s=s,
-        u=potential_u(sol, s),
+        g=g,
+        u=_potential(sol, s, g, g_a),
         up=up,
         upp=upp,
         # the density of reduction.f_of, from the g and g' at hand
-        f=float(sol.ode.k * (np.log(g) - np.log(s)) + np.log(g1)),
-        R_num=scalar_curvature(sol, s),
+        f=ode.k * (np.log(g) - np.log(s)) + np.log(g1),
+        R_num=_curvature(ode, s, g),
     )
 
 

@@ -198,12 +198,6 @@ class RootProfile:
     def reconstruct(self) -> Poly:
         return Poly.from_factors(self.real_roots, self.quad_factors, self.leading)
 
-    def multiplicity_at(self, x: float, rel: float = 1e-9) -> int:
-        for r, m in self.real_roots:
-            if abs(x - r) <= rel * (1.0 + abs(r)):
-                return m
-        return 0
-
     @property
     def total_degree(self) -> int:
         return sum(m for _, m in self.real_roots) + 2 * sum(m for *_, m in self.quad_factors)

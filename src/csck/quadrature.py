@@ -9,16 +9,15 @@ so everything reduces to three steps: split x^k / H into tagged
 closed-form terms (logs, reciprocal powers, arctangents), fix the gauge
 constant c (through an anchor point, or by normalizing a finite
 extension so its boundary sits at s = 1), and invert the relation with
-a bracketed bisection plus a Newton polish. The same split applied to
-x^k (x - A) / H gives the potential in closed form (RadialSolution.G).
+Newton steps kept inside a verified bracket. The same split applied
+to x^k (x - A) / H gives the potential in closed form
+(RadialSolution.G).
 A direct Runge-Kutta shoot of the first order equation s g^k g' = H(g),
 a plain-float Dormand-Prince 5(4) integrator, is provided as an
 independent cross check.
 """
 
-import bisect
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,12 +51,13 @@ __all__ = [
 
 # tolerance for the analytic cancellation of log terms at infinity
 _LOG_CANCEL_TOL = 1e-9
-# relative bracket width before the Newton polish takes over
+# relative bracket width at which a Newton point outside the bracket ends
+# the inversion
 _BISECT_REL = 1e-13
 # outward bracket expansion attempts before giving up
 _EXPAND_CAP = 300
-# warm-start cache size; halved by decimation when full
-_CACHE_CAP = 512
+# inversion steps (Newton or bisection) before the iterate is returned
+_ITER_CAP = 200
 # g value treated as a blow-up while shooting
 _SHOOT_GCAP = 1e9
 # the shoot's error tolerances: relative to |g|, and absolute
@@ -327,31 +327,20 @@ def _split(H, k: int, branch, root: Optional[float] = None) -> AntiderivativeF:
 class RadialSolution:
     """Gauge-fixed radial profile g(s) on one admissible window.
 
-    Immutable apart from a monotone sample cache that warm-starts the
-    inversion: reads grab the current tuple pair without locking and
-    writes swap in a fresh pair under a lock, so concurrent readers are
-    safe and writers are serialized. The potential's antiderivative G is
-    built on first use; a race builds it twice, to the same value.
+    Holds the problem, the window, F, the gauge constant c and the s-domain;
+    solve_g inverts it. The potential's antiderivative G is built on first
+    use.
     """
 
-    __slots__ = ("ode", "branch", "F", "c", "s_domain", "_lock", "_cache", "_G")
+    __slots__ = ("ode", "branch", "F", "c", "s_domain", "_G")
 
-    def __init__(self, ode, branch, F, c, s_domain, seed_samples=()):
+    def __init__(self, ode, branch, F, c, s_domain):
         self.ode = ode
         self.branch = branch
         self.F = F
         self.c = c
         self.s_domain = s_domain
-        self._lock = threading.Lock()
-        seeds = tuple(sorted(seed_samples))
-        self._cache = (
-            tuple(s for s, _ in seeds),
-            tuple(g for _, g in seeds),
-        )
         self._G = None
-
-    def g(self, s: float) -> float:
-        return solve_g(self, s)
 
     def G(self) -> AntiderivativeF:
         """Antiderivative of x^k (x - A) / H, A the window's left endpoint.
@@ -365,100 +354,82 @@ class RadialSolution:
             self._G = _split(self.ode.H, self.ode.k, self.branch, self.branch.A)
         return self._G
 
-    def _remember(self, s: float, g: float) -> None:
-        with self._lock:
-            ss, gs = self._cache
-            i = bisect.bisect_left(ss, s)
-            if i < len(ss) and ss[i] == s:
-                return
-            if len(ss) >= _CACHE_CAP:
-                ss = ss[::2]
-                gs = gs[::2]
-                i = bisect.bisect_left(ss, s)
-            self._cache = (ss[:i] + (s,) + ss[i:], gs[:i] + (g,) + gs[i:])
-
 
 def probe_point(A: float, B: float) -> float:
     """Interior point of the window (A, B): A + 1 on a ray, else the midpoint."""
     return A + 1.0 if math.isinf(B) else 0.5 * (A + B)
 
 
-def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
-    """Invert F(g) = log s + c by bracketed bisection and a Newton polish.
+def _outside(s, sol: RadialSolution) -> OutOfDomainError:
+    lo, hi = sol.s_domain
+    return OutOfDomainError(f"s = {s!r} is outside the solution domain ({lo}, {hi})")
 
-    The bracket starts from cached neighbours when available and expands
-    geometrically toward the window endpoints otherwise; bisection stops at
-    relative width 1e-13 and Newton runs only inside the verified bracket.
+
+def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
+    """Invert F(g) = log s + c by Newton steps kept inside a bracket.
+
+    The bracket F(lo) <= t <= F(hi), t = log s + c, comes from stepping
+    out of the probe point geometrically toward the window endpoints.
+    From its midpoint, each step evaluates F at the iterate g, moves the
+    bracket end on g's side of t to g, and goes to the Newton point
+    g - (F(g) - t) / F'(g) when that lies strictly inside the bracket, to
+    the bracket midpoint otherwise (rtsafe, Numerical Recipes 9.4). It
+    stops when the Newton step is below 1e-16 (1 + |g|), or when the
+    Newton point falls outside a bracket already narrower than
+    1e-13 (1 + |g|), and returns the Newton point clipped into the
+    bracket: in the second case, the bracket end it crossed. The result
+    depends on s alone, not on earlier calls.
 
     A numpy array of s (any order, repeats allowed) returns the array of
-    g in the same shape. Its entries run the same steps in lockstep, from
-    the probe-point bracket, and neither read nor write the warm cache.
+    g in the same shape; its entries run the same steps in lockstep.
     """
     if isinstance(s, np.ndarray):
         return _solve_g_array(sol, s)
     s_lo, s_hi = sol.s_domain
     if not (s_lo < s < s_hi):
-        raise OutOfDomainError(
-            f"s = {s!r} is outside the solution domain ({s_lo}, {s_hi})"
-        )
+        raise _outside(s, sol)
     t = math.log(s) + sol.c
     F = sol.F
     A, B = sol.branch.A, sol.branch.B
 
-    ss, gs = sol._cache
-    i = bisect.bisect_left(ss, s)
-    if i < len(ss) and ss[i] == s:
-        return gs[i]
-    lo = gs[i - 1] if i > 0 else None
-    hi = gs[i] if i < len(ss) else None
-
-    if lo is None or eval_F(F, lo) > t:
-        x = lo if lo is not None else (hi if hi is not None else probe_point(A, B))
+    # walk down from the probe point while F > t, then up while F < t;
+    # the last point passed on the other side of t closes the bracket
+    x = probe_point(A, B)
+    hi = None
+    for _ in range(_EXPAND_CAP):
+        fx = eval_F(F, x)
+        if fx <= t:
+            break
+        hi, x = x, A + 0.5 * (x - A)
+    else:
+        raise OutOfDomainError(f"no lower bracket for s = {s!r}")
+    lo = x
+    if hi is None:
         for _ in range(_EXPAND_CAP):
-            if eval_F(F, x) <= t:
+            if fx >= t:
                 break
-            x = A + 0.5 * (x - A)
-        else:
-            raise OutOfDomainError(f"no lower bracket for s = {s!r}")
-        lo = x
-    if hi is None or eval_F(F, hi) < t:
-        x = hi if hi is not None else lo
-        for _ in range(_EXPAND_CAP):
-            if eval_F(F, x) >= t:
-                break
-            x = 2.0 * x - A + 1.0 if math.isinf(B) else B - 0.5 * (B - x)
+            lo, x = x, 2.0 * x - A + 1.0 if math.isinf(B) else B - 0.5 * (B - x)
+            fx = eval_F(F, x)
         else:
             raise OutOfDomainError(f"no upper bracket for s = {s!r}")
         hi = x
 
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        if eval_F(F, mid) < t:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_REL * (1.0 + abs(mid)):
-            break
     g = 0.5 * (lo + hi)
-
-    for _ in range(3):
+    for _ in range(_ITER_CAP):
+        r = eval_F(F, g) - t
+        if r < 0.0:
+            lo = g
+        elif r > 0.0:
+            hi = g
         slope = F.derivative(g)
-        if not math.isfinite(slope) or slope <= 0.0:
-            break
-        step = (eval_F(F, g) - t) / slope
+        step = r / slope if slope > 0.0 else math.nan
         cand = g - step
-        if not (lo <= cand <= hi):
-            # the bracket is already narrower than the stopping width, so
-            # a candidate past one end takes that end (a nan one keeps g)
-            g = lo if cand < lo else hi if cand > hi else g
-            break
-        g = cand
-        if abs(step) <= 1e-16 * (1.0 + abs(g)):
-            break
-
-    sol._remember(s, g)
+        if abs(step) <= 1e-16 * (1.0 + abs(g)) or (
+            not lo < cand < hi and hi - lo <= _BISECT_REL * (1.0 + abs(g))
+        ):
+            # a nan candidate keeps g
+            return g if cand != cand else min(max(cand, lo), hi)
+        g = cand if lo < cand < hi else 0.5 * (lo + hi)
     return g
 
 
@@ -509,72 +480,71 @@ def _dF_array(F: AntiderivativeF, x: np.ndarray) -> np.ndarray:
 
 
 def _expand(F, x, t, step, too_far, side, s):
-    """Step each entry of x until too_far(F(x), t) fails, as solve_g does."""
+    """Step each entry of x until too_far(F(x), t) fails, as solve_g does.
+
+    Returns the final x and, per entry, the last point stepped past (nan
+    where x never moved).
+    """
+    past = np.full(x.size, math.nan)
     todo = np.arange(x.size)
     for _ in range(_EXPAND_CAP):
         todo = todo[too_far(_F_array(F, x[todo]), t[todo])]
         if not todo.size:
-            return x
+            return x, past
+        past[todo] = x[todo]
         x[todo] = step(x[todo])
     raise OutOfDomainError(f"no {side} bracket for s = {float(s[todo[0]])!r}")
 
 
 def _solve_g_array(sol: RadialSolution, s: np.ndarray) -> np.ndarray:
-    """Cold solve_g of every entry of s, with bisection and Newton in lockstep."""
+    """solve_g of every entry of s, with the iteration run in lockstep."""
     shape = s.shape
     s = np.asarray(s, dtype=float).ravel()
     s_lo, s_hi = sol.s_domain
     outside = np.flatnonzero(~((s_lo < s) & (s < s_hi)))
     if outside.size:
-        raise OutOfDomainError(
-            f"s = {float(s[outside[0]])!r} is outside the solution domain ({s_lo}, {s_hi})"
-        )
+        raise _outside(float(s[outside[0]]), sol)
     t = np.log(s) + sol.c
     F = sol.F
     A, B = sol.branch.A, sol.branch.B
 
-    lo = _expand(
+    lo, hi = _expand(
         F, np.full(s.size, probe_point(A, B)), t,
         lambda x: A + 0.5 * (x - A), np.greater, "lower", s,
     )
     up = (lambda x: 2.0 * x - A + 1.0) if math.isinf(B) else (lambda x: B - 0.5 * (B - x))
-    hi = _expand(F, lo.copy(), t, up, np.less, "upper", s)
+    rise = np.isnan(hi)
+    x, past = _expand(F, lo[rise], t[rise], up, np.less, "upper", s[rise])
+    hi[rise] = x
+    lo[rise] = np.where(np.isnan(past), lo[rise], past)
 
-    # the entries still bisecting, compacted only when some of them stop
-    idx, a, b, tt = np.arange(s.size), lo, hi, t
-    for _ in range(200):
+    # the entries still iterating, compacted only when some of them stop
+    out = np.empty(s.size)
+    idx, g = np.arange(s.size), 0.5 * (lo + hi)
+    for _ in range(_ITER_CAP):
         if not idx.size:
             break
-        mid = 0.5 * (a + b)
-        inside = (a < mid) & (mid < b)
-        below = _F_array(F, mid) < tt
-        a = np.where(inside & below, mid, a)
-        b = np.where(inside & ~below, mid, b)
-        stop = ~inside | (b - a <= _BISECT_REL * (1.0 + np.abs(mid)))
+        r = _F_array(F, g) - t
+        lo = np.where(r < 0.0, g, lo)
+        hi = np.where(r > 0.0, g, hi)
+        slope = _dF_array(F, g)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(slope > 0.0, r / slope, math.nan)
+        cand = g - step
+        inside = (lo < cand) & (cand < hi)
+        stop = (np.abs(step) <= 1e-16 * (1.0 + np.abs(g))) | (
+            ~inside & (hi - lo <= _BISECT_REL * (1.0 + np.abs(g)))
+        )
         if stop.any():
-            lo[idx[stop]], hi[idx[stop]] = a[stop], b[stop]
+            # as on the scalar path, a nan candidate keeps g
+            out[idx[stop]] = np.where(np.isnan(cand), g, np.clip(cand, lo, hi))[stop]
             go = ~stop
-            idx, a, b, tt = idx[go], a[go], b[go], tt[go]
-    lo[idx], hi[idx] = a, b
-    g = 0.5 * (lo + hi)
-
-    todo = np.arange(s.size)
-    for _ in range(3):
-        x = g[todo]
-        slope = _dF_array(F, x)
-        usable = np.isfinite(slope) & (slope > 0.0)
-        todo, x, slope = todo[usable], x[usable], slope[usable]
-        step = (_F_array(F, x) - t[todo]) / slope
-        cand = x - step
-        known = ~np.isnan(cand)
-        todo, cand, step = todo[known], cand[known], step[known]
-        # as on the scalar path, a candidate past a bracket end takes that end
-        a, b = lo[todo], hi[todo]
-        g[todo] = np.clip(cand, a, b)
-        todo = todo[(a <= cand) & (cand <= b) & (np.abs(step) > 1e-16 * (1.0 + np.abs(cand)))]
-        if not todo.size:
-            break
-    return g.reshape(shape)
+            idx, g, cand, inside, lo, hi, t = (
+                v[go] for v in (idx, g, cand, inside, lo, hi, t)
+            )
+        g = np.where(inside, cand, 0.5 * (lo + hi))
+    out[idx] = g
+    return out.reshape(shape)
 
 
 def gauge_from_anchor(ode, branch, F, anchor) -> RadialSolution:
@@ -596,7 +566,7 @@ def gauge_from_anchor(ode, branch, F, anchor) -> RadialSolution:
     else:
         edge = F.limit_at_inf() if math.isinf(branch.B) else eval_F(F, branch.B)
         s_hi = math.exp(edge - c)
-    return RadialSolution(ode, branch, F, c, (s_lo, s_hi), seed_samples=((s0, g0),))
+    return RadialSolution(ode, branch, F, c, (s_lo, s_hi))
 
 
 def ball_normalize(ode, branch, F) -> RadialSolution:

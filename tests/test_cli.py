@@ -341,6 +341,27 @@ def test_config_unknown_key_exits_64(tmp_path):
     assert code == 64
 
 
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ('{"s_max": Infinity}', True),
+        ('{"lambda": NaN}', True),
+        ('{"samples": "abc"}', True),
+        ('{"n": 2.5, "scalar": 6, "anchor": "1,0.5"}', False),
+    ],
+)
+def test_config_values_take_the_flag_types(tmp_path, config, flags):
+    # each value passes through its flag's argparse type, as on the command line
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    args = ["solve", "--config", str(path)]
+    if flags:
+        args += ["--n", "2", "--scalar", "6", "--mu", "0", "--anchor", "1,0.5"]
+    code, out, err = run_cli(args)
+    assert code == 64 and out == ""
+    assert "Traceback" not in err
+
+
 def test_repeated_runs_are_byte_identical():
     classify_args = ["classify", "--n", "3", "--scalar", "12", "--lambda", "0.1", "--mu", "-0.2"]
     solve_args = [

@@ -233,6 +233,31 @@ def test_metric_sample_fields():
     assert ms.up > 0.0 and ms.up + ms.s * ms.upp > 0.0
 
 
+@pytest.mark.parametrize("label", BRANCHED)
+def test_metric_sample_array_matches_scalar(label):
+    sol = solution_for(label)
+    lo, hi = sol.s_domain
+    s = np.geomspace(max(0.05, 2.0 * lo), 100.0 if math.isinf(hi) else 0.99 * hi, 24)
+    # unsorted, with a repeat and the potential's anchor
+    s = np.append(s[::-1], [s[3], 1.0 if lo < 1.0 < hi else 0.5 * (lo + hi)])
+    got = metric_sample(sol, s)
+    for name in ("s", "g", "u", "up", "upp", "f", "R_num"):
+        x = getattr(got, name)
+        want = np.array([getattr(metric_sample(sol, float(v)), name) for v in s])
+        assert x.shape == s.shape
+        assert np.all(np.abs(x - want) <= 1e-12 * (1.0 + np.abs(want))), name
+    assert got.u[-1] == 0.0
+
+
+def test_metric_sample_array_out_of_domain():
+    sol = solution_for("1.7.1")
+    with pytest.raises(OutOfDomainError) as scalar:
+        metric_sample(sol, 1.5)
+    with pytest.raises(OutOfDomainError) as array:
+        metric_sample(sol, np.array([0.5, 1.5, 0.2]))
+    assert str(array.value) == str(scalar.value)
+
+
 def test_verify_round_sphere_report():
     sol = plain_solution(2, 6.0, 0.0, 0.0, (1.0, 0.5))
     rep = verify_solution(sol, 200)
