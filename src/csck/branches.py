@@ -14,7 +14,6 @@ from enum import Enum
 from typing import Optional
 
 from .cases import match_label
-from .polynomials import real_root_profile
 from .reduction import OdeData, RadialProblem, build_ode
 
 # Roots this close to zero are treated as exactly zero so that the
@@ -76,9 +75,8 @@ def _diverges_at_root(value, mult, k):
 
 
 def _enumerate(ode: OdeData):
-    profile = real_root_profile(ode.H)
-    roots = _snap_roots(profile.real_roots)
-    has_quad = bool(profile.quad_factors)
+    roots = _snap_roots(ode.roots.real_roots)
+    has_quad = bool(ode.roots.quad_factors)
     k = ode.k
     deg = ode.H.degree
     lead_positive = ode.H.coeffs[-1] > 0.0

@@ -1,16 +1,20 @@
 """Real polynomial arithmetic and certified real-root factorization.
 
-Real roots are isolated with a Sturm chain (sign-variation counts over
-bisected intervals) and refined by safeguarded Newton inside a verified
-bracket.  Multiplicities come from repeated deflation against the
-polynomial with a relative clustering threshold; each multiple root is
-then re-polished on the derivative of matching order so that double and
-triple roots reach full precision.  Whatever factor is left after all
-real roots are removed is split into irreducible quadratics.
+Root candidates are the eigenvalues of the companion matrix, which
+LAPACK balances before the QR iteration. Their multiplicity structure
+is the numerical one of Zeng (2005, Computing multiple roots of inexact
+polynomials): the coarsest clustering of the eigenvalues whose product,
+expanded from the cluster centroids, reconstructs the polynomial within
+the backward tolerance. A cluster closed under conjugation is a real
+root, with the cluster's size as its multiplicity; any other cluster,
+with its mirror image, is a quadratic factor of that multiplicity.
+Each factor is then polished on the derivative of matching order, so
+that multiple roots reach full precision.
 
-Every profile is certified by rebuilding the polynomial from its factors
-and comparing coefficients; inputs that cannot be certified raise
-IllConditionedError instead of returning a guess.
+What is certified is that backward error: every profile is rebuilt from
+its factors and compared coefficientwise with the input, relative to the
+coefficient inf-norm. Inputs that no clustering reconstructs within tol
+raise IllConditionedError instead of returning a guess.
 """
 from __future__ import annotations
 
@@ -20,21 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedError, ZeroPolyError
-
-# Remainders whose norm falls below this (inputs are normalized to unit
-# inf-norm) end the Sturm chain: the previous element is treated as the gcd.
-# Rounding noise at the gcd step of a degree <= 7 chain reaches a few 1e-12,
-# so the cutoff sits well above that while staying far below genuine
-# remainders, which do not drop under 1e-6 for separated roots.
-_CHAIN_EPS = 1e-10
-# Two refined roots closer than _CLUSTER_REL * (1 + |root|) merge into one
-# higher-multiplicity root.
-_CLUSTER_REL = 1e-7
-# Conjugate pairs cluster more loosely: a double pair under coefficient
-# rounding splits by about the square root of machine precision.
-_QUAD_CLUSTER_REL = 1e-5
-# |w(r)| below _DEFLATE_REL * scale keeps r as a root of the deflation w.
-_DEFLATE_REL = 1e-9
 
 _EPS = float(np.finfo(float).eps)
 
@@ -64,13 +53,6 @@ def _deriv(cs) -> tuple[float, ...]:
 
 def _inf_norm(cs) -> float:
     return max(abs(c) for c in cs)
-
-
-def _scaled(cs) -> tuple[float, ...]:
-    m = _inf_norm(cs)
-    if m == 0.0:
-        return tuple(cs)
-    return tuple(c / m for c in cs)
 
 
 def _poly_divmod(a, b) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -149,14 +131,19 @@ class Poly:
         real_roots: iterable of (root, multiplicity);
         quad_factors: iterable of (beta, gamma, multiplicity).
         """
-        cs: tuple[float, ...] = (float(leading),)
+        # each factor is multiplied in with the additions in the order of
+        # _mul, so the coefficients are the same floats
+        cs = [float(leading)]
         for r, m in real_roots:
             for _ in range(m):
-                cs = _mul(cs, (-r, 1.0))
+                cs = [a - r * c for a, c in zip([0.0, *cs], [*cs, 0.0])]
         for b, g, m in quad_factors:
-            quad = (b * b + g * g, -2.0 * b, 1.0)
+            u, v = -2.0 * b, b * b + g * g
             for _ in range(m):
-                cs = _mul(cs, quad)
+                cs = [
+                    a + c * u + e * v
+                    for a, c, e in zip([0.0, 0.0, *cs], [0.0, *cs, 0.0], [*cs, 0.0, 0.0])
+                ]
         return Poly.from_coeffs(cs)
 
     @property
@@ -184,7 +171,11 @@ class Poly:
 
 @dataclass(frozen=True)
 class RootProfile:
-    """Certified real factorization of a polynomial.
+    """Real factorization of a polynomial, certified by its backward error.
+
+    Rebuilding the polynomial from these factors reproduces the input's
+    coefficients within the tol of real_root_profile, relative to their
+    inf-norm; the multiplicities are the numerical ones at that tol.
 
     real_roots: ((value, multiplicity), ...) strictly increasing in value;
     quad_factors: ((beta, gamma, multiplicity), ...) with gamma > 0, sorted;
@@ -198,89 +189,16 @@ class RootProfile:
     def reconstruct(self) -> Poly:
         return Poly.from_factors(self.real_roots, self.quad_factors, self.leading)
 
-    @property
-    def total_degree(self) -> int:
-        return sum(m for _, m in self.real_roots) + 2 * sum(m for *_, m in self.quad_factors)
-
 
 # ---------------------------------------------------------------------------
-# Sturm machinery
-
-def _sturm_chain(cs) -> list[tuple[float, ...]]:
-    p0 = _scaled(_trim(cs))
-    chain = [p0]
-    d1 = _deriv(p0)
-    if len(d1) == 1 and d1[0] == 0.0:
-        return chain
-    chain.append(_scaled(d1))
-    while len(chain[-1]) > 1:
-        _, rem = _poly_divmod(chain[-2], chain[-1])
-        rem = [(-c) for c in rem]
-        m = max(abs(c) for c in rem)
-        if m <= _CHAIN_EPS:
-            break  # gcd reached (multiple roots); generalized chain still counts distinct roots
-        while len(rem) > 1 and abs(rem[-1]) <= _CHAIN_EPS * m:
-            rem.pop()
-        chain.append(_scaled(rem))
-    return chain
-
-
-def _variations(chain, x: float) -> int:
-    prev = 0
-    v = 0
-    for cs in chain:
-        val = _horner(cs, x)
-        if val == 0.0:
-            continue
-        s = 1 if val > 0.0 else -1
-        if prev != 0 and s != prev:
-            v += 1
-        prev = s
-    return v
-
-
-def _nonroot(cs, x: float, width: float) -> float:
-    # nudge a proposed evaluation point off an exact root
-    step = max(width * 1e-3, 1e-12 * (1.0 + abs(x)))
-    for _ in range(60):
-        if _horner(cs, x) != 0.0:
-            return x
-        x += step
-        step *= 2.0
-    return x
-
-
-def _isolate(chain, cs, lo: float, hi: float) -> list[tuple[float, float]]:
-    """Intervals (a, b] each holding exactly one distinct real root.
-
-    Midpoints are nudged off the zero set of cs itself, not of the scaled
-    chain head, so that refinement never lands on an exact root endpoint.
-    """
-    total = _variations(chain, lo) - _variations(chain, hi)
-    out: list[tuple[float, float]] = []
-    stack = [(lo, hi, total)]
-    while stack:
-        a, b, cnt = stack.pop()
-        if cnt <= 0:
-            continue
-        if cnt == 1 or (b - a) <= 1e-13 * (1.0 + abs(a) + abs(b)):
-            out.append((a, b))
-            continue
-        mid = _nonroot(cs, 0.5 * (a + b), b - a)
-        if not (a < mid < b):
-            out.append((a, b))
-            continue
-        vm = _variations(chain, mid)
-        left = _variations(chain, a) - vm
-        right = vm - _variations(chain, b)
-        stack.append((a, mid, left))
-        stack.append((mid, b, right))
-    out.sort()
-    return out
-
+# root candidates, numerical multiplicity and polish
 
 def _bracketed_newton(cs, dcs, a: float, b: float) -> float:
-    """Root of cs in [a, b] assuming a sign change; Newton inside the bracket."""
+    """Root of cs in [a, b] assuming a sign change; Newton inside the bracket.
+
+    Stops on an exact zero, or when the Newton point leaves a bracket
+    narrower than 4 eps (1 + |x|).
+    """
     fa = _horner(cs, a)
     fb = _horner(cs, b)
     if fa == 0.0:
@@ -298,8 +216,8 @@ def _bracketed_newton(cs, dcs, a: float, b: float) -> float:
             lo, flo = x, fx
         else:
             hi = x
-        if hi - lo <= 4.0 * _EPS * (1.0 + abs(x)):
-            break
+        # a Newton point inside the bracket is always taken, so the
+        # iterate keeps converging once the bracket is at rounding width
         dfx = _horner(dcs, x)
         if dfx != 0.0:
             step = fx / dfx
@@ -307,62 +225,10 @@ def _bracketed_newton(cs, dcs, a: float, b: float) -> float:
             if lo < xn < hi and abs(step) <= 0.5 * (hi - lo):
                 x = xn
                 continue
+        if hi - lo <= 4.0 * _EPS * (1.0 + abs(x)):
+            break
         x = 0.5 * (lo + hi)
     return x
-
-
-def _distinct_real_roots(cs, lo: float | None = None, hi: float | None = None) -> list[float]:
-    cs = _trim(cs)
-    d = len(cs) - 1
-    if d <= 0:
-        return []
-    if d == 1:
-        r = -cs[0] / cs[1]
-        if lo is not None and not (lo < r <= hi):
-            return []
-        return [r]
-    bound = 1.0 + max(abs(c) for c in cs[:-1]) / abs(cs[-1])
-    if lo is None:
-        lo, hi = -bound - 1.0, bound + 1.0
-    lo = _nonroot(cs, lo, (hi - lo))
-    hi = _nonroot(cs, hi, (hi - lo))
-    if lo >= hi:
-        return []
-    chain = _sturm_chain(cs)
-    dcs = _deriv(cs)
-    roots = []
-    for a, b in _isolate(chain, cs, lo, hi):
-        fa, fb = _horner(cs, a), _horner(cs, b)
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fb == 0.0:
-            roots.append(b)
-            continue
-        if (fa > 0.0) != (fb > 0.0):
-            roots.append(_bracketed_newton(cs, dcs, a, b))
-            continue
-        # even multiplicity: the root also annihilates the derivative
-        sub = _distinct_real_roots(dcs, a, b)
-        if sub:
-            roots.append(min(sub, key=lambda r: abs(_horner(cs, r))))
-        else:
-            roots.append(0.5 * (a + b))
-    roots.sort()
-    return roots
-
-
-def _deflation_count(cs, r: float) -> int:
-    m = 0
-    work = list(cs)
-    while len(work) > 1:
-        q, rem = _deflate_linear(work, r)
-        scale = _inf_norm(work) * max(1.0, abs(r)) ** (len(work) - 1)
-        if abs(rem) > _DEFLATE_REL * scale:
-            break
-        m += 1
-        work = list(q)
-    return m
 
 
 def _polish(cs, r: float, m: int) -> float:
@@ -372,7 +238,7 @@ def _polish(cs, r: float, m: int) -> float:
         d = _deriv(d)
     dd = _deriv(d)
     delta = 1e-12 * (1.0 + abs(r))
-    # cap wide enough to cover bisection noise on high-multiplicity roots,
+    # cap wide enough to cover the spread of a perturbed m-fold root,
     # which scales like eps**(1/m)
     while delta <= 1e-2 * (1.0 + abs(r)):
         a, b = r - delta, r + delta
@@ -381,27 +247,6 @@ def _polish(cs, r: float, m: int) -> float:
             return _bracketed_newton(d, dd, a, b)
         delta *= 8.0
     return r
-
-
-def _root_with_multiplicity(cs, r: float) -> tuple[float, int] | None:
-    """Polished value and multiplicity for a root candidate of cs.
-
-    An m-fold root found by bisection is only accurate to roughly
-    eps**(1/m), which is not enough to count deflations directly.  Trying
-    multiplicities from the top: polishing on the (m-1)-th derivative
-    turns the root simple, and only the true multiplicity survives the
-    deflation count at the polished point.  Candidates that fail the
-    count even as simple roots are not roots at all and yield None.
-    """
-    deg = len(cs) - 1
-    for m_try in range(deg, 1, -1):
-        rp = _polish(cs, r, m_try)
-        if _deflation_count(cs, rp) >= m_try:
-            return rp, m_try
-    rp = _polish(cs, r, 1)
-    if _deflation_count(cs, rp) >= 1:
-        return rp, 1
-    return None
 
 
 def _quad_residual_map(cs, u: float, v: float) -> tuple[float, float]:
@@ -442,98 +287,119 @@ def _bairstow_polish(cs, beta: float, gamma: float) -> tuple[float, float]:
     return beta, gamma
 
 
-def _quad_split(cs) -> list[tuple[float, float, int]]:
-    """Split a real polynomial with no real roots into quadratic factors."""
-    cs = _trim(cs)
-    d = len(cs) - 1
-    if d <= 0:
-        return []
-    if d == 2:
-        beta = -cs[1] / (2.0 * cs[2])
-        disc = cs[0] / cs[2] - beta * beta
-        gamma = math.sqrt(disc) if disc > 0.0 else 0.0
-        return [(beta, gamma, 1)]
-    vals = np.roots(list(reversed(cs)))
+def _candidates(cs) -> list[complex]:
+    """Companion eigenvalues of cs, with its zero low-order coefficients
+    put back as exact 0.0 roots.
+
+    LAPACK returns each complex pair consecutively, positive imaginary
+    part first.
+    """
+    z = next(i for i, c in enumerate(cs) if c != 0.0)
+    tail = cs[z:]
+    d = len(tail) - 1
+    zs = [0j] * z
+    if d > 0:
+        comp = np.eye(d, k=-1)
+        comp[:, -1] = [-c / tail[-1] for c in tail[:-1]]
+        zs.extend(complex(w) for w in np.linalg.eigvals(comp))
+    return zs
+
+
+def _clusterings(zs) -> tuple[list[int], list[list[int]]]:
+    """Conjugate index of each candidate, and the candidates' partitions
+    from finest to coarsest, as one cluster label per candidate.
+
+    Pairs merge in order of increasing |zi - zj| / (1 + max(|zi|, |zj|)),
+    each together with its conjugate pair, so every partition is closed
+    under conjugation.
+    """
+    conj = list(range(len(zs)))
+    for i, w in enumerate(zs):
+        if w.imag > 0.0:
+            conj[i], conj[i + 1] = i + 1, i
     pairs = sorted(
-        ((float(z.real), float(abs(z.imag))) for z in vals if z.imag > 0.0),
-        key=lambda p: (p[0], p[1]),
+        (abs(zi - zj) / (1.0 + max(abs(zi), abs(zj))), i, j)
+        for i, zi in enumerate(zs)
+        for j, zj in enumerate(zs[i + 1:], i + 1)
     )
-    # cluster repeated quadratic factors
-    quads: list[list[float | int]] = []
-    for b, g in pairs:
-        if quads:
-            pb, pg, pm = quads[-1]
-            tol = _QUAD_CLUSTER_REL * (1.0 + abs(pb) + abs(pg))
-            if abs(b - pb) <= tol and abs(g - pg) <= tol:
-                quads[-1][2] = pm + 1
-                continue
-        quads.append([b, g, 1])
-    out = []
-    for b, g, m in quads:
-        d_cs = cs
-        for _ in range(m - 1):
-            d_cs = _deriv(d_cs)
-        b, g = _bairstow_polish(d_cs, b, g)
-        out.append((b, g, m))
-    return out
+    label = list(range(len(zs)))
+    out = [label]
+    for _, i, j in pairs:
+        new = label
+        for a, b in ((i, j), (conj[i], conj[j])):
+            if new[a] != new[b]:
+                new = [new[a] if lb == new[b] else lb for lb in new]
+        if new is not label:
+            label = new
+            out.append(label)
+    return conj, out
+
+
+def _factors(zs, conj, label):
+    """Real roots and quadratic factors at the centroids of the clusters.
+
+    A cluster closed under conjugation is a real root; of any other
+    cluster and its mirror, the one with the smaller label stands for
+    the quadratic factor.
+    """
+    clusters: dict[int, list[complex]] = {}
+    mirror = {}
+    for i, lb in enumerate(label):
+        clusters.setdefault(lb, []).append(zs[i])
+        mirror[lb] = label[conj[i]]
+    reals, quads = [], []
+    for lb, members in clusters.items():
+        c = sum(members) / len(members)
+        if mirror[lb] == lb:
+            reals.append((c.real, len(members)))
+        elif lb < mirror[lb]:
+            quads.append((c.real, abs(c.imag), len(members)))
+    return reals, quads
+
+
+def _residual(cs, real_roots, quad_factors) -> float:
+    """Coefficient inf-norm of the factors' product minus cs, relative to cs."""
+    recon = Poly.from_factors(real_roots, quad_factors, cs[-1]).coeffs
+    return max(abs(a - b) for a, b in zip(recon, cs)) / _inf_norm(cs)
 
 
 def real_root_profile(p: Poly, tol: float = 1e-9) -> RootProfile:
-    """Certified real factorization of p.
+    """Real factorization of p with the coarsest multiplicities tol allows.
 
-    Raises IllConditionedError (with the residual attached) when the
-    reconstructed polynomial does not match p coefficientwise within
-    tol relative to the coefficient norm.
+    The companion eigenvalues merge into clusters, closest pairs first
+    and always with their conjugates; the coarsest clustering whose
+    product, expanded from the cluster centroids, reconstructs p within
+    tol relative to the coefficient inf-norm fixes the multiplicities.
+    Its factors are then polished, and the polished product is held to
+    the same bound: IllConditionedError (with the residual attached) is
+    raised when it misses p by more than tol.
     """
     if p.is_zero:
         raise ZeroPolyError("cannot factor the zero polynomial")
     if p.degree < 1:
         raise ValueError("degree >= 1 required")
     cs = p.coeffs
-    leading = cs[-1]
-    norm = _inf_norm(cs)
+    zs = _candidates(cs)
+    conj, labels = _clusterings(zs)
+    # when no clustering passes, the loop ends on the finest one, which
+    # the gate below then rejects
+    for label in reversed(labels):
+        reals, quads = _factors(zs, conj, label)
+        if _residual(cs, reals, quads) <= tol:
+            break
 
-    # Isolation on the full polynomial can leak counts near multiple roots
-    # (the chain elements flip sign at noise-separated points), so roots
-    # are collected over several rounds: verified roots are deflated out
-    # and isolation runs again on the quotient, where conditioning is
-    # restored.  Stops when a round adds nothing new.
-    found: list[tuple[float, int]] = []
-    work = cs
-    for _ in range(p.degree):
-        if len(work) <= 1:
-            break
-        fresh = False
-        for r in _distinct_real_roots(work):
-            rm = _root_with_multiplicity(cs, r)
-            if rm is None:
-                continue
-            rp, m = rm
-            if any(abs(rp - fr) <= _CLUSTER_REL * (1.0 + abs(rp)) for fr, _ in found):
-                continue
-            found.append((rp, m))
-            fresh = True
-        if not fresh:
-            break
-        work = cs
-        for rp, m in found:
-            for _ in range(m):
-                if len(work) <= 1:
-                    raise IllConditionedError(1.0, "claimed multiplicities exceed the degree")
-                work, _ = _deflate_linear(work, rp)
-    real_roots = sorted(found)
-    quad_factors = _quad_split(work) if len(work) > 1 else []
+    real_roots = sorted((_polish(cs, r, m), m) for r, m in reals)
+    quad_factors = []
+    for beta, gamma, m in quads:
+        d = cs
+        for _ in range(m - 1):
+            d = _deriv(d)
+        quad_factors.append((*_bairstow_polish(d, beta, gamma), m))
+    quad_factors.sort()
 
     if any(g <= 0.0 for _, g, _ in quad_factors):
         raise IllConditionedError(1.0, "quadratic factor degenerated to a real pair")
-    profile = RootProfile(tuple(real_roots), tuple(quad_factors), leading)
-    recon = profile.reconstruct().coeffs
-    width = max(len(recon), len(cs))
-    rc = list(recon) + [0.0] * (width - len(recon))
-    pc = list(cs) + [0.0] * (width - len(cs))
-    residual = max(abs(a - b) for a, b in zip(rc, pc)) / norm
-    if profile.total_degree != p.degree:
-        raise IllConditionedError(residual, "factor degrees do not sum to the input degree")
+    residual = _residual(cs, real_roots, quad_factors)
     if residual > tol:
         raise IllConditionedError(residual, "reconstruction residual exceeds tolerance")
-    return profile
+    return RootProfile(tuple(real_roots), tuple(quad_factors), cs[-1])

@@ -30,7 +30,7 @@ from .errors import (
     OutOfDomainError,
     UnsupportedMultiplicityError,
 )
-from .polynomials import _deflate_linear, _poly_divmod, _taylor, real_root_profile
+from .polynomials import _deflate_linear, _poly_divmod, _taylor
 from .reduction import OdeData
 
 __all__ = [
@@ -222,17 +222,17 @@ def partial_fractions(ode: OdeData, branch) -> AntiderivativeF:
     factor raises UnsupportedMultiplicityError. Shared roots of x^k and H
     cancel automatically because their leading quotient entries vanish.
     """
-    return _split(ode.H, ode.k, branch)
+    return _split(ode, branch)
 
 
-def _split(H, k: int, branch, root: Optional[float] = None) -> AntiderivativeF:
+def _split(ode: OdeData, branch, root: Optional[float] = None) -> AntiderivativeF:
     """Antiderivative of P / H with P = x^k, or P = x^k (x - root) when given.
 
     The second numerator is the one of the potential (see RadialSolution.G).
     Its degree reaches deg H when R = 0; the polynomial part of P / H is
     then the constant 1 / lead(H), integrated as a Linear term.
     """
-    profile = real_root_profile(H)
+    H, k, profile = ode.H, ode.k, ode.roots
     for beta, gamma, mult in profile.quad_factors:
         if mult >= 2:
             raise UnsupportedMultiplicityError(
@@ -351,7 +351,7 @@ class RadialSolution:
         smooth at A and stays accurate where rounding pins g to A.
         """
         if self._G is None:
-            self._G = _split(self.ode.H, self.ode.k, self.branch, self.branch.A)
+            self._G = _split(self.ode, self.branch, self.branch.A)
         return self._G
 
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import EndpointSampleError, NotCsckError, NotKahlerError
-from .polynomials import Poly
+from .polynomials import Poly, RootProfile, real_root_profile
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,21 @@ class RadialProblem:
 
 @dataclass(frozen=True)
 class OdeData:
+    """The slope polynomial H of a problem and the exponent k = n - 1.
+
+    roots is the root profile of H, whose product is certified to
+    reconstruct H within real_root_profile's default tol. It is factored
+    once, on first use; branch enumeration, both closed antiderivatives
+    and the shoot's window lookup all read it.
+    """
+
     problem: RadialProblem
     H: Poly
     k: int  # numerator exponent n-1
+
+    @cached_property
+    def roots(self) -> RootProfile:
+        return real_root_profile(self.H)
 
 
 def build_ode(problem: RadialProblem) -> OdeData:

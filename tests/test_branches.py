@@ -1,7 +1,9 @@
 """Branch enumeration and verdict logic."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from csck import (
@@ -137,3 +139,82 @@ def test_report_carries_problem_and_diagnostics():
     assert report.problem is problem
     assert any("degree 3" in d for d in report.diagnostics)
     assert any("real roots" in d for d in report.diagnostics)
+
+
+def _envelope_crossings(n, R, mu):
+    """Values of lambda where H = H0 + lambda x + mu has a multiple root.
+
+    With H0 = c x^(n+1) + x^n, c = -R/(n(n+1)), H has a multiple root at
+    r exactly when (lambda, mu) = (-H0'(r), r H0'(r) - H0(r)): on the line
+    of fixed mu these are the real roots r of
+    n c r^(n+1) + (n-1) r^n = mu, crossed at lambda = -H0'(r).
+    """
+    c = -R / (n * (n + 1))
+    envelope = np.zeros(n + 2)
+    envelope[0], envelope[1], envelope[-1] = n * c, n - 1.0, -mu
+    rs = [z.real for z in np.roots(envelope) if abs(z.imag) <= 1e-6 * (1.0 + abs(z))]
+    return [-((n + 1) * c * r**n + n * r ** (n - 1)) for r in rs]
+
+
+def _envelope_rows():
+    rng = np.random.default_rng(23)
+    rows = [(n, 1.0, -0.2) for n in range(7, 12)]
+    for _ in range(20):
+        n = int(rng.integers(2, 12))
+        R = float(rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])) * n * (n + 1)
+        rows.append((n, R, float(rng.normal(0.0, 2.0))))
+    return rows
+
+
+def test_classification_changes_only_across_the_discriminant_envelope():
+    # Away from mu = 0 and from the envelope of multiple roots, the real
+    # roots of H keep their count, order and multiplicities, so the
+    # verdict, the branch count and the matched case are constant between
+    # consecutive crossings. Every change along a lambda grid must fall
+    # between two neighbours that bracket a crossing.
+    lams = np.linspace(-10.0, 10.0, 201)
+    for n, R, mu in _envelope_rows():
+        crossings = _envelope_crossings(n, R, mu)
+        seen = []
+        for lam in lams:
+            report = classify(RadialProblem(n, R, float(lam), mu), allow_finite_extension=True)
+            seen.append((report.verdict, len(report.branches), report.matched_case))
+        for i in range(len(lams) - 1):
+            if seen[i] == seen[i + 1]:
+                continue
+            lo, hi = lams[i], lams[i + 1]
+            assert any(
+                lo - 1e-9 * (1.0 + abs(c)) <= c <= hi + 1e-9 * (1.0 + abs(c)) for c in crossings
+            ), (n, R, mu, lo, hi, seen[i], seen[i + 1])
+
+
+DEFECTS = {
+    **{f"a-n{n}": RadialProblem(n, 1.0, 0.3, -0.2) for n in range(7, 12)},
+    "b-near-triple": RadialProblem(2, -6.0, 0.33333329770246295, 0.03703702516266898),
+    "c-small-lambda": RadialProblem(5, 15.0, -5.018661852819523e-09, -0.9804774209841318),
+}
+
+
+@pytest.mark.parametrize("name", DEFECTS)
+def test_hard_root_configurations_classify(name):
+    # each of these once raised IllConditionedError in root isolation
+    problem = DEFECTS[name]
+    report = classify(problem)
+    if name.startswith("a-"):
+        # a small root near 0.6 and a large one near n(n+1) bound the window
+        n = problem.n
+        assert report.verdict is Verdict.SINGULAR_FAMILIES
+        (b,) = report.branches
+        assert 0.58 < b.A < 0.65
+        assert b.B == pytest.approx(n * (n + 1), rel=1e-9)
+    elif name.startswith("b-"):
+        # H lies within 4e-8 of (x + 1/3)^3 and has no positive root
+        assert report.verdict is Verdict.NONEXISTENT
+        assert report.branches == ()
+    else:
+        # lambda = -5e-9 is a small perturbation of the lambda = 0 problem
+        near = classify(replace(problem, lam=0.0))
+        assert report.verdict is near.verdict
+        got = [x for b in report.branches for x in (b.A, b.B)]
+        want = [x for b in near.branches for x in (b.A, b.B)]
+        assert got == pytest.approx(want, abs=1e-8)

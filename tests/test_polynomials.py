@@ -1,6 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from csck import RadialProblem, build_ode
 from csck.errors import IllConditionedError, ZeroPolyError
 from csck.polynomials import Poly, real_root_profile
 
@@ -102,6 +107,12 @@ def test_from_factors_roundtrip_matches_numpy():
     ref = 2.0 * (xs - 1.0) * (xs + 2.0) ** 2 * (xs**2 + 1.0)
     got = np.array([p(x) for x in xs])
     assert np.allclose(got, ref, rtol=1e-13, atol=1e-12)
+    # the same floats as multiplying the factors one by one
+    p = Poly.from_factors([(0.1, 1), (-2.7, 2)], quad_factors=[(0.3, 1.7, 1)], leading=-1.3)
+    by_mul = Poly.from_coeffs((-1.3,))
+    for factor in [(-0.1, 1.0), (2.7, 1.0), (2.7, 1.0), (0.3 * 0.3 + 1.7 * 1.7, -0.6, 1.0)]:
+        by_mul = by_mul * Poly.from_coeffs(factor)
+    assert p.coeffs == by_mul.coeffs
 
 
 def test_planted_root_recovery_seeded():
@@ -140,3 +151,123 @@ def test_planted_root_recovery_seeded():
         rec = prof.reconstruct().coeffs
         norm = max(abs(c) for c in p.coeffs)
         assert max(abs(a - b) for a, b in zip(rec, p.coeffs)) <= 1e-9 * norm
+
+
+def _sturm_count(coeffs):
+    """Distinct real roots of the polynomial with these (float) coefficients.
+
+    An exact Sturm sequence over the rationals: p, p', then negated
+    remainders, ending at gcd(p, p'). The sign variations at -inf and +inf
+    differ by the number of distinct real roots.
+    """
+    p = [Fraction(c) for c in coeffs]
+    while p[-1] == 0:
+        p.pop()
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        rem = list(chain[-2])
+        div = chain[-1]
+        while len(rem) >= len(div):
+            f = rem[-1] / div[-1]
+            shift = len(rem) - len(div)
+            for i, c in enumerate(div):
+                rem[shift + i] -= f * c
+            rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+
+    def variations(signs):
+        signs = [s for s in signs if s != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    at_pos = [1 if q[-1] > 0 else -1 for q in chain]
+    at_neg = [s if (len(q) - 1) % 2 == 0 else -s for s, q in zip(at_pos, chain)]
+    return variations(at_neg) - variations(at_pos)
+
+
+def test_real_root_count_matches_exact_sturm_on_slope_polynomials():
+    # the oracle itself: (x - 1)^2 (x + 2) (x^2 + 1), x^2 + 1, x^3 - x
+    p = Poly.from_factors([(1.0, 2), (-2.0, 1)], quad_factors=[(0.0, 1.0, 1)])
+    assert _sturm_count(p.coeffs) == 2
+    assert _sturm_count((1.0, 0.0, 1.0)) == 0
+    assert _sturm_count((0.0, -1.0, 0.0, 1.0)) == 3
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        R = float(rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])) * n * (n + 1)
+        lam, mu = (float(v) for v in rng.normal(0.0, 3.0, 2))
+        H = build_ode(RadialProblem(n, R, lam, mu)).H
+        assert len(real_root_profile(H).real_roots) == _sturm_count(H.coeffs), (n, R, lam, mu)
+
+
+@st.composite
+def planted_products(draw, max_degree):
+    """A polynomial from planted factors: real roots at least 0.2 scale
+    apart, conjugate pairs with gamma >= 0.2 scale and at least 0.2 scale
+    from each other, and at most one multiple factor, of order <= 3."""
+    scale = 10.0 ** draw(st.floats(-1.0, 3.0))
+    unit = st.floats(-1.0, 1.0)
+    reals = []
+    for x in draw(st.lists(unit, max_size=max_degree)):
+        if all(abs(x - r) >= 0.2 for r in reals):
+            reals.append(x)
+    pairs = []
+    for z in draw(st.lists(st.builds(complex, unit, st.floats(0.2, 1.0)), max_size=max_degree // 2)):
+        if all(abs(z - w) >= 0.2 for w in pairs):
+            pairs.append(z)
+    factors = [(scale * x, 1, 1) for x in reals] + [(scale * z, 2, 1) for z in pairs]
+    if factors:
+        i = draw(st.integers(0, len(factors) - 1))
+        value, width, _ = factors[i]
+        factors[i] = (value, width, draw(st.integers(1, 3)))
+    kept, degree = [], 0
+    for value, width, m in factors:
+        if degree + width * m <= max_degree:
+            kept.append((value, m))
+            degree += width * m
+    assume(degree >= 1)
+    lead = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    want_reals = sorted((v, m) for v, m in kept if isinstance(v, float))
+    want_quads = sorted((v.real, v.imag, m) for v, m in kept if isinstance(v, complex))
+    return want_reals, want_quads, Poly.from_factors(want_reals, want_quads, leading=lead)
+
+
+def _matches_planted(prof, want_reals, want_quads):
+    """Same multiplicities, and every value within 1e-8 (1 + |value|).
+
+    Real roots pair up in sorted order; quadratic factors, which may
+    share beta, pair up with any unused factor of the same multiplicity.
+    """
+    if [m for _, m in prof.real_roots] != [m for _, m in want_reals]:
+        return False
+    if any(abs(g - w) > 1e-8 * (1.0 + abs(w)) for (g, _), (w, _) in zip(prof.real_roots, want_reals)):
+        return False
+    found = [(complex(b, g), m) for b, g, m in prof.quad_factors]
+    for b, g, m in want_quads:
+        w = complex(b, g)
+        hit = next((f for f in found if f[1] == m and abs(f[0] - w) <= 1e-8 * (1.0 + abs(w))), None)
+        if hit is None:
+            return False
+        found.remove(hit)
+    return not found
+
+
+@pytest.mark.parametrize("max_degree", [9, 12])
+def test_planted_structure_property(max_degree):
+    # up to degree 9 the planted structure is always recovered; up to
+    # degree 12 the only other outcome allowed is a refusal
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(planted_products(max_degree))
+    def check(case):
+        want_reals, want_quads, p = case
+        try:
+            prof = real_root_profile(p)
+        except IllConditionedError:
+            assert max_degree > 9, (want_reals, want_quads)
+            return
+        assert _matches_planted(prof, want_reals, want_quads), (want_reals, want_quads, prof)
+
+    check()
