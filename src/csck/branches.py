@@ -48,6 +48,7 @@ class Branch:
 @dataclass(frozen=True)
 class CaseReport:
     problem: RadialProblem
+    ode: OdeData  # H and its root profile, factored once for the report
     verdict: Verdict
     branches: tuple
     matched_case: Optional[str]
@@ -193,6 +194,7 @@ def classify(problem: RadialProblem, allow_finite_extension: bool = False) -> Ca
     )
     return CaseReport(
         problem=problem,
+        ode=ode,
         verdict=verdict,
         branches=kept,
         matched_case=matched,

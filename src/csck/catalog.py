@@ -21,7 +21,7 @@ from .cases import get_case, labels_for
 from .errors import ConstraintViolationError, NotClassifiedError, StageError
 from .geometry import VerificationReport, verify_solution
 from .quadrature import ball_normalize, gauge_from_anchor, partial_fractions, probe_point
-from .reduction import RadialProblem, build_ode
+from .reduction import RadialProblem
 
 __all__ = [
     "CrossCheckReport",
@@ -198,7 +198,7 @@ def cross_check(
         )
     branch = _run_stage("classify", _matching_branch, case_report.branches, expected)
 
-    ode = build_ode(problem)
+    ode = case_report.ode
     F = _run_stage("partial_fractions", partial_fractions, ode, branch)
 
     if branch.kind == BranchKind.FINITE_EXTENSION:

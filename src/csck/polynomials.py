@@ -249,40 +249,33 @@ def _polish(cs, r: float, m: int) -> float:
     return r
 
 
-def _quad_residual_map(cs, u: float, v: float) -> tuple[float, float]:
-    # remainder of cs modulo x^2 + u x + v
-    _, rem = _poly_divmod(cs, (v, u, 1.0))
-    r0 = rem[0]
-    r1 = rem[1] if len(rem) > 1 else 0.0
-    return r0, r1
-
-
 def _bairstow_polish(cs, beta: float, gamma: float) -> tuple[float, float]:
-    """Newton-polish the quadratic factor (x-beta)^2 + gamma^2 of cs."""
-    u = -2.0 * beta
-    v = beta * beta + gamma * gamma
+    """Newton-polish the quadratic factor (x-beta)^2 + gamma^2 of cs.
+
+    Bairstow's recurrence on x^2 - r x - q: b_i = a_i + r b_{i+1} + q b_{i+2}
+    leaves the remainder terms b_1, b_0, and the same recurrence run on b
+    gives the c of the Newton system [c_2 c_3; c_1 c_2] (dr, dq) = -(b_1, b_0).
+    """
+    r = 2.0 * beta
+    q = -(beta * beta + gamma * gamma)
+    n = len(cs) - 1
     for _ in range(30):
-        r0, r1 = _quad_residual_map(cs, u, v)
-        h = 1e-7 * (1.0 + abs(u) + abs(v))
-        r0u, r1u = _quad_residual_map(cs, u + h, v)
-        r0l, r1l = _quad_residual_map(cs, u - h, v)
-        r0v, r1v = _quad_residual_map(cs, u, v + h)
-        r0w, r1w = _quad_residual_map(cs, u, v - h)
-        j00 = (r0u - r0l) / (2 * h)
-        j01 = (r0v - r0w) / (2 * h)
-        j10 = (r1u - r1l) / (2 * h)
-        j11 = (r1v - r1w) / (2 * h)
-        det = j00 * j11 - j01 * j10
+        b = [0.0] * (n + 3)
+        c = [0.0] * (n + 3)
+        for i in range(n, -1, -1):
+            b[i] = cs[i] + r * b[i + 1] + q * b[i + 2]
+            c[i] = b[i] + r * c[i + 1] + q * c[i + 2]
+        det = c[2] * c[2] - c[1] * c[3]
         if det == 0.0:
             break
-        du = (r0 * j11 - r1 * j01) / det
-        dv = (r1 * j00 - r0 * j10) / det
-        u -= du
-        v -= dv
-        if abs(du) <= 1e-15 * (1.0 + abs(u)) and abs(dv) <= 1e-15 * (1.0 + abs(v)):
+        dr = (b[0] * c[3] - b[1] * c[2]) / det
+        dq = (b[1] * c[1] - b[0] * c[2]) / det
+        r += dr
+        q += dq
+        if abs(dr) <= 1e-15 * (1.0 + abs(r)) and abs(dq) <= 1e-15 * (1.0 + abs(q)):
             break
-    beta = -0.5 * u
-    disc = v - beta * beta
+    beta = 0.5 * r
+    disc = -q - beta * beta
     gamma = math.sqrt(disc) if disc > 0.0 else gamma
     return beta, gamma
 

@@ -547,6 +547,31 @@ def _solve_g_array(sol: RadialSolution, s: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
+def _exp(t: float) -> float:
+    """e**t, reading inf past the float range instead of raising."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
+
+
+def _gauge(ode, branch, F, c) -> RadialSolution:
+    """The solution F(g) = log s + c on the branch.
+
+    Its s-domain runs from exp(F(A) - c) to exp(F(B) - c), with F's
+    limits at the ends: 0 and inf where F diverges, inf too where the
+    exponent passes the float range.
+    """
+    lo = -math.inf if branch.diverges_left else eval_F(F, branch.A)
+    if branch.diverges_right:
+        hi = math.inf
+    elif math.isinf(branch.B):
+        hi = F.limit_at_inf()
+    else:
+        hi = eval_F(F, branch.B)
+    return RadialSolution(ode, branch, F, c, (_exp(lo - c), _exp(hi - c)))
+
+
 def gauge_from_anchor(ode, branch, F, anchor) -> RadialSolution:
     """Fix the gauge so the profile passes through anchor = (s0, g0)."""
     s0, g0 = anchor
@@ -556,17 +581,7 @@ def gauge_from_anchor(ode, branch, F, anchor) -> RadialSolution:
         raise BadAnchorError(
             f"anchor value g0 = {g0!r} is not interior to ({branch.A}, {branch.B})"
         )
-    c = eval_F(F, g0) - math.log(s0)
-    if branch.diverges_left:
-        s_lo = 0.0
-    else:
-        s_lo = math.exp(eval_F(F, branch.A) - c)
-    if branch.diverges_right:
-        s_hi = math.inf
-    else:
-        edge = F.limit_at_inf() if math.isinf(branch.B) else eval_F(F, branch.B)
-        s_hi = math.exp(edge - c)
-    return RadialSolution(ode, branch, F, c, (s_lo, s_hi))
+    return _gauge(ode, branch, F, eval_F(F, g0) - math.log(s0))
 
 
 def ball_normalize(ode, branch, F) -> RadialSolution:
@@ -584,8 +599,7 @@ def ball_normalize(ode, branch, F) -> RadialSolution:
     assert math.isinf(branch.B)
     c = F.limit_at_inf()
     assert math.isfinite(c)
-    s_lo = 0.0 if branch.diverges_left else math.exp(eval_F(F, branch.A) - c)
-    return RadialSolution(ode, branch, F, c, (s_lo, 1.0))
+    return _gauge(ode, branch, F, c)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,20 @@
 import io
 import json
 import math
+import random
+import re
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+from csck import errors
 from csck.cli import CSV_HEADER, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args):
@@ -130,6 +137,35 @@ def test_solve_gauge_constant_equals_anchor():
     anchored = run_cli(base + ["--anchor", "1,0.5"])
     gauged = run_cli(base + ["--gauge-c", "0"])
     assert anchored == gauged
+
+
+def test_gauge_constant_is_reported_exactly():
+    # c is the gauge as given, not recovered from an anchor through exp and log
+    rng = random.Random(0)
+    solved = 0
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        R = rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0]) * n * (n + 1)
+        lam, mu, c = rng.gauss(0, 3), rng.gauss(0, 3), rng.gauss(0, 1)
+        code, out, _ = run_cli(
+            [
+                "solve", "--n", str(n), "--scalar", repr(R), "--lambda", repr(lam),
+                "--mu", repr(mu), "--gauge-c", repr(c), "--s-min", "1", "--s-max", "2",
+                "--samples", "2", "--format", "json",
+            ]
+        )
+        if code == 0:
+            solved += 1
+            assert json.loads(out)["c"] == c, (n, R, lam, mu, c)
+    assert solved >= 15
+
+
+@pytest.mark.parametrize("scalar", ["6", "-6"])  # a full ray, a finite extension
+def test_extreme_gauge_constant_is_a_named_error(validator, scalar):
+    code, out, err = run_cli(["solve", "--n", "2", "--scalar", scalar, "--gauge-c=-800"])
+    assert code == 1 and out == ""
+    payload = valid(validator, json.loads(err))
+    assert issubclass(getattr(errors, payload["error"]), errors.CsckError)
 
 
 def test_solve_nonexistent_exits_2(validator):
@@ -333,6 +369,10 @@ def test_config_file_merges_under_flags(tmp_path):
     code, out, _ = run_cli(["solve", "--config", str(cfg), "--samples", "4"])
     assert len(out.strip().splitlines()) == 5
 
+    # ... but an overridden config value is still checked as that flag's argument
+    cfg.write_text(json.dumps({"n": 2, "scalar": 6, "anchor": [1, 0.5], "samples": 1}))
+    assert run_cli(["solve", "--config", str(cfg), "--samples", "4"])[0] == 64
+
 
 def test_config_unknown_key_exits_64(tmp_path):
     cfg = tmp_path / "cfg.json"
@@ -384,3 +424,28 @@ def test_non_finite_flags_exit_64():
     verify = ["verify", "--n", "2", "--scalar", "6", "--lambda", "0", "--mu", "0"]
     assert run_cli(verify + ["--gauge-c", "nan"])[0] == 64
     assert run_cli(verify + ["--anchor", "1,0.5", "--tol", "nan"])[0] == 64
+
+
+def _readme_commands():
+    commands = []
+    for block in re.findall(r"^```\n(.*?)^```", README.read_text(), re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("csck "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, validator):
+    # every documented command, in order: solve --output run.csv feeds verify --input
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 15
+    for argv in commands:
+        code, out, err = run_cli(argv)
+        assert code == 0, (argv, err)
+        if "--output" in argv:
+            out = (tmp_path / argv[argv.index("--output") + 1]).read_text()
+        if out.startswith("{"):
+            valid(validator, json.loads(out))
+        else:
+            assert out.startswith(CSV_HEADER + "\n"), argv

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from csck import RadialProblem, build_ode
 from csck.errors import IllConditionedError, ZeroPolyError
-from csck.polynomials import Poly, real_root_profile
+from csck.polynomials import Poly, _bairstow_polish, real_root_profile
 
 
 def test_zero_poly_has_no_degree():
@@ -271,3 +271,10 @@ def test_planted_structure_property(max_degree):
         assert _matches_planted(prof, want_reals, want_quads), (want_reals, want_quads, prof)
 
     check()
+
+
+def test_bairstow_polish_lands_on_the_planted_factor():
+    # (x - 1)^2 + 4 times (x - 3)(x + 1), polished from a start 10% off
+    p = Poly.from_factors([(3.0, 1), (-1.0, 1)], quad_factors=[(1.0, 2.0, 1)])
+    beta, gamma = _bairstow_polish(p.coeffs, 1.1, 1.8)
+    assert abs(beta - 1.0) <= 1e-15 and abs(gamma - 2.0) <= 1e-15
