@@ -135,10 +135,10 @@ def _anchor(text):
 
 
 def _grid(text):
-    """lo:hi:count with lo < hi and count >= 2."""
+    """lo:hi:count with finite lo < hi and count >= 2."""
     try:
         lo, hi, count = text.split(":")
-        lo, hi, count = float(lo), float(hi), int(count)
+        lo, hi, count = _finite_float(lo), _finite_float(hi), int(count)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo:hi:count, got {text!r}") from None
     if count < 2 or not lo < hi:
@@ -259,7 +259,8 @@ def _parse_args(parser, argv):
     bare switch, false and null for an absent flag, a list for its
     comma-joined items (the anchor) and an object for its JSON text (the
     params). What no single flag settles is settled on the namespace:
-    R, the need for a gauge, and s-min < s-max.
+    R, the curvature sign that catalog --list needs, the need for a
+    gauge, and s-min < s-max.
     """
     pre = argparse.ArgumentParser(prog="csck", add_help=False)
     pre.add_argument("--config")
@@ -295,6 +296,8 @@ def _parse_args(parser, argv):
             args.R = unit * args.n * (args.n + 1)
     elif args.subcommand == "ball":
         args.R = -float(args.n * (args.n + 1))
+    if args.subcommand == "catalog" and args.list_cases and args.curv_sign is None:
+        parser.error("catalog --list needs --curvature-sign")
     if "anchor" in args and args.anchor is None and args.gauge_c is None:
         if getattr(args, "input", None) is None:
             parser.error("a gauge is required: --anchor s0,g0 or --gauge-c value")
@@ -467,8 +470,6 @@ def _cmd_verify(args):
 
 def _cmd_catalog(args):
     if args.list_cases:
-        if args.curv_sign is None:
-            raise CsckError("catalog --list needs --curvature-sign")
         labels = enumerate_cases(args.n if args.n is not None else 2, args.curv_sign)
         payload = {
             "type": "catalog_list",

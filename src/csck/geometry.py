@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotKahlerError, OutOfDomainError
-from .quadrature import RadialSolution, _F_array, solve_g
+from .quadrature import RadialSolution, _F_dF_array, solve_g
 
 __all__ = [
     "MetricSample",
@@ -109,10 +109,7 @@ def _tensor(up, upp, z) -> np.ndarray:
 
 def _profile_derivatives(ode, s, g):
     """g', g'', g''' at (s, g), differentiating s g^k g' = H(g)."""
-    H = ode.H
-    Hp = H.derivative()
-    Hpp = Hp.derivative()
-    k = ode.k
+    H, Hp, Hpp, k = ode.H, ode.Hp, ode.Hpp, ode.k
     P = H(g)
     Q = s * g**k
     g1 = P / Q
@@ -138,18 +135,15 @@ def _density_derivatives(ode, s, g):
     return g1, f1, f2
 
 
-def _curvature(ode, s, g):
-    """Scalar curvature at (s, g) through the analytic derivative chain."""
-    k = ode.k
-    g1, f1, f2 = _density_derivatives(ode, s, g)
+def _curvature(k, s, g, g1, f1, f2):
+    """Scalar curvature at (s, g) from the density derivatives there."""
     phi1 = g**k * f1 + k * s * g ** (k - 1) * g1 * f1 + s * g**k * f2
     return -phi1 / (g**k * g1)
 
 
-def _bracket(ode, s, g):
+def _bracket(k, s, g, f1):
     """s g^{n-1} f', the bracket whose derivative carries the curvature."""
-    _, f1, _ = _density_derivatives(ode, s, g)
-    return s * g**ode.k * f1
+    return s * g**k * f1
 
 
 def _neighbours(s):
@@ -166,18 +160,15 @@ def _richardson(ode, s, g, h, phi):
     return -phi1 / (g**ode.k * _slope(ode, s, g))
 
 
-def _anchor(sol: RadialSolution) -> float:
-    """The abscissa s_a where the potential vanishes: 1, or the domain
-    midpoint when 1 is not interior (ball-normalized domains end at 1)."""
-    lo, hi = sol.s_domain
-    return 1.0 if lo < 1.0 < hi else 0.5 * (lo + hi)
-
-
 def _potential(sol: RadialSolution, s, g, g_a):
     """A log(s / s_a) + G(g) - G(g_a), with g = g(s) and g_a = g(s_a)."""
     G = sol.G()
-    Gg = _F_array(G, g) if isinstance(g, np.ndarray) else G(g)
-    return sol.branch.A * np.log(s / _anchor(sol)) + (Gg - G(g_a))
+    if isinstance(g, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            Gg = _F_dF_array(G, g)[0]
+    else:
+        Gg = G(g)
+    return sol.branch.A * np.log(s / sol.s_anchor) + (Gg - G(g_a))
 
 
 def potential_u(sol: RadialSolution, s: float) -> float:
@@ -188,7 +179,7 @@ def potential_u(sol: RadialSolution, s: float) -> float:
     (ball-normalized solutions end at s = 1) the anchor s_a falls back to
     the domain midpoint; the additive constant carries no geometric content.
     """
-    return _potential(sol, s, solve_g(sol, s), solve_g(sol, _anchor(sol)))
+    return _potential(sol, s, solve_g(sol, s), sol.g_anchor())
 
 
 def metric_tensor(sol: RadialSolution, z) -> np.ndarray:
@@ -214,11 +205,14 @@ def scalar_curvature(sol: RadialSolution, s: float) -> float:
     The chain returns R for any g, so this value does not test the
     inversion; curvature_fd does.
     """
-    return _curvature(sol.ode, s, solve_g(sol, s))
+    g = solve_g(sol, s)
+    return _curvature(sol.ode.k, s, g, *_density_derivatives(sol.ode, s, g))
 
 
 def _phi(sol: RadialSolution, s: float) -> float:
-    return _bracket(sol.ode, s, solve_g(sol, s))
+    g = solve_g(sol, s)
+    _, f1, _ = _density_derivatives(sol.ode, s, g)
+    return _bracket(sol.ode.k, s, g, f1)
 
 
 def curvature_fd(sol: RadialSolution, s: float) -> float:
@@ -233,15 +227,16 @@ def metric_sample(sol: RadialSolution, s) -> MetricSample:
     """Assemble the full radial record at s; rejects non-Kahler data.
 
     s is a float or a numpy array. g(s) is inverted once and feeds the
-    potential and the curvature chain; for an array, the potential's
-    anchor g(s_a) joins the same solve_g call, and every field is
-    evaluated over the whole array at once.
+    potential and the curvature chain. For a float, the potential's
+    anchor value is the solution's own g(s_a); for an array, s_a joins
+    the same solve_g call, and every field is evaluated over the whole
+    array at once.
     """
     if isinstance(s, np.ndarray):
-        gs = solve_g(sol, np.append(s, _anchor(sol)))
+        gs = solve_g(sol, np.append(s, sol.s_anchor))
         g, g_a = gs[:-1].reshape(s.shape), gs[-1]
     else:
-        g, g_a = solve_g(sol, s), solve_g(sol, _anchor(sol))
+        g, g_a = solve_g(sol, s), sol.g_anchor()
     ode = sol.ode
     up, upp, g1 = _radial(ode, s, g)
     _require_kahler(s, up, g1)
@@ -253,7 +248,7 @@ def metric_sample(sol: RadialSolution, s) -> MetricSample:
         upp=upp,
         # the density of reduction.f_of, from the g and g' at hand
         f=ode.k * (np.log(g) - np.log(s)) + np.log(g1),
-        R_num=_curvature(ode, s, g),
+        R_num=_curvature(ode.k, s, g, *_density_derivatives(ode, s, g)),
     )
 
 
@@ -267,10 +262,10 @@ def verify_solution(sol: RadialSolution, n_samples: int) -> VerificationReport:
     values stay accurate. Failures are reported, not raised.
 
     The grid and its four Richardson neighbours are inverted by one array
-    call of solve_g, and every residual is evaluated over the whole grid
-    at once. max_curvature_residual comes from the analytic chain, which
-    returns R for any g; max_fd_mismatch is the residual that tests the
-    inversion.
+    call of solve_g, the derivative chain runs once over all five rows,
+    and every residual is evaluated over the whole grid at once.
+    max_curvature_residual comes from the analytic chain, which returns R
+    for any g; max_fd_mismatch is the residual that tests the inversion.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples = {n_samples!r} must be at least 1")
@@ -289,8 +284,9 @@ def verify_solution(sol: RadialSolution, n_samples: int) -> VerificationReport:
     gs = solve_g(sol, points)
     g = gs[0]
     up, upp, g1 = _radial(ode, grid, g)
-    curv = _curvature(ode, grid, g)
-    r_fd = _richardson(ode, grid, g, h, _bracket(ode, points[1:], gs[1:]))
+    _, f1, f2 = _density_derivatives(ode, points, gs)
+    curv = _curvature(ode.k, grid, g, g1, f1[0], f2[0])
+    r_fd = _richardson(ode, grid, g, h, _bracket(ode.k, points[1:], gs[1:], f1[1:]))
     z = np.zeros((n_samples, n), dtype=complex)
     z[:, 0] = np.sqrt(grid)
     det = np.real(np.linalg.det(_tensor(up, upp, z)))

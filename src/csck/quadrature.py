@@ -56,6 +56,9 @@ _LOG_CANCEL_TOL = 1e-9
 _BISECT_REL = 1e-13
 # outward bracket expansion attempts before giving up
 _EXPAND_CAP = 300
+# walk points in the first chunk an array solve_g evaluates; the catalog's
+# solutions need 4 to 22 on their verify grids, most of them 8 or fewer
+_WALK_CHUNK = 8
 # inversion steps (Newton or bisection) before the iterate is returned
 _ITER_CAP = 200
 # g value treated as a blow-up while shooting
@@ -125,36 +128,7 @@ class AntiderivativeF:
         return eval_F(self, x)
 
     def derivative(self, x: float) -> float:
-        total = 0.0
-        pole_c = 0.0
-        pole_p = 0
-        for t in self.terms:
-            if isinstance(t, LogLinear):
-                d = x - t.alpha
-                if d == 0.0:
-                    if pole_p < 1:
-                        pole_p, pole_c = 1, t.c
-                else:
-                    total += t.c / d
-            elif isinstance(t, RecipPower):
-                d = x - t.alpha
-                if d == 0.0:
-                    if t.p + 1 > pole_p:
-                        pole_p, pole_c = t.p + 1, -t.c
-                else:
-                    total -= t.p * t.c / d ** (t.p + 1)
-            elif isinstance(t, LogQuadratic):
-                q = (x - t.beta) ** 2 + t.gamma**2
-                total += 2.0 * t.c * (x - t.beta) / q
-            elif isinstance(t, ArcTan):
-                q = (x - t.beta) ** 2 + t.gamma**2
-                total += t.c * t.gamma / q
-            else:
-                total += t.c
-        # as in eval_F: the strongest pole wins, approached from the right
-        if pole_p > 0:
-            return math.copysign(math.inf, pole_c)
-        return total
+        return _value_and_slope(self, x)[1]
 
     def limit_at_inf(self) -> float:
         """Limit of F at +infinity; signed infinity when the logs survive.
@@ -209,6 +183,56 @@ def eval_F(F: AntiderivativeF, x: float) -> float:
     if log_c != 0.0:
         return math.copysign(math.inf, -log_c)
     return total
+
+
+def _value_and_slope(F: AntiderivativeF, x: float):
+    """(eval_F(F, x), F'(x)) in one loop over the terms.
+
+    The value takes eval_F's float operations, in the same order, and its
+    signed infinity at a log or pole abscissa. The slope's infinity there
+    is that of its strongest pole (order p + 1 for a reciprocal power of
+    order p, 1 for a log), approached from the right.
+    """
+    value = slope = 0.0
+    pole_c = slope_pole_c = log_c = 0.0
+    pole_p = slope_pole_p = 0
+    for t in F.terms:
+        if isinstance(t, LogLinear):
+            d = x - t.alpha
+            if d == 0.0:
+                log_c += t.c
+                if slope_pole_p < 1:
+                    slope_pole_p, slope_pole_c = 1, t.c
+            else:
+                value += t.c * math.log(abs(d))
+                slope += t.c / d
+        elif isinstance(t, RecipPower):
+            d = x - t.alpha
+            if d == 0.0:
+                if t.p > pole_p:
+                    pole_p, pole_c = t.p, t.c
+                if t.p + 1 > slope_pole_p:
+                    slope_pole_p, slope_pole_c = t.p + 1, -t.c
+            else:
+                value += t.c / d**t.p
+                slope -= t.p * t.c / d ** (t.p + 1)
+        elif isinstance(t, LogQuadratic):
+            q = (x - t.beta) ** 2 + t.gamma**2
+            value += t.c * math.log(q)
+            slope += 2.0 * t.c * (x - t.beta) / q
+        elif isinstance(t, ArcTan):
+            value += t.c * math.atan((x - t.beta) / t.gamma)
+            slope += t.c * t.gamma / ((x - t.beta) ** 2 + t.gamma**2)
+        else:
+            value += t.c * x
+            slope += t.c
+    if pole_p > 0:
+        value = math.copysign(math.inf, pole_c)
+    elif log_c != 0.0:
+        value = math.copysign(math.inf, -log_c)
+    if slope_pole_p > 0:
+        slope = math.copysign(math.inf, slope_pole_c)
+    return value, slope
 
 
 def partial_fractions(ode: OdeData, branch) -> AntiderivativeF:
@@ -328,11 +352,12 @@ class RadialSolution:
     """Gauge-fixed radial profile g(s) on one admissible window.
 
     Holds the problem, the window, F, the gauge constant c and the s-domain;
-    solve_g inverts it. The potential's antiderivative G is built on first
-    use.
+    solve_g inverts it. The potential's antiderivative G and its anchor
+    value g(s_a) are computed on first use and kept: both are fixed by
+    the solution alone.
     """
 
-    __slots__ = ("ode", "branch", "F", "c", "s_domain", "_G")
+    __slots__ = ("ode", "branch", "F", "c", "s_domain", "_G", "_g_anchor")
 
     def __init__(self, ode, branch, F, c, s_domain):
         self.ode = ode
@@ -341,6 +366,20 @@ class RadialSolution:
         self.c = c
         self.s_domain = s_domain
         self._G = None
+        self._g_anchor = None
+
+    @property
+    def s_anchor(self) -> float:
+        """The abscissa s_a where the potential vanishes: 1, or the domain
+        midpoint when 1 is not interior (ball-normalized domains end at 1)."""
+        lo, hi = self.s_domain
+        return 1.0 if lo < 1.0 < hi else 0.5 * (lo + hi)
+
+    def g_anchor(self) -> float:
+        """g(s_a), from the scalar solve_g."""
+        if self._g_anchor is None:
+            self._g_anchor = solve_g(self, self.s_anchor)
+        return self._g_anchor
 
     def G(self) -> AntiderivativeF:
         """Antiderivative of x^k (x - A) / H, A the window's left endpoint.
@@ -381,7 +420,10 @@ def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
     depends on s alone, not on earlier calls.
 
     A numpy array of s (any order, repeats allowed) returns the array of
-    g in the same shape; its entries run the same steps in lockstep.
+    g in the same shape. F is evaluated once at each point of the walk,
+    which is the same for every entry, and each entry takes the bracket
+    of its own first crossing; the Newton steps then run in lockstep,
+    each one pass over F and F' for all entries still iterating.
     """
     if isinstance(s, np.ndarray):
         return _solve_g_array(sol, s)
@@ -416,12 +458,12 @@ def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
 
     g = 0.5 * (lo + hi)
     for _ in range(_ITER_CAP):
-        r = eval_F(F, g) - t
+        value, slope = _value_and_slope(F, g)
+        r = value - t
         if r < 0.0:
             lo = g
         elif r > 0.0:
             hi = g
-        slope = F.derivative(g)
         step = r / slope if slope > 0.0 else math.nan
         cand = g - step
         if abs(step) <= 1e-16 * (1.0 + abs(g)) or (
@@ -433,67 +475,102 @@ def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
     return g
 
 
-def _F_array(F: AntiderivativeF, x: np.ndarray) -> np.ndarray:
-    """eval_F over an array.
+def _F_dF_array(F: AntiderivativeF, x: np.ndarray):
+    """_value_and_slope over an array: the arrays of F and F' at x.
 
-    An entry whose sum is not finite, such as one on a log or pole
-    abscissa, is recomputed by eval_F and so gets its signed infinity.
+    Call it under np.errstate(divide="ignore", invalid="ignore",
+    over="ignore"). An entry whose value or slope is not finite, such as
+    one on a log or pole abscissa, is recomputed by _value_and_slope and
+    so gets its signed infinity.
     """
-    total = np.zeros_like(x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for t in F.terms:
-            if isinstance(t, LogLinear):
-                total += t.c * np.log(np.abs(x - t.alpha))
-            elif isinstance(t, RecipPower):
-                total += t.c / (x - t.alpha) ** t.p
-            elif isinstance(t, LogQuadratic):
-                total += t.c * np.log((x - t.beta) ** 2 + t.gamma**2)
-            elif isinstance(t, ArcTan):
-                total += t.c * np.arctan((x - t.beta) / t.gamma)
-            else:
-                total += t.c * x
-    bad = ~np.isfinite(total)
-    if bad.any():
-        total[bad] = [eval_F(F, float(v)) for v in x[bad]]
-    return total
+    value = np.zeros(x.shape)
+    slope = np.zeros(x.shape)
+    for t in F.terms:
+        if isinstance(t, LogLinear):
+            d = x - t.alpha
+            value += t.c * np.log(np.abs(d))
+            slope += t.c / d
+        elif isinstance(t, RecipPower):
+            d = x - t.alpha
+            value += t.c / d**t.p
+            slope -= t.p * t.c / d ** (t.p + 1)
+        elif isinstance(t, LogQuadratic):
+            d = x - t.beta
+            q = d**2 + t.gamma**2
+            value += t.c * np.log(q)
+            slope += 2.0 * t.c * d / q
+        elif isinstance(t, ArcTan):
+            d = x - t.beta
+            value += t.c * np.arctan(d / t.gamma)
+            slope += t.c * t.gamma / (d**2 + t.gamma**2)
+        else:
+            value += t.c * x
+            slope += t.c
+    for i in np.flatnonzero(~(np.isfinite(value) & np.isfinite(slope))):
+        v, dv = _value_and_slope(F, float(x.flat[i]))
+        if not math.isfinite(value.flat[i]):
+            value.flat[i] = v
+        if not math.isfinite(slope.flat[i]):
+            slope.flat[i] = dv
+    return value, slope
 
 
-def _dF_array(F: AntiderivativeF, x: np.ndarray) -> np.ndarray:
-    """F.derivative over an array, with the same treatment of singular entries."""
-    total = np.zeros_like(x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for t in F.terms:
-            if isinstance(t, LogLinear):
-                total += t.c / (x - t.alpha)
-            elif isinstance(t, RecipPower):
-                total -= t.p * t.c / (x - t.alpha) ** (t.p + 1)
-            elif isinstance(t, LogQuadratic):
-                total += 2.0 * t.c * (x - t.beta) / ((x - t.beta) ** 2 + t.gamma**2)
-            elif isinstance(t, ArcTan):
-                total += t.c * t.gamma / ((x - t.beta) ** 2 + t.gamma**2)
-            else:
-                total += t.c
-    bad = ~np.isfinite(total)
-    if bad.any():
-        total[bad] = [F.derivative(float(v)) for v in x[bad]]
-    return total
+def _crossings(F, x, step, sign, t):
+    """The walk x_0 = x, x_{i+1} = step(x_i) and, per entry of t, the first
+    i with sign F(x_i) >= sign t (the number of points where none does).
 
-
-def _expand(F, x, t, step, too_far, side, s):
-    """Step each entry of x until too_far(F(x), t) fails, as solve_g does.
-
-    Returns the final x and, per entry, the last point stepped past (nan
-    where x never moved).
+    F is evaluated once per point, in chunks that double the walk, from
+    _WALK_CHUNK points, until every entry has crossed, the walk holds
+    _EXPAND_CAP points, or a point repeats: the walk is then at a fixed
+    point, and no later point crosses where it did not. The running
+    maximum of sign F makes the first crossing a binary search, whatever
+    the rounding of F.
     """
-    past = np.full(x.size, math.nan)
-    todo = np.arange(x.size)
-    for _ in range(_EXPAND_CAP):
-        todo = todo[too_far(_F_array(F, x[todo]), t[todo])]
-        if not todo.size:
-            return x, past
-        past[todo] = x[todo]
-        x[todo] = step(x[todo])
-    raise OutOfDomainError(f"no {side} bracket for s = {float(s[todo[0]])!r}")
+    goal = sign * t
+    xs = [x]
+    top = np.empty(0)
+    size = _WALK_CHUNK
+    while True:
+        while len(xs) < min(size, _EXPAND_CAP):
+            x = step(xs[-1])
+            if x == xs[-1]:
+                break
+            xs.append(x)
+        if len(xs) == top.size:
+            break
+        fresh = sign * _F_dF_array(F, np.array(xs[top.size:]))[0]
+        top = np.maximum.accumulate(np.concatenate((top, fresh)))
+        if not (goal > top[-1]).any():
+            break
+        size *= 2
+    return np.array(xs), np.searchsorted(top, goal)
+
+
+def _brackets(sol: RadialSolution, s: np.ndarray, t: np.ndarray):
+    """solve_g's bracket walk for every entry of s at once: arrays lo, hi.
+
+    Each entry's bracket is the one the scalar walk finds: down from the
+    probe point to its first F(x) <= t, or, when the probe point is
+    already there, up to its first F(x) >= t. A failure names the first
+    entry without a bracket, lower brackets first.
+    """
+    F = sol.F
+    A, B = sol.branch.A, sol.branch.B
+    probe = probe_point(A, B)
+    xs, j = _crossings(F, probe, lambda x: A + 0.5 * (x - A), -1.0, t)
+    miss = np.flatnonzero(j == xs.size)
+    if miss.size:
+        raise OutOfDomainError(f"no lower bracket for s = {float(s[miss[0]])!r}")
+    lo, hi = xs[j], xs[np.maximum(j - 1, 0)]
+    rise = np.flatnonzero(j == 0)
+    if rise.size:
+        up = (lambda x: 2.0 * x - A + 1.0) if math.isinf(B) else (lambda x: B - 0.5 * (B - x))
+        xs, i = _crossings(F, probe, up, 1.0, t[rise])
+        miss = np.flatnonzero(i == xs.size)
+        if miss.size:
+            raise OutOfDomainError(f"no upper bracket for s = {float(s[rise[miss[0]]])!r}")
+        lo[rise], hi[rise] = xs[np.maximum(i - 1, 0)], xs[i]
+    return lo, hi
 
 
 def _solve_g_array(sol: RadialSolution, s: np.ndarray) -> np.ndarray:
@@ -506,43 +583,33 @@ def _solve_g_array(sol: RadialSolution, s: np.ndarray) -> np.ndarray:
         raise _outside(float(s[outside[0]]), sol)
     t = np.log(s) + sol.c
     F = sol.F
-    A, B = sol.branch.A, sol.branch.B
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lo, hi = _brackets(sol, s, t)
 
-    lo, hi = _expand(
-        F, np.full(s.size, probe_point(A, B)), t,
-        lambda x: A + 0.5 * (x - A), np.greater, "lower", s,
-    )
-    up = (lambda x: 2.0 * x - A + 1.0) if math.isinf(B) else (lambda x: B - 0.5 * (B - x))
-    rise = np.isnan(hi)
-    x, past = _expand(F, lo[rise], t[rise], up, np.less, "upper", s[rise])
-    hi[rise] = x
-    lo[rise] = np.where(np.isnan(past), lo[rise], past)
-
-    # the entries still iterating, compacted only when some of them stop
-    out = np.empty(s.size)
-    idx, g = np.arange(s.size), 0.5 * (lo + hi)
-    for _ in range(_ITER_CAP):
-        if not idx.size:
-            break
-        r = _F_array(F, g) - t
-        lo = np.where(r < 0.0, g, lo)
-        hi = np.where(r > 0.0, g, hi)
-        slope = _dF_array(F, g)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # the entries still iterating, compacted only when some of them stop
+        out = np.empty(s.size)
+        idx, g = np.arange(s.size), 0.5 * (lo + hi)
+        for _ in range(_ITER_CAP):
+            if not idx.size:
+                break
+            value, slope = _F_dF_array(F, g)
+            r = value - t
+            lo = np.where(r < 0.0, g, lo)
+            hi = np.where(r > 0.0, g, hi)
             step = np.where(slope > 0.0, r / slope, math.nan)
-        cand = g - step
-        inside = (lo < cand) & (cand < hi)
-        stop = (np.abs(step) <= 1e-16 * (1.0 + np.abs(g))) | (
-            ~inside & (hi - lo <= _BISECT_REL * (1.0 + np.abs(g)))
-        )
-        if stop.any():
-            # as on the scalar path, a nan candidate keeps g
-            out[idx[stop]] = np.where(np.isnan(cand), g, np.clip(cand, lo, hi))[stop]
-            go = ~stop
-            idx, g, cand, inside, lo, hi, t = (
-                v[go] for v in (idx, g, cand, inside, lo, hi, t)
+            cand = g - step
+            inside = (lo < cand) & (cand < hi)
+            stop = (np.abs(step) <= 1e-16 * (1.0 + np.abs(g))) | (
+                ~inside & (hi - lo <= _BISECT_REL * (1.0 + np.abs(g)))
             )
-        g = np.where(inside, cand, 0.5 * (lo + hi))
+            if stop.any():
+                # as on the scalar path, a nan candidate keeps g
+                out[idx[stop]] = np.where(np.isnan(cand), g, np.clip(cand, lo, hi))[stop]
+                go = ~stop
+                idx, g, cand, inside, lo, hi, t = (
+                    v[go] for v in (idx, g, cand, inside, lo, hi, t)
+                )
+            g = np.where(inside, cand, 0.5 * (lo + hi))
     out[idx] = g
     return out.reshape(shape)
 

@@ -54,7 +54,8 @@ class OdeData:
     roots is the root profile of H, whose product is certified to
     reconstruct H within real_root_profile's default tol. It is factored
     once, on first use; branch enumeration, both closed antiderivatives
-    and the shoot's window lookup all read it.
+    and the shoot's window lookup all read it. Hp and Hpp, the first two
+    derivatives of H that the curvature chain reads, are also built once.
     """
 
     problem: RadialProblem
@@ -64,6 +65,14 @@ class OdeData:
     @cached_property
     def roots(self) -> RootProfile:
         return real_root_profile(self.H)
+
+    @cached_property
+    def Hp(self) -> Poly:
+        return self.H.derivative()
+
+    @cached_property
+    def Hpp(self) -> Poly:
+        return self.Hp.derivative()
 
 
 def build_ode(problem: RadialProblem) -> OdeData:

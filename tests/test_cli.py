@@ -264,6 +264,12 @@ def test_catalog_list(validator):
     assert payload["labels"] == ["1.2.1", "1.2.2", "1.2.3", "1.2.4"]
 
 
+def test_catalog_list_without_curvature_sign_exits_64():
+    code, out, err = run_cli(["catalog", "--list", "--n", "2"])
+    assert code == 64 and out == ""
+    assert "--curvature-sign" in err
+
+
 def test_catalog_case_vieta(validator):
     code, out, _ = run_cli(
         [
@@ -424,6 +430,10 @@ def test_non_finite_flags_exit_64():
     verify = ["verify", "--n", "2", "--scalar", "6", "--lambda", "0", "--mu", "0"]
     assert run_cli(verify + ["--gauge-c", "nan"])[0] == 64
     assert run_cli(verify + ["--anchor", "1,0.5", "--tol", "nan"])[0] == 64
+    classify = ["classify", "--n", "2", "--scalar", "0"]
+    for grid in ("--grid=-inf:0:3", "--grid=0:1e400:3"):
+        code, out, _ = run_cli(classify + [grid])
+        assert code == 64 and out == "", grid
 
 
 def _readme_commands():

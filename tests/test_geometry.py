@@ -249,6 +249,22 @@ def test_metric_sample_array_matches_scalar(label):
     assert got.u[-1] == 0.0
 
 
+@pytest.mark.parametrize("label", BRANCHED)
+def test_scalar_metric_sample_is_call_order_free(label):
+    # the solution keeps g(s_a) once it is inverted; a reused solution,
+    # after array and potential calls, must give what a fresh one gives
+    used = solution_for(label)
+    lo, hi = used.s_domain
+    grid = np.geomspace(max(0.01, 2.0 * lo), 100.0 if math.isinf(hi) else 0.99 * hi, 9)
+    metric_sample(used, grid)
+    potential_u(used, float(grid[0]))
+    for s in grid:
+        fresh = metric_sample(solution_for(label), float(s))
+        again = metric_sample(used, float(s))
+        for name in ("s", "g", "u", "up", "upp", "f", "R_num"):
+            assert float(getattr(fresh, name)).hex() == float(getattr(again, name)).hex()
+
+
 def test_metric_sample_array_out_of_domain():
     sol = solution_for("1.7.1")
     with pytest.raises(OutOfDomainError) as scalar:

@@ -33,7 +33,7 @@ from csck import (
 )
 from csck import quadrature
 from csck.cases import CASES
-from csck.quadrature import _dF_array, _F_array
+from csck.quadrature import _F_dF_array
 
 ALL_LABELS = sorted(CASES)
 BRANCHED = [l for l in ALL_LABELS if get_case(l).branch_range is not None]
@@ -490,6 +490,11 @@ def test_newton_polish_takes_the_crossed_bracket_end():
         assert np.all(np.abs(solve_g(sol, s) - want) <= 2e-16 * want)
 
 
+def _quiet():
+    # the array kernels leave floating point errors to their caller
+    return np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
 def _singular_abscissae(F):
     return [t.alpha for t in F.terms if hasattr(t, "alpha")]
 
@@ -503,8 +508,11 @@ def test_array_F_matches_scalar(label):
     # G carries a Linear term at R = 0; both carry log and pole abscissae
     for F in (sol.F, sol.G()):
         x = np.array(inner + _singular_abscissae(F) + [A] + ([] if math.isinf(B) else [B]))
-        for array_fn, scalar_fn in ((_F_array, eval_F), (_dF_array, type(F).derivative)):
-            got = array_fn(F, x)
+        with _quiet():
+            pair = _F_dF_array(F, x)
+            rows = _F_dF_array(F, x.reshape(1, -1))
+        assert all(np.array_equal(a, b.ravel()) for a, b in zip(pair, rows))
+        for got, scalar_fn in zip(pair, (eval_F, type(F).derivative)):
             want = np.array([scalar_fn(F, float(v)) for v in x])
             finite = np.isfinite(want)
             assert np.array_equal(got[~finite], want[~finite])
@@ -534,6 +542,81 @@ def test_array_solve_g_matches_scalar(label):
     for v, g in zip(s, got):
         assert first.setdefault(v, g) == g
     assert isinstance(solve_g(sol, float(s[0])), float)
+
+
+def _walk_copy(sol, s, t):
+    """solve_g's bracket walk for one s, one point at a time, with F and
+    t = log s + c as the array path evaluates them."""
+    A, B = sol.branch.A, sol.branch.B
+
+    def F(x):
+        with _quiet():
+            return _F_dF_array(sol.F, np.array([x]))[0][0]
+
+    x = A + 1.0 if math.isinf(B) else 0.5 * (A + B)
+    hi = None
+    for _ in range(quadrature._EXPAND_CAP):
+        if F(x) <= t:
+            break
+        hi, x = x, A + 0.5 * (x - A)
+    else:
+        raise OutOfDomainError(f"no lower bracket for s = {s!r}")
+    if hi is not None:
+        return x, hi
+    lo = x
+    for _ in range(quadrature._EXPAND_CAP):
+        if F(x) >= t:
+            return lo, x
+        lo, x = x, 2.0 * x - A + 1.0 if math.isinf(B) else B - 0.5 * (B - x)
+    raise OutOfDomainError(f"no upper bracket for s = {s!r}")
+
+
+@pytest.mark.parametrize("label", BRANCHED + ["wall"])
+def test_array_bracket_is_the_walk(label):
+    if label == "wall":
+        # on the window (0.305, 1.93) of this problem, g presses against
+        # both ends within the s-range, and the walk finds no bracket there
+        ode = build_ode(RadialProblem(2, 6.0, 2.18, -0.73))
+        br = admissible_branches(ode)[0]
+        sol = gauge_from_anchor(ode, br, partial_fractions(ode, br), (1.0, 0.5 * (br.A + br.B)))
+    else:
+        sol = solution_for(label)
+    lo, hi = sol.s_domain
+    bottom = lo * (1.0 + 1e-6) if lo > 0.0 else 1e-12
+    top = 1e6 if math.isinf(hi) else hi * (1.0 - 1e-6)
+    s = np.geomspace(bottom, top, 41)
+    t = np.log(s) + sol.c
+    # targets equal to F at walk points, where F(x) <= t and F(x) >= t tie
+    A, B = sol.branch.A, sol.branch.B
+    down = up = A + 1.0 if math.isinf(B) else 0.5 * (A + B)
+    points = [down]
+    for _ in range(4):
+        down = A + 0.5 * (down - A)
+        up = 2.0 * up - A + 1.0 if math.isinf(B) else B - 0.5 * (B - up)
+        points += [down, up]
+    with _quiet():
+        ties = _F_dF_array(sol.F, np.array(points))[0]
+        s, t = np.append(s, np.exp(ties - sol.c)), np.append(t, ties)
+    order = np.random.default_rng(11).permutation(s.size)
+    s, t = s[order], t[order]
+    walks, failures = [], {"lower": [], "upper": []}
+    for v, tv in zip(s, t):
+        try:
+            walks.append(_walk_copy(sol, float(v), tv))
+        except OutOfDomainError as exc:
+            walks.append(None)
+            failures["lower" if "lower" in str(exc) else "upper"].append(str(exc))
+    # a failure names the first entry without a bracket, lower ones first
+    first = (failures["lower"] or failures["upper"] or [None])[0]
+    if first is not None:
+        with _quiet(), pytest.raises(OutOfDomainError, match=re.escape(first)):
+            quadrature._brackets(sol, s, t)
+    ok = np.array([w is not None for w in walks])
+    assert ok.any()
+    with _quiet():
+        got = quadrature._brackets(sol, s[ok], t[ok])
+    want = np.array([w for w in walks if w is not None]).T
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_array_solve_g_out_of_domain():
