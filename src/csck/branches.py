@@ -48,7 +48,7 @@ class Branch:
 @dataclass(frozen=True)
 class CaseReport:
     problem: RadialProblem
-    ode: OdeData  # H and its root profile, factored once for the report
+    ode: OdeData  # the problem's OdeData: H and its root profile, factored once
     verdict: Verdict
     branches: tuple
     matched_case: Optional[str]

@@ -199,25 +199,38 @@ def metric_tensor(sol: RadialSolution, z) -> np.ndarray:
     return _tensor(up, upp, z)
 
 
+def _kahler_g(sol: RadialSolution, s: float) -> float:
+    """g(s), once u' and g' are checked positive there (the chain divides
+    by g', which vanishes where rounding pins g to a window end)."""
+    g = solve_g(sol, s)
+    up, _, g1 = _radial(sol.ode, s, g)
+    _require_kahler(s, up, g1)
+    return g
+
+
 def scalar_curvature(sol: RadialSolution, s: float) -> float:
     """Scalar curvature at s through the analytic derivative chain.
 
     The chain returns R for any g, so this value does not test the
-    inversion; curvature_fd does.
+    inversion; curvature_fd does. Non-Kahler data at s raises
+    NotKahlerError, as in metric_sample.
     """
-    g = solve_g(sol, s)
+    g = _kahler_g(sol, s)
     return _curvature(sol.ode.k, s, g, *_density_derivatives(sol.ode, s, g))
 
 
 def _phi(sol: RadialSolution, s: float) -> float:
-    g = solve_g(sol, s)
+    g = _kahler_g(sol, s)
     _, f1, _ = _density_derivatives(sol.ode, s, g)
     return _bracket(sol.ode.k, s, g, f1)
 
 
 def curvature_fd(sol: RadialSolution, s: float) -> float:
-    """Curvature with the outer derivative taken by Richardson differences."""
-    g = solve_g(sol, s)  # first, so an s outside the domain is named as such
+    """Curvature with the outer derivative taken by Richardson differences.
+
+    Non-Kahler data at s or at a neighbour raises NotKahlerError.
+    """
+    g = _kahler_g(sol, s)  # first, so an s outside the domain is named as such
     h, near = _neighbours(s)
     phi = [_phi(sol, x) for x in near]
     return _richardson(sol.ode, s, g, h, phi)
@@ -255,11 +268,13 @@ def metric_sample(sol: RadialSolution, s) -> MetricSample:
 def verify_solution(sol: RadialSolution, n_samples: int) -> VerificationReport:
     """Residual maxima over a log-spaced grid: curvature, determinant, positivity.
 
-    The grid spans [0.01, 100] on ray domains and [0.05, 0.998 s_hi] on
-    finite ones: near both ends of a finite domain the profile is pinned
-    against a singular abscissa where float spacing makes the
-    finite-difference cross-check noise dominated, while the analytic
-    values stay accurate. Failures are reported, not raised.
+    The grid spans [max(0.01, 2 s_lo), 100] on ray domains and
+    [max(0.05, 2 s_lo), 0.998 s_hi] on finite ones: near both ends of a
+    finite domain the profile is pinned against a singular abscissa where
+    float spacing makes the finite-difference cross-check noise dominated,
+    while the analytic values stay accurate. A finite domain too short for
+    that floor (0.998 s_hi at or below it) starts at max(0.05 s_hi, 2 s_lo)
+    instead. Failures are reported, not raised.
 
     The grid and its four Richardson neighbours are inverted by one array
     call of solve_g, the derivative chain runs once over all five rows,
@@ -274,6 +289,8 @@ def verify_solution(sol: RadialSolution, n_samples: int) -> VerificationReport:
         bottom, top = max(0.01, 2.0 * lo), 100.0
     else:
         bottom, top = max(0.05, 2.0 * lo), 0.998 * hi
+        if bottom >= top:
+            bottom = max(0.05 * hi, 2.0 * lo)
     grid = np.geomspace(bottom, top, n_samples)
     ode = sol.ode
     n = ode.problem.n

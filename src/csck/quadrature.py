@@ -19,6 +19,7 @@ independent cross check.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -66,6 +67,8 @@ _SHOOT_GCAP = 1e9
 # the shoot's error tolerances: relative to |g|, and absolute
 _SHOOT_RTOL = 1e-10
 _SHOOT_ATOL = 1e-12
+# row kinds of AntiderivativeF.table, the commonest first
+_LOG, _LOGQ, _ATAN, _POLE, _LIN = range(5)
 
 
 @dataclass(frozen=True)
@@ -119,10 +122,32 @@ class AntiderivativeF:
     leading coefficient of H. At a log or pole abscissa the value and the
     derivative report the signed infinite limit from the right, matching
     the convention that window interiors are approached from above the
-    left endpoint.
+    left endpoint. Evaluation reads table, a flat copy of the terms.
     """
 
     terms: tuple
+
+    @cached_property
+    def table(self) -> tuple:
+        """The terms as (kind, c, a, e) rows, in term order, built once.
+
+        a is the term's alpha or beta; e is gamma**2 for a LogQuadratic,
+        gamma for an ArcTan and p for a RecipPower. A LogLinear or Linear
+        row has e = 0, and a Linear row a = 0.0.
+        """
+        rows = []
+        for t in self.terms:
+            if isinstance(t, LogLinear):
+                rows.append((_LOG, t.c, t.alpha, 0))
+            elif isinstance(t, LogQuadratic):
+                rows.append((_LOGQ, t.c, t.beta, t.gamma**2))
+            elif isinstance(t, ArcTan):
+                rows.append((_ATAN, t.c, t.beta, t.gamma))
+            elif isinstance(t, RecipPower):
+                rows.append((_POLE, t.c, t.alpha, t.p))
+            else:
+                rows.append((_LIN, t.c, 0.0, 0))
+        return tuple(rows)
 
     def __call__(self, x: float) -> float:
         return eval_F(self, x)
@@ -139,44 +164,45 @@ class AntiderivativeF:
         """
         log_sum = 0.0
         arctan_sum = 0.0
-        for t in self.terms:
-            if isinstance(t, LogLinear):
-                log_sum += t.c
-            elif isinstance(t, LogQuadratic):
-                log_sum += 2.0 * t.c
-            elif isinstance(t, ArcTan):
-                arctan_sum += t.c
+        for kind, c, _a, _e in self.table:
+            if kind == _LOG:
+                log_sum += c
+            elif kind == _LOGQ:
+                log_sum += 2.0 * c
+            elif kind == _ATAN:
+                arctan_sum += c
         if abs(log_sum) > _LOG_CANCEL_TOL:
             return math.copysign(math.inf, log_sum)
         return arctan_sum * 0.5 * math.pi
 
 
 def eval_F(F: AntiderivativeF, x: float) -> float:
-    """Value of F at x; a singular abscissa gives a signed infinity."""
+    """Value of F at x, one pass over F.table; a singular abscissa gives a
+    signed infinity."""
     total = 0.0
     pole_c = 0.0
     pole_p = 0
     log_c = 0.0
-    for t in F.terms:
-        if isinstance(t, LogLinear):
-            d = x - t.alpha
+    for kind, c, a, e in F.table:
+        if kind == _LOG:
+            d = x - a
             if d == 0.0:
-                log_c += t.c
+                log_c += c
             else:
-                total += t.c * math.log(abs(d))
-        elif isinstance(t, RecipPower):
-            d = x - t.alpha
+                total += c * math.log(abs(d))
+        elif kind == _LOGQ:
+            total += c * math.log((x - a) ** 2 + e)
+        elif kind == _ATAN:
+            total += c * math.atan((x - a) / e)
+        elif kind == _POLE:
+            d = x - a
             if d == 0.0:
-                if t.p > pole_p:
-                    pole_p, pole_c = t.p, t.c
+                if e > pole_p:
+                    pole_p, pole_c = e, c
             else:
-                total += t.c / d**t.p
-        elif isinstance(t, LogQuadratic):
-            total += t.c * math.log((x - t.beta) ** 2 + t.gamma**2)
-        elif isinstance(t, ArcTan):
-            total += t.c * math.atan((x - t.beta) / t.gamma)
+                total += c / d**e
         else:
-            total += t.c * x
+            total += c * x
     # the strongest pole wins; a bare log diverges to -inf from either side
     if pole_p > 0:
         return math.copysign(math.inf, pole_c)
@@ -186,7 +212,7 @@ def eval_F(F: AntiderivativeF, x: float) -> float:
 
 
 def _value_and_slope(F: AntiderivativeF, x: float):
-    """(eval_F(F, x), F'(x)) in one loop over the terms.
+    """(eval_F(F, x), F'(x)) in one pass over F.table.
 
     The value takes eval_F's float operations, in the same order, and its
     signed infinity at a log or pole abscissa. The slope's infinity there
@@ -196,36 +222,36 @@ def _value_and_slope(F: AntiderivativeF, x: float):
     value = slope = 0.0
     pole_c = slope_pole_c = log_c = 0.0
     pole_p = slope_pole_p = 0
-    for t in F.terms:
-        if isinstance(t, LogLinear):
-            d = x - t.alpha
+    for kind, c, a, e in F.table:
+        if kind == _LOG:
+            d = x - a
             if d == 0.0:
-                log_c += t.c
+                log_c += c
                 if slope_pole_p < 1:
-                    slope_pole_p, slope_pole_c = 1, t.c
+                    slope_pole_p, slope_pole_c = 1, c
             else:
-                value += t.c * math.log(abs(d))
-                slope += t.c / d
-        elif isinstance(t, RecipPower):
-            d = x - t.alpha
+                value += c * math.log(abs(d))
+                slope += c / d
+        elif kind == _LOGQ:
+            q = (x - a) ** 2 + e
+            value += c * math.log(q)
+            slope += 2.0 * c * (x - a) / q
+        elif kind == _ATAN:
+            value += c * math.atan((x - a) / e)
+            slope += c * e / ((x - a) ** 2 + e**2)
+        elif kind == _POLE:
+            d = x - a
             if d == 0.0:
-                if t.p > pole_p:
-                    pole_p, pole_c = t.p, t.c
-                if t.p + 1 > slope_pole_p:
-                    slope_pole_p, slope_pole_c = t.p + 1, -t.c
+                if e > pole_p:
+                    pole_p, pole_c = e, c
+                if e + 1 > slope_pole_p:
+                    slope_pole_p, slope_pole_c = e + 1, -c
             else:
-                value += t.c / d**t.p
-                slope -= t.p * t.c / d ** (t.p + 1)
-        elif isinstance(t, LogQuadratic):
-            q = (x - t.beta) ** 2 + t.gamma**2
-            value += t.c * math.log(q)
-            slope += 2.0 * t.c * (x - t.beta) / q
-        elif isinstance(t, ArcTan):
-            value += t.c * math.atan((x - t.beta) / t.gamma)
-            slope += t.c * t.gamma / ((x - t.beta) ** 2 + t.gamma**2)
+                value += c / d**e
+                slope -= e * c / d ** (e + 1)
         else:
-            value += t.c * x
-            slope += t.c
+            value += c * x
+            slope += c
     if pole_p > 0:
         value = math.copysign(math.inf, pole_c)
     elif log_c != 0.0:
@@ -485,27 +511,27 @@ def _F_dF_array(F: AntiderivativeF, x: np.ndarray):
     """
     value = np.zeros(x.shape)
     slope = np.zeros(x.shape)
-    for t in F.terms:
-        if isinstance(t, LogLinear):
-            d = x - t.alpha
-            value += t.c * np.log(np.abs(d))
-            slope += t.c / d
-        elif isinstance(t, RecipPower):
-            d = x - t.alpha
-            value += t.c / d**t.p
-            slope -= t.p * t.c / d ** (t.p + 1)
-        elif isinstance(t, LogQuadratic):
-            d = x - t.beta
-            q = d**2 + t.gamma**2
-            value += t.c * np.log(q)
-            slope += 2.0 * t.c * d / q
-        elif isinstance(t, ArcTan):
-            d = x - t.beta
-            value += t.c * np.arctan(d / t.gamma)
-            slope += t.c * t.gamma / (d**2 + t.gamma**2)
+    for kind, c, a, e in F.table:
+        if kind == _LOG:
+            d = x - a
+            value += c * np.log(np.abs(d))
+            slope += c / d
+        elif kind == _LOGQ:
+            d = x - a
+            q = d**2 + e
+            value += c * np.log(q)
+            slope += 2.0 * c * d / q
+        elif kind == _ATAN:
+            d = x - a
+            value += c * np.arctan(d / e)
+            slope += c * e / (d**2 + e**2)
+        elif kind == _POLE:
+            d = x - a
+            value += c / d**e
+            slope -= e * c / d ** (e + 1)
         else:
-            value += t.c * x
-            slope += t.c
+            value += c * x
+            slope += c
     for i in np.flatnonzero(~(np.isfinite(value) & np.isfinite(slope))):
         v, dv = _value_and_slope(F, float(x.flat[i]))
         if not math.isfinite(value.flat[i]):

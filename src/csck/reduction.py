@@ -46,16 +46,30 @@ class RadialProblem:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} = {getattr(self, name)!r} must be finite")
 
+    @cached_property
+    def ode(self) -> OdeData:
+        """H(x) = -R/(n(n+1)) x^{n+1} + x^n + lam*x + mu and k = n-1, built
+        once, on first use; build_ode returns it."""
+        n = self.n
+        coeffs = [0.0] * (n + 2)
+        coeffs[0] = self.mu
+        coeffs[1] = self.lam
+        coeffs[n] = 1.0
+        coeffs[n + 1] = -self.R / (n * (n + 1))
+        return OdeData(self, Poly.from_coeffs(coeffs), n - 1)
+
 
 @dataclass(frozen=True)
 class OdeData:
     """The slope polynomial H of a problem and the exponent k = n - 1.
 
-    roots is the root profile of H, whose product is certified to
-    reconstruct H within real_root_profile's default tol. It is factored
-    once, on first use; branch enumeration, both closed antiderivatives
-    and the shoot's window lookup all read it. Hp and Hpp, the first two
-    derivatives of H that the curvature chain reads, are also built once.
+    Each problem has one OdeData, its ode attribute, so H is built and
+    factored once per problem, whoever asks first. roots is the root
+    profile of H, whose product is certified to reconstruct H within
+    real_root_profile's default tol. It is factored on first use;
+    classify, both closed antiderivatives and the shoot's window lookup
+    all read it. Hp and Hpp, the first two derivatives of H that the
+    curvature chain reads, are also built once.
     """
 
     problem: RadialProblem
@@ -76,14 +90,12 @@ class OdeData:
 
 
 def build_ode(problem: RadialProblem) -> OdeData:
-    """Assemble H(x) = -R/(n(n+1)) x^{n+1} + x^n + lam*x + mu and k = n-1."""
-    n = problem.n
-    coeffs = [0.0] * (n + 2)
-    coeffs[0] = problem.mu
-    coeffs[1] = problem.lam
-    coeffs[n] = 1.0
-    coeffs[n + 1] = -problem.R / (n * (n + 1))
-    return OdeData(problem, Poly.from_coeffs(coeffs), n - 1)
+    """The problem's single OdeData: H(x) = -R/(n(n+1)) x^{n+1} + x^n
+    + lam*x + mu and k = n-1, with H's root profile factored at most once.
+
+    Every call, like classify's, returns problem.ode.
+    """
+    return problem.ode
 
 
 @dataclass(frozen=True)

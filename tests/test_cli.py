@@ -257,6 +257,21 @@ def test_verify_pipeline_mode(validator):
     assert payload["verification"]["kahler_ok"] is True
 
 
+def test_verify_pipeline_on_a_domain_that_ends_below_the_grid_floor(validator):
+    # the s-domain is (0, 0.02), below verify's usual grid floor of 0.05
+    code, out, _ = run_cli(
+        [
+            "verify", "--n", "2", "--scalar", "-6", "--lambda", "0", "--mu", "0",
+            "--anchor", "0.01,1",
+        ]
+    )
+    assert code == 0
+    payload = valid(validator, json.loads(out))
+    assert payload["passed"] is True
+    assert payload["verification"]["kahler_ok"] is True
+    assert payload["verification"]["s_hi"] < 0.02
+
+
 def test_catalog_list(validator):
     code, out, _ = run_cli(["catalog", "--list", "--n", "2", "--curvature-sign", "zero"])
     assert code == 0

@@ -221,6 +221,17 @@ def test_curvature_fd_cross_check():
         assert abs(fd - an) / (1.0 + abs(an)) < 1e-5
 
 
+@pytest.mark.parametrize("s", [1e-4, 1e-5, 1e-6])
+def test_curvature_where_g_is_pinned_to_the_left_end(s):
+    # g rounds to A, where H and so g' vanish: every curvature path names
+    # the non-Kahler point instead of dividing by g' = 0
+    sol = solution_for("1.7.6")
+    assert solve_g(sol, s) == sol.branch.A
+    for fn in (scalar_curvature, curvature_fd, metric_sample):
+        with pytest.raises(NotKahlerError, match="u' \\+ s u'' = 0 at s"):
+            fn(sol, s)
+
+
 def test_metric_sample_fields():
     sol = plain_solution(2, 6.0, 0.0, 0.0, (1.0, 0.5))
     ms = metric_sample(sol, 1.0)
@@ -307,6 +318,19 @@ def test_verify_all_fixtures(label):
     assert rep.curvature_stddev < 1e-6 * scale
     assert rep.max_fd_mismatch < 1e-5
     assert rep.max_det_residual < 1e-9
+
+
+def test_verify_on_a_domain_that_ends_below_the_grid_floor():
+    # s-domain (0, 0.02): the floor 0.05 lies past the domain's end, so the
+    # grid starts at 0.05 s_hi instead
+    sol = plain_solution(2, -6.0, 0.0, 0.0, (0.01, 1.0))
+    lo, hi = sol.s_domain
+    assert lo == 0.0 and 0.998 * hi < 0.05
+    rep = verify_solution(sol, 200)
+    assert rep.s_lo == pytest.approx(0.05 * hi) and rep.s_hi == pytest.approx(0.998 * hi)
+    assert rep.kahler_ok and rep.positivity_margin > 0.0
+    assert rep.max_curvature_residual < 1e-9
+    assert rep.max_fd_mismatch < 1e-5
 
 
 def _verify_point_by_point(sol, n_samples):

@@ -24,6 +24,7 @@ from csck import (
     admissible_branches,
     ball_normalize,
     build_ode,
+    classify,
     eval_F,
     gauge_from_anchor,
     get_case,
@@ -637,3 +638,173 @@ def test_array_solve_g_bracket_exhaustion(monkeypatch):
             message = re.escape(f"no {side} bracket for s = {far!r}")
             with pytest.raises(OutOfDomainError, match=message):
                 solve_g(sol, s)
+
+
+# Reference kernels that dispatch on the term objects with isinstance; the
+# kernels that read F.table must match them bit for bit.
+
+def _oracle_eval_F(F, x):
+    total = 0.0
+    pole_c = 0.0
+    pole_p = 0
+    log_c = 0.0
+    for t in F.terms:
+        if isinstance(t, LogLinear):
+            d = x - t.alpha
+            if d == 0.0:
+                log_c += t.c
+            else:
+                total += t.c * math.log(abs(d))
+        elif isinstance(t, RecipPower):
+            d = x - t.alpha
+            if d == 0.0:
+                if t.p > pole_p:
+                    pole_p, pole_c = t.p, t.c
+            else:
+                total += t.c / d**t.p
+        elif isinstance(t, LogQuadratic):
+            total += t.c * math.log((x - t.beta) ** 2 + t.gamma**2)
+        elif isinstance(t, ArcTan):
+            total += t.c * math.atan((x - t.beta) / t.gamma)
+        else:
+            total += t.c * x
+    if pole_p > 0:
+        return math.copysign(math.inf, pole_c)
+    if log_c != 0.0:
+        return math.copysign(math.inf, -log_c)
+    return total
+
+
+def _oracle_value_and_slope(F, x):
+    value = slope = 0.0
+    pole_c = slope_pole_c = log_c = 0.0
+    pole_p = slope_pole_p = 0
+    for t in F.terms:
+        if isinstance(t, LogLinear):
+            d = x - t.alpha
+            if d == 0.0:
+                log_c += t.c
+                if slope_pole_p < 1:
+                    slope_pole_p, slope_pole_c = 1, t.c
+            else:
+                value += t.c * math.log(abs(d))
+                slope += t.c / d
+        elif isinstance(t, RecipPower):
+            d = x - t.alpha
+            if d == 0.0:
+                if t.p > pole_p:
+                    pole_p, pole_c = t.p, t.c
+                if t.p + 1 > slope_pole_p:
+                    slope_pole_p, slope_pole_c = t.p + 1, -t.c
+            else:
+                value += t.c / d**t.p
+                slope -= t.p * t.c / d ** (t.p + 1)
+        elif isinstance(t, LogQuadratic):
+            q = (x - t.beta) ** 2 + t.gamma**2
+            value += t.c * math.log(q)
+            slope += 2.0 * t.c * (x - t.beta) / q
+        elif isinstance(t, ArcTan):
+            value += t.c * math.atan((x - t.beta) / t.gamma)
+            slope += t.c * t.gamma / ((x - t.beta) ** 2 + t.gamma**2)
+        else:
+            value += t.c * x
+            slope += t.c
+    if pole_p > 0:
+        value = math.copysign(math.inf, pole_c)
+    elif log_c != 0.0:
+        value = math.copysign(math.inf, -log_c)
+    if slope_pole_p > 0:
+        slope = math.copysign(math.inf, slope_pole_c)
+    return value, slope
+
+
+def _oracle_F_dF_array(F, x):
+    value = np.zeros(x.shape)
+    slope = np.zeros(x.shape)
+    for t in F.terms:
+        if isinstance(t, LogLinear):
+            d = x - t.alpha
+            value += t.c * np.log(np.abs(d))
+            slope += t.c / d
+        elif isinstance(t, RecipPower):
+            d = x - t.alpha
+            value += t.c / d**t.p
+            slope -= t.p * t.c / d ** (t.p + 1)
+        elif isinstance(t, LogQuadratic):
+            d = x - t.beta
+            q = d**2 + t.gamma**2
+            value += t.c * np.log(q)
+            slope += 2.0 * t.c * d / q
+        elif isinstance(t, ArcTan):
+            d = x - t.beta
+            value += t.c * np.arctan(d / t.gamma)
+            slope += t.c * t.gamma / (d**2 + t.gamma**2)
+        else:
+            value += t.c * x
+            slope += t.c
+    for i in np.flatnonzero(~(np.isfinite(value) & np.isfinite(slope))):
+        v, dv = _oracle_value_and_slope(F, float(x.flat[i]))
+        if not math.isfinite(value.flat[i]):
+            value.flat[i] = v
+        if not math.isfinite(slope.flat[i]):
+            slope.flat[i] = dv
+    return value, slope
+
+
+def _hex(values):
+    # float.hex tells signed zeros and signed infinities apart
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _kernel_points(F, A, B):
+    """A grid across the window, points beyond it, and every log and pole
+    abscissa with its two float neighbours."""
+    top = A + 50.0 if math.isinf(B) else B
+    xs = list(np.linspace(A, top, 41)) + [A - 1.0, A - 1e-9, top + 1.0]
+    xs += [A + (top - A) * 10.0**-j for j in range(1, 16, 2)]
+    for alpha in _singular_abscissae(F):
+        xs += [alpha, math.nextafter(alpha, -math.inf), math.nextafter(alpha, math.inf)]
+    return [float(x) for x in xs]
+
+
+def _assert_kernels_bitwise(F, xs):
+    for x in xs:
+        assert _hex([eval_F(F, x)]) == _hex([_oracle_eval_F(F, x)]), x
+        got = quadrature._value_and_slope(F, x)
+        assert _hex(got) == _hex(_oracle_value_and_slope(F, x)), x
+    x = np.array(xs)
+    with _quiet():
+        got, want = _F_dF_array(F, x), _oracle_F_dF_array(F, x)
+    assert _hex(got[0]) == _hex(want[0]) and _hex(got[1]) == _hex(want[1])
+
+
+@pytest.mark.parametrize("label", BRANCHED)
+def test_table_kernels_match_the_term_kernels_bitwise(label):
+    sol = solution_for(label)
+    A, B = sol.branch.A, sol.branch.B
+    for F in (sol.F, sol.G()):
+        assert len(F.table) == len(F.terms)
+        _assert_kernels_bitwise(F, _kernel_points(F, A, B))
+
+
+def test_table_kernels_match_the_term_kernels_bitwise_on_random_problems():
+    rng = np.random.default_rng(10)
+    dims, kinds = set(), set()
+    for _ in range(120):
+        n = int(rng.integers(2, 9))
+        R = float(rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])) * n * (n + 1)
+        lam, mu = rng.normal(0.0, 3.0, 2)
+        report = classify(RadialProblem(n, R, lam, mu), allow_finite_extension=True)
+        for branch in report.branches:
+            try:
+                F = partial_fractions(report.ode, branch)
+            except UnsupportedMultiplicityError:
+                continue
+            probe = quadrature.probe_point(branch.A, branch.B)
+            G = gauge_from_anchor(report.ode, branch, F, (1.0, probe)).G()
+            for F in (F, G):
+                _assert_kernels_bitwise(F, _kernel_points(F, branch.A, branch.B))
+                kinds.update(type(t) for t in F.terms)
+            dims.add(n)
+    assert dims == set(range(2, 9))
+    assert kinds >= {LogLinear, LogQuadratic, ArcTan, quadrature.Linear}

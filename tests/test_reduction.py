@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from csck import reduction
+from csck.branches import classify
 from csck.errors import EndpointSampleError, NotCsckError, NotKahlerError
+from csck.quadrature import gauge_from_anchor, partial_fractions, shoot_ode
 from csck.reduction import (
     FunctionHandle,
     OdeData,
@@ -157,3 +162,45 @@ def test_malformed_problem_rejected(field):
     args = {"n": 2, "R": 0.0, "lam": 0.0, "mu": 0.0, **field}
     with pytest.raises(ValueError):
         RadialProblem(**args)
+
+
+def test_build_ode_is_the_problems_single_ode():
+    problem = RadialProblem(n=3, R=12.0, lam=0.5, mu=-0.25)
+    ode = build_ode(problem)
+    assert ode is build_ode(problem) is classify(problem).ode is problem.ode
+    assert ode.problem is problem
+
+
+def test_problem_identity_ignores_its_ode():
+    problem = RadialProblem(n=3, R=12.0, lam=0.5, mu=-0.25)
+    twin = RadialProblem(n=3, R=12.0, lam=0.5, mu=-0.25)
+    before = hash(problem)
+    ode = problem.ode
+    assert problem == twin and hash(problem) == before == hash(twin)
+    assert repr(problem) == repr(twin)
+    copy = replace(problem)
+    assert copy == problem and copy.ode is not ode and copy.ode.problem is copy
+    assert replace(problem, mu=0.25).ode.H != ode.H
+
+
+@pytest.mark.parametrize("ode_first", [False, True])
+def test_root_profile_is_factored_once_per_problem(monkeypatch, ode_first):
+    calls = []
+    real = reduction.real_root_profile
+
+    def counted(H, *args, **kwargs):
+        calls.append(H)
+        return real(H, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "real_root_profile", counted)
+    problem = RadialProblem(n=2, R=6.0, lam=0.0, mu=0.0)
+    if ode_first:
+        build_ode(problem)
+    report = classify(problem)
+    ode = build_ode(problem)
+    branch = report.branches[0]
+    F = partial_fractions(ode, branch)
+    sol = gauge_from_anchor(ode, branch, F, (1.0, 0.5 * (branch.A + branch.B)))
+    sol.G()
+    shoot_ode(ode, 1.0, 0.5 * (branch.A + branch.B), [0.5, 2.0])
+    assert len(calls) == 1
