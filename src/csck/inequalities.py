@@ -5,26 +5,38 @@ The nonexistence arguments rest on strict negativity of
     J(a, b, c, d) = ab + ac + ad + bc + bd + cd   on  a+b+c+d = -1, a < 0 < b < c < d,
     I(a, b, c)    = a^2 + 2ab + 2ac + bc          on  2a+b+c = -1, b < 0 < c < a.
 
-Both forms are evaluated exactly; the sign claims are certified by
-sampling the constraint manifolds (log-uniform over the unbounded
-directions, dependent variable from the linear constraint) and
-sharpening every running sample maximum with a golden-section
-coordinate ascent. Because each prefix maximum gets its own ascent,
-the certified value can only grow with the sample count at a fixed
-seed.
+Each sign is one line of algebra.
+
+J: put S = b+c+d, so a = -1-S. Then 2(bc+bd+cd) = S^2 - b^2 - c^2 - d^2
+and 2J = 2aS + S^2 - b^2 - c^2 - d^2, hence
+
+    J = -(2S + S^2 + b^2 + c^2 + d^2)/2 < 0,
+
+since S > 0. J -> 0 as b, c, d -> 0.
+
+I: the constraint gives b + c = -1-2a, so I = a^2 + 2a(-1-2a) + bc, hence
+
+    I = -3a^2 - 2a + bc < 0,
+
+since a > 0 and b < 0 < c. I -> 0 as a, c -> 0.
+
+So the supremum of each form over its set is 0, and no point attains it.
+
+Both sides of each identity are polynomials of total degree 2 in the
+free coordinates, (b, c, d) for J and (a, c) for I; the dependent one
+comes from the linear constraint. A polynomial of total degree <= 2 in k
+variables that vanishes on the principal lattice {y in N^k : sum(y) <= 2}
+vanishes everywhere, because that lattice is unisolvent for the degree-2
+polynomials (Chung & Yao 1977). ``certify_negative`` checks the identity
+at those points (10 for J, 6 for I) in exact integer arithmetic, with J
+scaled by 2, so the check is a proof and not a sample.
 """
 
-import math
+from collections import namedtuple
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import product
 
 __all__ = ["ConstraintSample", "I_value", "J_value", "certify_negative"]
-
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
-_FLOOR = 1e-9
-_SWEEPS = 100
-_CHUNK = 65536
 
 
 def J_value(alpha: float, beta: float, gamma: float, delta: float) -> float:
@@ -34,7 +46,7 @@ def J_value(alpha: float, beta: float, gamma: float, delta: float) -> float:
 
 def I_value(alpha: float, beta: float, gamma: float) -> float:
     """alpha^2 + 2 alpha beta + 2 alpha gamma + beta gamma."""
-    return alpha * alpha + 2.0 * alpha * (beta + gamma) + beta * gamma
+    return alpha * alpha + 2 * alpha * (beta + gamma) + beta * gamma
 
 
 @dataclass(frozen=True)
@@ -46,122 +58,52 @@ class ConstraintSample:
     objective: float
 
 
-def _setup(which: str):
-    # free variables are the ordered positive coordinates; the remaining one
-    # comes out of the linear constraint with the required sign automatically
-    if which == "J":
-        def from_free(y):
-            b, c, d = y
-            return (-1.0 - (b + c + d), b, c, d)
+# point_of maps the free coordinates to a point of the constraint plane;
+# claim is scale times the identity's right side, so J needs no fractions;
+# witness holds dyadic free coordinates, so its residual is exactly 0
+_Lemma = namedtuple("_Lemma", "identity point_of residual value scale claim witness")
 
-        def value(y):
-            return J_value(*from_free(y))
-
-        def residual(point):
-            return sum(point) + 1.0
-
-        return 3, from_free, value, residual
-    if which == "I":
-        def from_free(y):
-            g, a = y
-            return (a, -1.0 - 2.0 * a - g, g)
-
-        def value(y):
-            return I_value(*from_free(y))
-
-        def residual(point):
-            a, b, g = point
-            return 2.0 * a + b + g + 1.0
-
-        return 2, from_free, value, residual
-    raise ValueError(f"unknown objective {which!r}, expected 'J' or 'I'")
+_LEMMAS = {
+    "J": _Lemma(
+        "J = -(2S + S^2 + b^2 + c^2 + d^2)/2, S = b+c+d, on a = -1-S",
+        lambda b, c, d: (-1 - (b + c + d), b, c, d),
+        lambda a, b, c, d: a + b + c + d + 1,
+        J_value,
+        2,
+        lambda a, b, c, d: -(2 * (b + c + d) + (b + c + d) ** 2 + b * b + c * c + d * d),
+        (0.25, 0.5, 1.0),
+    ),
+    "I": _Lemma(
+        "I = -3a^2 - 2a + bc, on b = -1-2a-c",
+        lambda a, c: (a, -1 - 2 * a - c, c),
+        lambda a, b, c: 2 * a + b + c + 1,
+        I_value,
+        1,
+        lambda a, b, c: -3 * a * a - 2 * a + b * c,
+        (0.5, 0.25),
+    ),
+}
 
 
-def _golden(fn, a: float, b: float, iters: int = 34) -> float:
-    c = b - _GOLD * (b - a)
-    d = a + _GOLD * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLD * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLD * (b - a)
-            fd = fn(d)
-    return c if fc >= fd else d
+def certify_negative(which: str):
+    """Certify J < 0 or I < 0 on its constraint set by its identity.
 
-
-def _ascend(value, y0):
-    """Coordinate-wise golden-section ascent inside the ordered cone."""
-    y = list(y0)
-    for _ in range(_SWEEPS):
-        moved = 0.0
-        for i in range(len(y)):
-            lo = y[i - 1] if i > 0 else _FLOOR
-            hi = y[i + 1] if i + 1 < len(y) else y[i] * 8.0 + 8.0
-            if not lo < hi:
-                continue
-
-            def slice_fn(t, i=i):
-                trial = y[:i] + [t] + y[i + 1 :]
-                return value(trial)
-
-            t = _golden(slice_fn, lo, hi)
-            if value(y[:i] + [t] + y[i + 1 :]) > value(y):
-                moved = max(moved, abs(t - y[i]) / (1.0 + abs(y[i])))
-                y[i] = t
-        if moved < 1e-13:
-            break
-    return y, value(y)
-
-
-def certify_negative(which: str, n_samples: int, seed: int):
-    """Certified maximum of J or I over its constraint set, with a witness.
-
-    Draws n_samples points (ordered positives log-uniform in [1e-3, 1e3],
-    dependent coordinate from the linear constraint, degenerate orderings
-    skipped) and runs the ascent from every running maximum. Returns
-    (max_found, witness); the relevant sign facts assert max_found < 0.
+    Returns (identity, holds, witness): the identity's text, whether it
+    held at every point of the degree-2 principal lattice, and a fixed
+    feasible witness whose constraint residual is exactly 0.
     """
-    assert n_samples >= 1
-    k, from_free, value, residual = _setup(which)
-    rng = np.random.default_rng(seed)
-    best = -math.inf
-    best_free = None
-    done = 0
-    while done < n_samples:
-        m = min(_CHUNK, n_samples - done)
-        draws = 10.0 ** rng.uniform(-3.0, 3.0, size=(m, k))
-        draws.sort(axis=1)
-        if which == "J":
-            b, c, d = draws[:, 0], draws[:, 1], draws[:, 2]
-            a = -1.0 - (b + c + d)
-            vals = a * (b + c + d) + b * (c + d) + c * d
-            ok = (b < c) & (c < d)
-        else:
-            g, a = draws[:, 0], draws[:, 1]
-            be = -1.0 - 2.0 * a - g
-            vals = a * a + 2.0 * a * (be + g) + be * g
-            ok = g < a
-        vals = np.where(ok, vals, -np.inf)
-        prefix = np.maximum.accumulate(vals)
-        for i in np.flatnonzero((vals == prefix) & (prefix > best)):
-            v = float(vals[i])
-            if v <= best:
-                continue
-            best = v
-            best_free = [float(t) for t in draws[i]]
-            cy, cv = _ascend(value, best_free)
-            if cv > best:
-                best = cv
-                best_free = cy
-        done += m
-    assert best_free is not None
-    point = from_free(best_free)
-    return best, ConstraintSample(
-        point=tuple(point),
-        constraint_residuals=(residual(point),),
-        objective=best,
+    if which not in _LEMMAS:
+        raise ValueError(f"unknown objective {which!r}, expected 'J' or 'I'")
+    lemma = _LEMMAS[which]
+    lattice = (y for y in product(range(3), repeat=len(lemma.witness)) if sum(y) <= 2)
+    holds = all(
+        lemma.scale * lemma.value(*p) == lemma.claim(*p)
+        for p in (lemma.point_of(*y) for y in lattice)
     )
+    point = lemma.point_of(*lemma.witness)
+    witness = ConstraintSample(
+        point=point,
+        constraint_residuals=(lemma.residual(*point),),
+        objective=lemma.value(*point),
+    )
+    return lemma.identity, holds, witness

@@ -205,13 +205,13 @@ def test_criterion_6_finite_extension_detected_by_shooting():
 def test_criterion_7_inequality_certification():
     with criterion(7, "both constrained forms certify negative"):
         t0 = time.perf_counter()
-        max_j, witness_j = certify_negative("J", 100000, seed=42)
-        max_i, witness_i = certify_negative("I", 100000, seed=42)
+        _, holds_j, witness_j = certify_negative("J")
+        _, holds_i, witness_i = certify_negative("I")
         assert time.perf_counter() - t0 < 10.0
-        assert max_j < 0.0 and max_i < 0.0
+        assert holds_j and holds_i
         for w in (witness_j, witness_i):
-            for r in w.constraint_residuals:
-                assert abs(r) < 1e-12
+            assert w.objective < 0.0
+            assert w.constraint_residuals == (0.0,)
 
         # boundary data where each form degenerates to zero
         s21 = math.sqrt(21.0)

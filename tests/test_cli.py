@@ -197,12 +197,17 @@ def test_flag_errors_exit_64():
     assert run_cli(["classify", "--n", "2", "--bogus", "1"])[0] == 64
     assert run_cli(["classify", "--n", "2"])[0] == 64  # no curvature
     assert run_cli(["lemmas", "--samples", "10"])[0] == 64  # no --which
+    # lemmas has no sampling knobs
+    assert run_cli(["lemmas", "--which", "J", "--seed", "1"])[0] == 64
+    assert run_cli(["lemmas", "--which", "J", "--samples", "10"])[0] == 64
 
 
 def test_runconfig_invariants_exit_64():
     base = ["solve", "--n", "2", "--scalar", "6", "--anchor", "1,0.5"]
     assert run_cli(base + ["--samples", "1"])[0] == 64
     assert run_cli(base + ["--s-min", "3", "--s-max", "1"])[0] == 64
+    assert run_cli(base + ["--s-min", "0"])[0] == 64
+    assert run_cli(base + ["--s-min", "-1"])[0] == 64
     assert run_cli(
         ["verify", "--n", "2", "--scalar", "6", "--anchor", "1,0.5", "--tol", "0"]
     )[0] == 64
@@ -362,13 +367,15 @@ def test_ball_without_branch_exits_2():
 
 
 def test_lemmas_cli(validator):
-    code, out, _ = run_cli(["lemmas", "--which", "J", "--samples", "2000", "--seed", "42"])
-    assert code == 0
-    payload = valid(validator, json.loads(out))
-    assert payload["max_found"] < 0.0
-    assert payload["negative"] is True
-    for residual in payload["witness"]["constraint_residuals"]:
-        assert abs(residual) < 1e-12
+    for which in ("J", "I"):
+        code, out, _ = run_cli(["lemmas", "--which", which])
+        assert code == 0
+        payload = valid(validator, json.loads(out))
+        assert payload["identity"].startswith(which + " = ")
+        assert payload["supremum"] == 0.0
+        assert payload["negative"] is True
+        assert payload["witness"]["constraint_residuals"] == [0.0]
+        assert payload["witness"]["objective"] < 0.0
 
 
 def test_config_file_merges_under_flags(tmp_path):
@@ -429,7 +436,7 @@ def test_repeated_runs_are_byte_identical():
         "solve", "--n", "2", "--scalar", "0", "--lambda", "-1", "--mu", "0",
         "--anchor", "2,3", "--s-min", "1.5", "--s-max", "20", "--samples", "40",
     ]
-    lemmas_args = ["lemmas", "--which", "I", "--samples", "3000", "--seed", "9"]
+    lemmas_args = ["lemmas", "--which", "I"]
     for args in (classify_args, solve_args, lemmas_args):
         assert run_cli(args) == run_cli(args)
 

@@ -1,9 +1,14 @@
-"""Value oracles and certification behavior for the constrained forms."""
+"""Value oracles and the identity certificates of the constrained forms."""
 
+import io
+import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from csck import inequalities
+from csck.cli import main
 from csck.inequalities import ConstraintSample, I_value, J_value, certify_negative
 
 SQRT21 = math.sqrt(21.0)
@@ -44,50 +49,54 @@ def test_I_zero_locus():
 
 def test_unknown_objective_rejected():
     with pytest.raises(ValueError):
-        certify_negative("K", 10, 0)
+        certify_negative("K")
+
+
+def _J_identity(a, b, c, d):
+    s = b + c + d
+    return -(2.0 * s + s * s + b * b + c * c + d * d) / 2.0
+
+
+def _I_identity(a, b, c):
+    return -3.0 * a * a - 2.0 * a + b * c
 
 
 @pytest.mark.parametrize("which", ["J", "I"])
 def test_certified_max_is_negative(which):
-    max_found, witness = certify_negative(which, 2000, seed=42)
-    assert max_found < 0.0
+    identity, holds, witness = certify_negative(which)
+    assert identity.startswith(which + " = ")
+    assert holds is True
     assert isinstance(witness, ConstraintSample)
-    assert witness.objective == max_found
-    for r in witness.constraint_residuals:
-        assert abs(r) < 1e-12
+    assert witness.objective < 0.0
+    assert witness.constraint_residuals == (0.0,)
 
 
 def test_witness_respects_J_sign_pattern():
-    _, witness = certify_negative("J", 500, seed=3)
+    _, _, witness = certify_negative("J")
     a, b, c, d = witness.point
     assert a < 0.0 < b < c < d
-    assert abs(J_value(a, b, c, d) - witness.objective) < 1e-15
+    assert J_value(a, b, c, d) == witness.objective
+    assert _J_identity(a, b, c, d) == witness.objective
 
 
 def test_witness_respects_I_sign_pattern():
-    _, witness = certify_negative("I", 500, seed=3)
+    _, _, witness = certify_negative("I")
     a, b, c = witness.point
     assert b < 0.0 < c < a
-    assert abs(I_value(a, b, c) - witness.objective) < 1e-15
+    assert I_value(a, b, c) == witness.objective
+    assert _I_identity(a, b, c) == witness.objective
 
 
 @pytest.mark.parametrize("which", ["J", "I"])
-def test_certification_deterministic(which):
-    first = certify_negative(which, 800, seed=11)
-    second = certify_negative(which, 800, seed=11)
-    assert first[0] == second[0]
-    assert first[1] == second[1]
-
-
-@pytest.mark.parametrize("which", ["J", "I"])
-def test_max_monotone_in_sample_count(which):
-    # same seed consumes the same stream, so prefixes are nested
-    values = [certify_negative(which, n, seed=7)[0] for n in (10, 100, 1000, 5000)]
-    for lo, hi in zip(values, values[1:]):
-        assert hi >= lo
-
-
-def test_single_sample_allowed():
-    max_found, witness = certify_negative("J", 1, seed=0)
-    assert max_found < 0.0
-    assert len(witness.point) == 4
+def test_lattice_check_rejects_a_claim_off_by_one_monomial(which, monkeypatch):
+    # b*c is nonzero at some lattice point, so a claim off by it must fail;
+    # b and c are the point's second and third coordinates for J and for I
+    lemma = inequalities._LEMMAS[which]
+    wrong = lambda *p: lemma.claim(*p) + p[1] * p[2]  # noqa: E731
+    monkeypatch.setitem(inequalities._LEMMAS, which, lemma._replace(claim=wrong))
+    assert certify_negative(which)[1] is False
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["lemmas", "--which", which])
+    assert code == 1
+    assert json.loads(out.getvalue())["negative"] is False
