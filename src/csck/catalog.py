@@ -11,6 +11,7 @@ lists what the catalogue covers for a dimension and curvature sign.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -75,14 +76,19 @@ def instantiate(label: str, params: Optional[dict] = None, n: Optional[int] = No
     params overrides the fixture defaults. The dimension-free smooth
     families accept the dimension through n (or a params key "n");
     everything else has it pinned. A violated constraint raises
-    ConstraintViolationError naming the clause. Families that admit no
-    solution return None in place of the expected branch.
+    ConstraintViolationError naming the clause; a parameter that is not a
+    finite real number, or an n that is not an integer, raises ValueError
+    naming it. Families that admit no solution return None in place of the
+    expected branch.
     """
     fix = get_case(label)
     p, dim = merged_params(fix, params)
     if n is not None:
         dim = n
-    dim = fix.n if dim is None else int(dim)
+    if dim is None:
+        dim = fix.n
+    elif isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+        raise ValueError(f"dimension n = {dim!r} must be an integer")
     if not fix.n_is_free and dim != fix.n:
         raise ConstraintViolationError(label, f"dimension is fixed at n = {fix.n}")
     if dim < 2:
@@ -92,6 +98,13 @@ def instantiate(label: str, params: Optional[dict] = None, n: Optional[int] = No
         raise ConstraintViolationError(
             label, "unknown parameter(s) " + ", ".join(unknown)
         )
+    for key, value in p.items():
+        if isinstance(value, bool) or not (
+            isinstance(value, numbers.Real) and math.isfinite(value)
+        ):
+            raise ValueError(
+                f"parameter {key} = {value!r} must be a finite real number"
+            )
     fix.validate(p)
     lam, mu = fix.lambda_mu(p)
     problem = RadialProblem(n=dim, R=fix.curvature(dim), lam=float(lam), mu=float(mu))

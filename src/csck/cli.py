@@ -479,21 +479,7 @@ def _cmd_catalog(args):
     label, params = args.label, args.params
     if args.check:
         report = cross_check(label, params, n=args.n)
-        payload = {
-            "type": "catalog_check",
-            "label": report.label,
-            "n": report.n,
-            "verdict": report.verdict,
-            "branch_window": (
-                None if report.branch_window is None else list(report.branch_window)
-            ),
-            "s_domain": None if report.s_domain is None else list(report.s_domain),
-            "reference_deviation": report.reference_deviation,
-            "verification": (
-                None if report.verification is None else asdict(report.verification)
-            ),
-        }
-        return payload, 0
+        return {"type": "catalog_check", **asdict(report)}, 0
     problem, expected = instantiate(label, params, n=args.n)
     merged, _ = merged_params(get_case(label), params)
     payload = {
@@ -504,16 +490,7 @@ def _cmd_catalog(args):
         "lambda": problem.lam,
         "mu": problem.mu,
         "params": {key: float(value) for key, value in merged.items()},
-        "expected_branch": (
-            None
-            if expected is None
-            else {
-                "A": expected.A,
-                "B": expected.B,
-                "kind": expected.kind,
-                "verdict": expected.verdict,
-            }
-        ),
+        "expected_branch": None if expected is None else asdict(expected),
     }
     return payload, 0
 

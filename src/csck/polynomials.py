@@ -55,28 +55,9 @@ def _inf_norm(cs) -> float:
     return max(abs(c) for c in cs)
 
 
-def _poly_divmod(a, b) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Quotient and remainder of a / b, ascending coefficients."""
-    a = list(a)
-    db = len(b) - 1
-    while db > 0 and b[db] == 0.0:
-        db -= 1
-    lead = b[db]
-    if len(a) - 1 < db:
-        return (0.0,), tuple(a)
-    q = [0.0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        f = a[i] / lead
-        q[i - db] = f
-        if f != 0.0:
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-        a[i] = 0.0
-    return tuple(q), tuple(a[:db] if db > 0 else [0.0])
-
-
-def _deflate_linear(cs, r: float) -> tuple[tuple[float, ...], float]:
-    """Synthetic division by (x - r); returns (quotient, remainder)."""
+def _deflate_linear(cs, r: complex) -> tuple[tuple[complex, ...], complex]:
+    """Synthetic division by (x - r), r real or complex; returns
+    (quotient, remainder)."""
     q = [0.0] * (len(cs) - 1)
     acc = cs[-1]
     for i in range(len(cs) - 2, -1, -1):
@@ -85,8 +66,9 @@ def _deflate_linear(cs, r: float) -> tuple[tuple[float, ...], float]:
     return tuple(q), acc
 
 
-def _taylor(cs, r: float) -> list[float]:
-    """Coefficients of p(r + t) in powers of t, via repeated synthetic division."""
+def _taylor(cs, r: complex) -> list[complex]:
+    """Coefficients of p(r + t) in powers of t, via repeated synthetic
+    division; r may be real or complex."""
     work = list(cs)
     out = []
     for _ in range(len(cs)):

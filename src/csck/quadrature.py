@@ -9,9 +9,12 @@ so everything reduces to three steps: split x^k / H into tagged
 closed-form terms (logs, reciprocal powers, arctangents), fix the gauge
 constant c (through an anchor point, or by normalizing a finite
 extension so its boundary sits at s = 1), and invert the relation with
-Newton steps kept inside a verified bracket. The same split applied
-to x^k (x - A) / H gives the potential in closed form
-(RadialSolution.G).
+Newton steps kept inside a verified bracket. The split follows one
+residue rule: a Taylor series division at each root of H, real or
+complex, gives the principal part there, and the logs at a conjugate
+pair combine into a log of the quadratic factor and an arctangent. The
+same split applied to x^k (x - A) / H gives the potential in closed
+form (RadialSolution.G).
 A direct Runge-Kutta shoot of the first order equation s g^k g' = H(g),
 a plain-float Dormand-Prince 5(4) integrator, is provided as an
 independent cross check.
@@ -31,7 +34,7 @@ from .errors import (
     OutOfDomainError,
     UnsupportedMultiplicityError,
 )
-from .polynomials import _deflate_linear, _poly_divmod, _taylor
+from .polynomials import _taylor
 from .reduction import OdeData
 
 __all__ = [
@@ -264,15 +267,46 @@ def _value_and_slope(F: AntiderivativeF, x: float):
 def partial_fractions(ode: OdeData, branch) -> AntiderivativeF:
     """Split x^k / H into closed antiderivative terms on the given window.
 
-    A real root of multiplicity m contributes a log plus reciprocal powers
-    up to order m - 1, with coefficients read off a local series quotient
-    (the residue and derivative formulas, organized as one Taylor division).
-    Each simple quadratic factor contributes a log and an arctangent whose
-    numerator is recovered from a linear system; a repeated quadratic
-    factor raises UnsupportedMultiplicityError. Shared roots of x^k and H
-    cancel automatically because their leading quotient entries vanish.
+    Each root z of H, real or complex, contributes the principal part of
+    x^k / H at z, read off one local series quotient (the residue and
+    derivative formulas, organized as one Taylor division). A real root
+    of multiplicity m gives a log plus reciprocal powers up to order
+    m - 1. A simple quadratic factor (x - beta)^2 + gamma^2 takes its
+    residue at z = beta + i gamma, and the logs at z and at its conjugate
+    combine into a log of the factor and an arctangent; a repeated
+    quadratic factor raises UnsupportedMultiplicityError. Shared roots of
+    x^k and H cancel automatically because their leading quotient entries
+    vanish.
     """
     return _split(ode, branch)
+
+
+def _principal_part(H, k: int, z, mult: int, root: Optional[float]) -> list:
+    """[a_1, ..., a_mult] with sum a_j / (x - z)^j the principal part of
+    P / H at its root z of multiplicity mult, z real or complex.
+
+    P is x^k, or x^k (x - root) when root is given. a_mult, ..., a_1 are
+    the first mult Taylor coefficients at z of P (x - z)^mult / H, from a
+    series division of P's Taylor coefficients at z by those of
+    H / (x - z)^mult; a_1 of a simple root is P(z) / H'(z).
+    """
+    denom = _taylor(H.coeffs, z)[mult:]
+    assert denom and denom[0] != 0.0
+    # Taylor coefficients of P at z; (z - root) is exactly 0 at root
+    numer = [
+        float(math.comb(k, j)) * z ** (k - j) if j <= k else 0.0
+        for j in range(mult)
+    ]
+    if root is not None:
+        numer = [(z - root) * a + b for a, b in zip(numer, [0.0] + numer)]
+    quo = []
+    for i in range(mult):
+        acc = numer[i]
+        for j in range(i):
+            if i - j < len(denom):
+                acc -= quo[j] * denom[i - j]
+        quo.append(acc / denom[0])
+    return quo[::-1]
 
 
 def _split(ode: OdeData, branch, root: Optional[float] = None) -> AntiderivativeF:
@@ -280,7 +314,10 @@ def _split(ode: OdeData, branch, root: Optional[float] = None) -> Antiderivative
 
     The second numerator is the one of the potential (see RadialSolution.G).
     Its degree reaches deg H when R = 0; the polynomial part of P / H is
-    then the constant 1 / lead(H), integrated as a Linear term.
+    then the constant 1 / lead(H), integrated as a Linear term. The pair
+    rho log(x - z) + conj(rho) log(x - conj(z)) at z = beta + i gamma is,
+    up to a constant, Re rho log((x - beta)^2 + gamma^2)
+    - 2 Im rho arctan((x - beta) / gamma).
     """
     H, k, profile = ode.H, ode.k, ode.roots
     for beta, gamma, mult in profile.quad_factors:
@@ -289,80 +326,22 @@ def _split(ode: OdeData, branch, root: Optional[float] = None) -> Antiderivative
                 f"quadratic factor at ({beta}, {gamma}) has multiplicity {mult}"
             )
 
-    d = len(H.coeffs) - 1
-    lin = 1.0 / H.coeffs[-1] if root is not None and k + 1 == d else 0.0
+    lin = 1.0 / H.coeffs[-1] if root is not None and k + 2 == len(H.coeffs) else 0.0
     terms = [Linear(lin)] if lin else []
-    principal = []
     for value, mult in profile.real_roots:
-        shifted = _taylor(H.coeffs, value)
-        denom = shifted[mult:]
-        assert denom and denom[0] != 0.0
-        # Taylor coefficients of P at value; (value - root) is exactly 0 at root
-        numer = [
-            float(math.comb(k, j)) * value ** (k - j) if j <= k else 0.0
-            for j in range(mult)
-        ]
-        if root is not None:
-            numer = [(value - root) * a + b for a, b in zip(numer, [0.0] + numer)]
-        quo = []
-        for i in range(mult):
-            acc = numer[i]
-            for j in range(i):
-                if i - j < len(denom):
-                    acc -= quo[j] * denom[i - j]
-            quo.append(acc / denom[0])
-        for j in range(1, mult + 1):
-            a = quo[mult - j]
-            principal.append((value, j, a))
+        for j, a in enumerate(_principal_part(H, k, value, mult, root), 1):
             if a == 0.0:
                 continue
             if j == 1:
                 terms.append(LogLinear(a, value))
             else:
                 terms.append(RecipPower(a / (1.0 - j), value, j - 1))
-
-    if profile.quad_factors:
-        # remainder after subtracting the polynomial and real-root principal
-        # parts: T = P - lin H - sum a_j H/(x-r)^j equals sum (B x + C) H/q
-        # over the quads
-        numer = np.zeros(d + 1)
-        numer[k] = 1.0
-        if root is not None:
-            numer[k] = -root
-            numer[k + 1] = 1.0
-        target = (numer - lin * np.asarray(H.coeffs))[:d]
-        for value, j, a in principal:
-            work = list(H.coeffs)
-            for _ in range(j):
-                work, _rem = _deflate_linear(work, value)
-            padded = np.zeros(d)
-            padded[: len(work)] = work
-            target -= a * padded
-        cols = []
-        pairs = []
-        for beta, gamma, _m in profile.quad_factors:
-            q = (beta * beta + gamma * gamma, -2.0 * beta, 1.0)
-            hq, rem = _poly_divmod(H.coeffs, q)
-            assert max(abs(r) for r in rem) <= 1e-9 * max(abs(h) for h in H.coeffs)
-            base = np.zeros(d)
-            base[: len(hq)] = hq
-            xbase = np.zeros(d)
-            xbase[1 : len(hq) + 1] = hq
-            cols.append(xbase)
-            cols.append(base)
-            pairs.append((beta, gamma))
-        matrix = np.column_stack(cols)
-        coef, *_ = np.linalg.lstsq(matrix, target, rcond=None)
-        resid = matrix @ coef - target
-        assert float(np.max(np.abs(resid))) <= 1e-8 * (1.0 + float(np.max(np.abs(target))))
-        for (beta, gamma), bq, cq in zip(pairs, coef[0::2], coef[1::2]):
-            bq = float(bq)
-            cq = float(cq)
-            if bq != 0.0:
-                terms.append(LogQuadratic(0.5 * bq, beta, gamma))
-            aq = (cq + bq * beta) / gamma
-            if aq != 0.0:
-                terms.append(ArcTan(aq, beta, gamma))
+    for beta, gamma, _m in profile.quad_factors:
+        (rho,) = _principal_part(H, k, complex(beta, gamma), 1, root)
+        if rho.real != 0.0:
+            terms.append(LogQuadratic(rho.real, beta, gamma))
+        if rho.imag != 0.0:
+            terms.append(ArcTan(-2.0 * rho.imag, beta, gamma))
 
     F = AntiderivativeF(tuple(terms))
     probe = probe_point(branch.A, branch.B)

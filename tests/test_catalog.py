@@ -77,6 +77,25 @@ def test_instantiate_rejects_wrong_dimension():
         instantiate("1.1.1", n=1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"params": {"a": "x"}}, "parameter a"),
+        ({"params": {"a": [1]}}, "parameter a"),
+        ({"params": {"a": None}}, "parameter a"),
+        ({"params": {"a": True}}, "parameter a"),
+        ({"params": {"a": math.inf}}, "parameter a"),
+        ({"params": {"a": math.nan}}, "parameter a"),
+        ({"params": {"n": 3.7}}, "dimension n"),
+        ({"params": {"n": "3"}}, "dimension n"),
+        ({"n": 3.9}, "dimension n"),
+    ],
+)
+def test_instantiate_rejects_malformed_parameter(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        instantiate("1.1.1", **kwargs)
+
+
 def test_instantiate_unknown_label():
     with pytest.raises(NotClassifiedError):
         instantiate("9.9.9")

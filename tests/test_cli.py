@@ -327,6 +327,16 @@ def test_catalog_constraint_violation_exits_1(validator):
     assert "alpha1 + alpha2 + 2 beta" in payload["detail"]
 
 
+def test_catalog_malformed_parameter_exits_1(validator):
+    code, out, err = run_cli(
+        ["catalog", "--label", "1.1.1", "--params", '{"a":"x"}', "--check"]
+    )
+    assert code == 1
+    payload = valid(validator, json.loads(err))
+    assert payload["error"] == "ValueError"
+    assert "parameter a" in payload["detail"]
+
+
 def test_catalog_unknown_label_is_error_json(validator):
     code, out, err = run_cli(["catalog", "--label", "9.9.9"])
     assert code == 1

@@ -152,6 +152,59 @@ def test_quadratic_factor_residues():
     assert abs(quad_t.c + 0.1) < 1e-12
     assert abs(quad_t.beta + 1.0) < 1e-9 and abs(quad_t.gamma - 1.0) < 1e-9
     assert abs(atan_t.c - 0.6) < 1e-12
+    # the potential's x (x - 1) / H = x / ((x + 1)^2 + 1) integrates to
+    # 1/2 log((x + 1)^2 + 1) - arctan(x + 1), with no log row at A = 1
+    G = gauge_from_anchor(ode, br, F, (1.0, 2.0)).G()
+    assert [type(t) for t in G.terms] == [LogQuadratic, ArcTan]
+    quad_t, atan_t = G.terms
+    assert abs(quad_t.c - 0.5) < 1e-12 and abs(atan_t.c + 1.0) < 1e-12
+    assert abs(quad_t.beta + 1.0) < 1e-9 and abs(quad_t.gamma - 1.0) < 1e-9
+
+
+def _slope_scale(F, x):
+    """Sum of the absolute slopes of F's terms at x: the size the rounding
+    of F'(x) scales with."""
+    total = 0.0
+    for t in F.terms:
+        if isinstance(t, LogLinear):
+            total += abs(t.c / (x - t.alpha))
+        elif isinstance(t, RecipPower):
+            total += abs(t.p * t.c / (x - t.alpha) ** (t.p + 1))
+        elif isinstance(t, (LogQuadratic, ArcTan)):
+            q = (x - t.beta) ** 2 + t.gamma**2
+            total += abs(t.c) * (2.0 * abs(x - t.beta) + t.gamma) / q
+        else:
+            total += abs(t.c)
+    return total
+
+
+def test_derivatives_match_integrands_on_random_problems_with_quadratic_factors():
+    # where the terms cancel far below their own size (x^k tiny near 0)
+    # no float sum reaches 1e-8 relative; the allowance is 1e-12 of the
+    # terms' slope scale there
+    rng = np.random.default_rng(12)
+    dims = set()
+    for _ in range(150):
+        n = int(rng.integers(2, 10))
+        R = float(rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])) * n * (n + 1)
+        lam, mu = rng.normal(0.0, 3.0, 2)
+        ode = build_ode(RadialProblem(n, R, lam, mu))
+        if not ode.roots.quad_factors:
+            continue
+        for br in admissible_branches(ode):
+            F = partial_fractions(ode, br)
+            G = gauge_from_anchor(ode, br, F, (1.0, quadrature.probe_point(br.A, br.B))).G()
+            if math.isinf(br.B):
+                xs = br.A + 10.0 ** rng.uniform(-2.0, 2.0, size=20)
+            else:
+                xs = br.A + (br.B - br.A) * rng.uniform(0.02, 0.98, size=20)
+            for x in map(float, xs):
+                want = x**ode.k / ode.H(x)
+                for T, w in ((F, want), (G, want * (x - br.A))):
+                    err = abs(T.derivative(x) - w)
+                    assert err <= 1e-8 * abs(w) + 1e-12 * _slope_scale(T, x)
+            dims.add(n)
+    assert dims == set(range(2, 10))
 
 
 def test_repeated_quadratic_rejected():
