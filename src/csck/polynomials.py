@@ -11,6 +11,12 @@ with its mirror image, is a quadratic factor of that multiplicity.
 Each factor is then polished on the derivative of matching order, so
 that multiple roots reach full precision.
 
+Most clusterings fail. Before one is expanded, its product is compared
+with the polynomial at one point, where coefficients within tol move the
+value by at most tol ||p||inf sum |z|^j: a larger gap (beyond rounding)
+rules it out, a necessary condition for the gate that never changes the
+clustering taken.
+
 What is certified is that backward error: every profile is rebuilt from
 its factors and compared coefficientwise with the input, relative to the
 coefficient inf-norm. Inputs that no clustering reconstructs within tol
@@ -52,7 +58,7 @@ def _deriv(cs) -> tuple[float, ...]:
 
 
 def _inf_norm(cs) -> float:
-    return max(abs(c) for c in cs)
+    return max(map(abs, cs))
 
 
 def _deflate_linear(cs, r: complex) -> tuple[tuple[complex, ...], complex]:
@@ -89,6 +95,24 @@ def _mul(a, b) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _expand(real_roots, quad_factors, leading: float) -> list[float]:
+    """Coefficients of leading * prod (x-r)^m * prod ((x-b)^2+g^2)^m, each
+    factor multiplied in with the additions in the order of _mul (so the
+    same floats)."""
+    cs = [float(leading)]
+    for r, m in real_roots:
+        for _ in range(m):
+            cs = [a - r * c for a, c in zip([0.0, *cs], [*cs, 0.0])]
+    for b, g, m in quad_factors:
+        u, v = -2.0 * b, b * b + g * g
+        for _ in range(m):
+            cs = [
+                a + c * u + e * v
+                for a, c, e in zip([0.0, 0.0, *cs], [0.0, *cs, 0.0], [*cs, 0.0, 0.0])
+            ]
+    return cs
+
+
 # ---------------------------------------------------------------------------
 # Poly
 
@@ -113,20 +137,7 @@ class Poly:
         real_roots: iterable of (root, multiplicity);
         quad_factors: iterable of (beta, gamma, multiplicity).
         """
-        # each factor is multiplied in with the additions in the order of
-        # _mul, so the coefficients are the same floats
-        cs = [float(leading)]
-        for r, m in real_roots:
-            for _ in range(m):
-                cs = [a - r * c for a, c in zip([0.0, *cs], [*cs, 0.0])]
-        for b, g, m in quad_factors:
-            u, v = -2.0 * b, b * b + g * g
-            for _ in range(m):
-                cs = [
-                    a + c * u + e * v
-                    for a, c, e in zip([0.0, 0.0, *cs], [0.0, *cs, 0.0], [*cs, 0.0, 0.0])
-                ]
-        return Poly.from_coeffs(cs)
+        return Poly.from_coeffs(_expand(real_roots, quad_factors, leading))
 
     @property
     def is_zero(self) -> bool:
@@ -175,14 +186,13 @@ class RootProfile:
 # ---------------------------------------------------------------------------
 # root candidates, numerical multiplicity and polish
 
-def _bracketed_newton(cs, dcs, a: float, b: float) -> float:
-    """Root of cs in [a, b] assuming a sign change; Newton inside the bracket.
+def _bracketed_newton(cs, dcs, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of cs in [a, b], given fa = cs(a) and fb = cs(b) of opposite
+    signs (or a zero); Newton inside the bracket.
 
     Stops on an exact zero, or when the Newton point leaves a bracket
     narrower than 4 eps (1 + |x|).
     """
-    fa = _horner(cs, a)
-    fb = _horner(cs, b)
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -226,7 +236,7 @@ def _polish(cs, r: float, m: int) -> float:
         a, b = r - delta, r + delta
         fa, fb = _horner(d, a), _horner(d, b)
         if fa == 0.0 or fb == 0.0 or (fa > 0.0) != (fb > 0.0):
-            return _bracketed_newton(d, dd, a, b)
+            return _bracketed_newton(d, dd, a, b, fa, fb)
         delta *= 8.0
     return r
 
@@ -267,7 +277,8 @@ def _candidates(cs) -> list[complex]:
     put back as exact 0.0 roots.
 
     LAPACK returns each complex pair consecutively, positive imaginary
-    part first.
+    part first. A companion matrix that is not finite (a subnormal
+    leading coefficient) raises IllConditionedError.
     """
     z = next(i for i, c in enumerate(cs) if c != 0.0)
     tail = cs[z:]
@@ -276,7 +287,10 @@ def _candidates(cs) -> list[complex]:
     if d > 0:
         comp = np.eye(d, k=-1)
         comp[:, -1] = [-c / tail[-1] for c in tail[:-1]]
-        zs.extend(complex(w) for w in np.linalg.eigvals(comp))
+        try:
+            zs.extend(complex(w) for w in np.linalg.eigvals(comp))
+        except np.linalg.LinAlgError as exc:
+            raise IllConditionedError(math.inf, f"companion eigenvalues failed: {exc}") from None
     return zs
 
 
@@ -286,28 +300,42 @@ def _clusterings(zs) -> tuple[list[int], list[list[int]]]:
 
     Pairs merge in order of increasing |zi - zj| / (1 + max(|zi|, |zj|)),
     each together with its conjugate pair, so every partition is closed
-    under conjugation.
+    under conjugation. The last partition is one cluster.
     """
     conj = list(range(len(zs)))
     for i, w in enumerate(zs):
         if w.imag > 0.0:
             conj[i], conj[i + 1] = i + 1, i
+    mags = [abs(w) for w in zs]
     pairs = sorted(
-        (abs(zi - zj) / (1.0 + max(abs(zi), abs(zj))), i, j)
+        (abs(zi - zj) / (1.0 + max(mags[i], mags[j])), i, j)
         for i, zi in enumerate(zs)
         for j, zj in enumerate(zs[i + 1:], i + 1)
     )
     label = list(range(len(zs)))
     out = [label]
+    left = len(zs)
     for _, i, j in pairs:
+        if left == 1:
+            break
         new = label
         for a, b in ((i, j), (conj[i], conj[j])):
             if new[a] != new[b]:
                 new = [new[a] if lb == new[b] else lb for lb in new]
+                left -= 1
         if new is not label:
             label = new
             out.append(label)
     return conj, out
+
+
+def _centroids(zs, label) -> tuple[dict[int, complex], dict[int, int]]:
+    """Centroid and size of each cluster, by label in order of first member."""
+    sums, sizes = {}, {}
+    for w, lb in zip(zs, label):
+        sums[lb] = sums.get(lb, 0j) + w
+        sizes[lb] = sizes.get(lb, 0) + 1
+    return {lb: w / sizes[lb] for lb, w in sums.items()}, sizes
 
 
 def _factors(zs, conj, label):
@@ -317,52 +345,69 @@ def _factors(zs, conj, label):
     cluster and its mirror, the one with the smaller label stands for
     the quadratic factor.
     """
-    clusters: dict[int, list[complex]] = {}
-    mirror = {}
-    for i, lb in enumerate(label):
-        clusters.setdefault(lb, []).append(zs[i])
-        mirror[lb] = label[conj[i]]
+    cent, sizes = _centroids(zs, label)
+    mirror = {lb: label[conj[i]] for i, lb in enumerate(label)}
     reals, quads = [], []
-    for lb, members in clusters.items():
-        c = sum(members) / len(members)
+    for lb, c in cent.items():
         if mirror[lb] == lb:
-            reals.append((c.real, len(members)))
+            reals.append((c.real, sizes[lb]))
         elif lb < mirror[lb]:
-            quads.append((c.real, abs(c.imag), len(members)))
+            quads.append((c.real, abs(c.imag), sizes[lb]))
     return reals, quads
+
+
+def _misses(cs, zs, label, tol: float) -> bool:
+    """Whether the product of a clustering misses cs at one point by more
+    than _residual <= tol allows; the gate can pass only when it does not.
+
+    q = lead * prod_k (x - c_k)^m_k over the clusters' centroids (exactly
+    real for a cluster closed under conjugation) is compared with p at
+    the candidate z farthest from its centroid, where p nearly vanishes.
+    Since |e(z)| <= ||e||inf S for any coefficients e, S = sum_{j<=d} |z|^j,
+    a passing gate puts its expansion q~ within tol ||p||inf S of p(z).
+    Rounding (u = eps/2, first order, no underflow or overflow) adds, with
+    P = prod_k (1 + |c_k|)^m_k and prod_k (|z| + |c_k|)^m_k <= P S:
+    - 2d u |lead| P S for the expansion, at 2 roundings per degree;
+    - (sqrt 5 + 1)(d + 1) u |lead| P S for the product at z, which rounds
+      at most d times (CPython raises a complex to an integer power m by
+      repeated squaring, which rounds at most m - 1 times);
+    - (sqrt 5 + 1) d u ||p||inf S for Horner at z.
+    So with gamma = 4 (d + 1) eps the clustering is ruled out only when
+    the gap exceeds twice
+        (tol ||p||inf + gamma (|lead| P + ||p||inf)) S,
+    the factor 2 covering the rounding of this bound and of the gate's
+    quotient. A gap that is not finite, or an overflow, rules nothing out.
+    """
+    cent, sizes = _centroids(zs, label)
+    far = -1.0
+    for w, lb in zip(zs, label):
+        if abs(w - cent[lb]) > far:
+            far, z = abs(w - cent[lb]), w
+    q, lead_p = cs[-1], abs(cs[-1])
+    try:
+        for lb, c in cent.items():
+            q *= (z - c) ** sizes[lb]
+            lead_p *= (1.0 + abs(c)) ** sizes[lb]
+    except OverflowError:
+        return False
+    pz, s, r = 0j, 0.0, abs(z)
+    for a in reversed(cs):
+        pz = pz * z + a
+        s = s * r + 1.0
+    norm = _inf_norm(cs)
+    bound = 2.0 * (tol * norm + 4.0 * len(cs) * _EPS * (lead_p + norm)) * s
+    gap = q - pz
+    return bound < math.hypot(gap.real, gap.imag) < math.inf
 
 
 def _residual(cs, real_roots, quad_factors) -> float:
     """Coefficient inf-norm of the factors' product minus cs, relative to cs."""
-    recon = Poly.from_factors(real_roots, quad_factors, cs[-1]).coeffs
+    recon = _expand(real_roots, quad_factors, cs[-1])
     return max(abs(a - b) for a, b in zip(recon, cs)) / _inf_norm(cs)
 
 
-def real_root_profile(p: Poly, tol: float = 1e-9) -> RootProfile:
-    """Real factorization of p with the coarsest multiplicities tol allows.
-
-    The companion eigenvalues merge into clusters, closest pairs first
-    and always with their conjugates; the coarsest clustering whose
-    product, expanded from the cluster centroids, reconstructs p within
-    tol relative to the coefficient inf-norm fixes the multiplicities.
-    Its factors are then polished, and the polished product is held to
-    the same bound: IllConditionedError (with the residual attached) is
-    raised when it misses p by more than tol.
-    """
-    if p.is_zero:
-        raise ZeroPolyError("cannot factor the zero polynomial")
-    if p.degree < 1:
-        raise ValueError("degree >= 1 required")
-    cs = p.coeffs
-    zs = _candidates(cs)
-    conj, labels = _clusterings(zs)
-    # when no clustering passes, the loop ends on the finest one, which
-    # the gate below then rejects
-    for label in reversed(labels):
-        reals, quads = _factors(zs, conj, label)
-        if _residual(cs, reals, quads) <= tol:
-            break
-
+def _certified(cs, reals, quads, tol: float) -> RootProfile:
+    """Polish the factors of a clustering and hold their product to tol."""
     real_roots = sorted((_polish(cs, r, m), m) for r, m in reals)
     quad_factors = []
     for beta, gamma, m in quads:
@@ -375,6 +420,38 @@ def real_root_profile(p: Poly, tol: float = 1e-9) -> RootProfile:
     if any(g <= 0.0 for _, g, _ in quad_factors):
         raise IllConditionedError(1.0, "quadratic factor degenerated to a real pair")
     residual = _residual(cs, real_roots, quad_factors)
-    if residual > tol:
+    if not residual <= tol:
         raise IllConditionedError(residual, "reconstruction residual exceeds tolerance")
     return RootProfile(tuple(real_roots), tuple(quad_factors), cs[-1])
+
+
+def real_root_profile(p: Poly, tol: float = 1e-9) -> RootProfile:
+    """Real factorization of p with the coarsest multiplicities tol allows.
+
+    The companion eigenvalues merge into clusters, closest pairs first
+    and always with their conjugates; the coarsest clustering whose
+    product, expanded from the cluster centroids, reconstructs p within
+    tol relative to the coefficient inf-norm fixes the multiplicities.
+    A clustering whose product misses p at one point by more than that
+    bound allows is ruled out before it is expanded (_misses). The
+    factors are then polished, and the polished product is held to the
+    same bound: IllConditionedError (with the residual attached) is
+    raised when it misses p by more than tol, or when the residual is
+    nan. A coefficient that is not finite raises ValueError.
+    """
+    if p.is_zero:
+        raise ZeroPolyError("cannot factor the zero polynomial")
+    if p.degree < 1:
+        raise ValueError("degree >= 1 required")
+    cs = p.coeffs
+    if not all(map(math.isfinite, cs)):
+        raise ValueError(f"coefficients must be finite, got {list(cs)}")
+    zs = _candidates(cs)
+    conj, labels = _clusterings(zs)
+    for label in reversed(labels[1:]):
+        if not _misses(cs, zs, label, tol) and _residual(cs, *_factors(zs, conj, label)) <= tol:
+            break
+    else:
+        # the finest clustering stands, and _certified decides on it
+        label = labels[0]
+    return _certified(cs, *_factors(zs, conj, label), tol)

@@ -337,6 +337,16 @@ def test_catalog_malformed_parameter_exits_1(validator):
     assert "parameter a" in payload["detail"]
 
 
+def test_subnormal_leading_coefficient_exits_1(validator):
+    # -R/6 = -1.7e-311 is subnormal, so the companion matrix of H overflows
+    code, out, err = run_cli(
+        ["classify", "--n", "2", "--scalar", "1e-310", "--lambda", "0", "--mu", "1"]
+    )
+    assert code == 1 and out == ""
+    payload = valid(validator, json.loads(err))
+    assert payload["error"] == "IllConditionedError"
+
+
 def test_catalog_unknown_label_is_error_json(validator):
     code, out, err = run_cli(["catalog", "--label", "9.9.9"])
     assert code == 1

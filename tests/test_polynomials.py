@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csck import RadialProblem, build_ode
+from csck.cases import CASES
+from csck.catalog import instantiate
 from csck.errors import IllConditionedError, ZeroPolyError
-from csck.polynomials import Poly, _bairstow_polish, real_root_profile
+from csck.polynomials import (
+    Poly,
+    _bairstow_polish,
+    _candidates,
+    _certified,
+    _clusterings,
+    _factors,
+    _misses,
+    _residual,
+    real_root_profile,
+)
 
 
 def test_zero_poly_has_no_degree():
@@ -278,3 +291,132 @@ def test_bairstow_polish_lands_on_the_planted_factor():
     p = Poly.from_factors([(3.0, 1), (-1.0, 1)], quad_factors=[(1.0, 2.0, 1)])
     beta, gamma = _bairstow_polish(p.coeffs, 1.1, 1.8)
     assert abs(beta - 1.0) <= 1e-15 and abs(gamma - 2.0) <= 1e-15
+
+
+def test_non_finite_coefficient_is_a_value_error():
+    for coeffs in ([math.nan, 1.0], [1.0, math.inf], [1.0, -math.inf, 2.0]):
+        with pytest.raises(ValueError, match="finite"):
+            real_root_profile(Poly.from_coeffs(coeffs))
+
+
+def test_subnormal_leading_coefficient_is_ill_conditioned():
+    # H for n = 2, R = 1e-310, lambda = 0, mu = 1: the companion column
+    # -c / lead overflows to inf
+    H = build_ode(RadialProblem(2, 1e-310, 0.0, 1.0)).H
+    assert 0.0 < abs(H.coeffs[-1]) < np.finfo(float).tiny
+    with pytest.raises(IllConditionedError, match="companion"):
+        real_root_profile(H)
+
+
+def test_nan_residual_fails_the_gate():
+    # a nan factor gives a nan residual, which must fail the gate
+    p = Poly.from_coeffs((-2.0, 0.0, 1.0))
+    with pytest.raises(IllConditionedError) as exc:
+        _certified(p.coeffs, [(math.nan, 1), (1.0, 1)], [], 1e-9)
+    assert math.isnan(exc.value.residual)
+    # on these finite coefficients Bairstow's polish runs to nan; a
+    # profile that comes back must hold finite values only
+    p = Poly.from_coeffs((
+        -1.0849280332619938e148, 8.460773411980591e-110, 7.554177926754768e148,
+        2.5520375963930557e-193, 3.019071752253796e-200, 22.160840168144805,
+        -2.0004810686191745e-119, -9.485447622151063e-71, -3.809210403638828e-74,
+    ))
+    try:
+        prof = real_root_profile(p)
+    except IllConditionedError:
+        return
+    values = [v for r in prof.real_roots for v in r] + [v for q in prof.quad_factors for v in q]
+    assert all(math.isfinite(v) for v in values), prof
+
+
+def _H(n, R, lam, mu):
+    return build_ode(RadialProblem(n, R, lam, mu)).H
+
+
+def _seeded_H(seed, draws, planted):
+    """H from sweep-like draws (n in 2..11, R in {0, +-1/2, +-1, +-2} n(n+1),
+    lambda and mu from N(0, 3^2)), and H with a planted double or triple
+    root at a, each also with mu moved by t tol ||H||inf, t log-uniform in
+    [0.1, 10], which splits the root so that the residual of merging it
+    again lies within 10x of tol."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(draws):
+        n = int(rng.integers(2, 12))
+        R = float(rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])) * n * (n + 1)
+        lam, mu = (float(v) for v in rng.normal(0.0, 3.0, 2))
+        out.append(_H(n, R, lam, mu))
+    for i in range(planted):
+        n = int(rng.integers(2, 12))
+        if i % 2:
+            # H'' vanishes at a = (n - 1)/R as well: a triple root
+            R = float(rng.choice([0.5, 1.0, 2.0, -0.5, -1.0])) * n * (n + 1)
+            a = (n - 1) / R
+        else:
+            R = float(rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])) * n * (n + 1)
+            a = float(rng.uniform(-2.0, 2.0))
+        lam = R / n * a**n - n * a ** (n - 1)
+        mu = R / (n * (n + 1)) * a ** (n + 1) - a**n - lam * a
+        H = _H(n, R, lam, mu)
+        out.append(H)
+        for _ in range(2):
+            t = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-1.0, 1.0)
+            out.append(_H(n, R, lam, mu + t * 1e-9 * max(map(abs, H.coeffs))))
+    return out
+
+
+def _catalog_H():
+    return [
+        build_ode(instantiate(label, n=n)[0]).H
+        for label, fix in sorted(CASES.items())
+        for n in ((2, 3) if fix.n_is_free else (None,))
+    ]
+
+
+def test_point_test_never_rejects_a_clustering_that_passes_the_gate():
+    tol = 1e-9
+    near_below = near_above = ruled_out = 0
+    for H in _seeded_H(31, 300, 300) + _catalog_H():
+        cs = H.coeffs
+        zs = _candidates(cs)
+        conj, labels = _clusterings(zs)
+        for label in labels:
+            residual = _residual(cs, *_factors(zs, conj, label))
+            missed = _misses(cs, zs, label, tol)
+            if residual <= tol:
+                assert not missed, (cs, label, residual)
+                near_below += residual >= 0.1 * tol
+            else:
+                near_above += residual <= 10.0 * tol
+                ruled_out += missed
+    # the near-double pairs put residuals on both sides of tol, and the
+    # point test rules out most clusterings that fail the gate
+    assert near_below >= 50 and near_above >= 50
+    assert ruled_out >= 2000
+
+
+def _scan_every_clustering(p, tol=1e-9):
+    """real_root_profile without the point test: every clustering is
+    expanded, coarsest first, until one passes the gate."""
+    cs = p.coeffs
+    zs = _candidates(cs)
+    conj, labels = _clusterings(zs)
+    for label in reversed(labels):
+        reals, quads = _factors(zs, conj, label)
+        if _residual(cs, reals, quads) <= tol:
+            break
+    return _certified(cs, reals, quads, tol)
+
+
+def _outcome(profile_of, p):
+    try:
+        return profile_of(p)
+    except IllConditionedError as exc:
+        return ("IllConditionedError", repr(exc.residual))
+
+
+def test_point_test_leaves_every_profile_as_the_full_scan_has_it():
+    Hs = _seeded_H(2027, 2000, 500) + _catalog_H()
+    assert len(Hs) >= 3000
+    for H in Hs:
+        assert _outcome(real_root_profile, H) == _outcome(_scan_every_clustering, H), H
