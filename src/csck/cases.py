@@ -5,8 +5,8 @@ Every family is one factorization of the slope polynomial
     H(x) = -c x^(n+1) + x^n + lambda x + mu = lead * prod (x - r)^m * q,
 
 with c = R / (n (n + 1)) the curvature factor, lead = -c (or 1 when
-c = 0) and q an optional factor (x - beta)^2 + gamma^2. A family is
-written once, as a spec:
+c = 0) and q an optional factor (x - beta)^2 + gamma^2. A family is one
+CaseFixture record, written once. Its root pattern is:
 
 - roots(p, n): the real roots and multiplicities, increasing in value;
 - quad: the names of the (beta, gamma) parameters of q, if present;
@@ -21,9 +21,10 @@ written once, as a spec:
   next root, or infinity after the last one.
 
 validate, lambda_mu (through Poly.from_factors), branch_range,
-labels_for, canonical_label and match_label are derived from the specs.
-The verdict, the branch kind and the oracles are written by hand: the
-closed form g(s) and the implicit identity F(g) = log s + c.
+labels_for, canonical_label and match_label are derived from the root
+pattern. The record also holds what is written by hand: the verdict,
+the branch kind and the oracles, the closed form g(s) and the implicit
+identity F(g) = log s + c.
 
 reference_F closures return F already divided by the overall scale of
 the identity, so F'(x) = x^(n-1) / H(x) holds exactly and cross checks
@@ -48,106 +49,112 @@ _EQ_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CaseFixture:
-    """One solution family, with enough data to rebuild and verify it."""
+    """One solution family: its root pattern (see the module docstring),
+    its outcome and its oracles."""
 
     label: str
     n: int
     curv_factor: int  # R = curv_factor * n * (n + 1)
-    param_names: tuple
     defaults: dict
-    n_is_free: bool
     verdict: str
     kind: Optional[str]
-    validate: Callable
-    lambda_mu: Callable
-    branch_range: Optional[Callable]
-    closed_form: Optional[Callable]
-    reference_F: Optional[Callable]
+    roots: Callable
+    quad: Optional[tuple] = None
+    ineqs: tuple = ()
+    eqs: tuple = ()
+    window: Optional[int] = None
+    n_is_free: bool = False
+    closed_form: Optional[Callable] = None
+    reference_F: Optional[Callable] = None
+
+    @property
+    def param_names(self) -> tuple:
+        return tuple(self.defaults)
+
+    @property
+    def branch_range(self) -> Optional[Callable]:
+        """p |-> (A, B), the expected window; None without a window."""
+        return None if self.window is None else self._window_ends
 
     def curvature(self, n=None) -> float:
         m = self.n if n is None else n
         return float(self.curv_factor * m * (m + 1))
 
+    def _coeffs(self, p):
+        # the dimension-free families have lambda = mu = 0 in every
+        # dimension, so expanding them at the fixture n serves
+        quads = ((p[self.quad[0]], p[self.quad[1]], 1),) if self.quad else ()
+        lead = float(-self.curv_factor or 1)
+        return Poly.from_factors(self.roots(p, self.n), quads, lead).coeffs
+
+    def validate(self, p):
+        for text, holds in self.ineqs:
+            if not holds(p):
+                raise ConstraintViolationError(self.label, text)
+        if not self.eqs:
+            return
+        cs = self._coeffs(p)
+        top = self.n if self.curv_factor else self.n - 1
+        for j, text in zip(range(top, 1, -1), self.eqs):
+            target = 1.0 if j == self.n else 0.0
+            if not abs(cs[j] - target) <= _EQ_TOL:
+                raise ConstraintViolationError(self.label, text)
+
+    def lambda_mu(self, p):
+        cs = self._coeffs(p)
+        # + 0.0 turns the signed zero an exact zero root can leave into 0.0
+        return float(cs[1]) + 0.0, float(cs[0]) + 0.0
+
+    def _window_ends(self, p):
+        values = [r for r, _ in self.roots(p, self.n)]
+        right = self.window + 1
+        return values[self.window], values[right] if right < len(values) else math.inf
+
+    def match_key(self, n):
+        """What match_label sees of the default member in dimension n."""
+        roots = self.roots(self.defaults, n)
+        return _match_key(n, self.curvature(n), roots, self.quad is not None)
+
 
 # ---------------------------------------------------------------------------
 # closed forms for g(s)
 
-def _g_linear(a):
-    return FunctionHandle(
-        value=lambda s: a * s,
-        deriv=lambda s: a,
-        second=lambda s: 0.0,
-    )
-
-
 def _g_affine(a, b):
-    return FunctionHandle(
-        value=lambda s: a * s + b,
-        deriv=lambda s: a,
-        second=lambda s: 0.0,
-    )
+    return FunctionHandle(value=lambda s: a * s + b, deriv=lambda s: a)
 
 
 def _g_round_sphere(a):
     # g = s / (s + a), the smooth positive-curvature profile
-    return FunctionHandle(
-        value=lambda s: s / (s + a),
-        deriv=lambda s: a / (s + a) ** 2,
-        second=lambda s: -2.0 * a / (s + a) ** 3,
-    )
+    return FunctionHandle(value=lambda s: s / (s + a), deriv=lambda s: a / (s + a) ** 2)
 
 
 def _g_power_pole(a, k):
     # g = (k + 1)/2 - k a / (s^k + a), increasing from (1-k)/2 to (1+k)/2
-    def value(s):
-        return 0.5 * (k + 1.0) - k * a / (s**k + a)
-
-    def deriv(s):
-        return a * k * k * s ** (k - 1.0) / (s**k + a) ** 2
-
-    def second(s):
-        w = s**k + a
-        return a * k * k * s ** (k - 2.0) * ((k - 1.0) * w - 2.0 * k * s**k) / w**3
-
-    return FunctionHandle(value=value, deriv=deriv, second=second)
+    return FunctionHandle(
+        value=lambda s: 0.5 * (k + 1.0) - k * a / (s**k + a),
+        deriv=lambda s: a * k * k * s ** (k - 1.0) / (s**k + a) ** 2,
+    )
 
 
 def _g_hyperbolic_sqrt(a, b):
     # g = a sqrt(s^2 + b^2)
-    def value(s):
-        return a * math.sqrt(s * s + b * b)
-
-    def deriv(s):
-        return a * s / math.sqrt(s * s + b * b)
-
-    def second(s):
-        return a * b * b / (s * s + b * b) ** 1.5
-
-    return FunctionHandle(value=value, deriv=deriv, second=second)
-
-
-def _g_unit_ball(_unused=None):
-    # g = s / (1 - s) on (0, 1)
     return FunctionHandle(
-        value=lambda s: s / (1.0 - s),
-        deriv=lambda s: 1.0 / (1.0 - s) ** 2,
-        second=lambda s: 2.0 / (1.0 - s) ** 3,
+        value=lambda s: a * math.sqrt(s * s + b * b),
+        deriv=lambda s: a * s / math.sqrt(s * s + b * b),
     )
+
+
+def _g_unit_ball():
+    # g = s / (1 - s) on (0, 1)
+    return FunctionHandle(value=lambda s: s / (1.0 - s), deriv=lambda s: 1.0 / (1.0 - s) ** 2)
 
 
 def _g_ball_power(k):
     # g = -(k + 1)/2 + k / (1 - s^k) on (0, 1)
-    def value(s):
-        return -0.5 * (k + 1.0) + k / (1.0 - s**k)
-
-    def deriv(s):
-        return k * k * s ** (k - 1.0) / (1.0 - s**k) ** 2
-
-    def second(s):
-        w = 1.0 - s**k
-        return k * k * s ** (k - 2.0) * ((k - 1.0) * w + 2.0 * k * s**k) / w**3
-
-    return FunctionHandle(value=value, deriv=deriv, second=second)
+    return FunctionHandle(
+        value=lambda s: -0.5 * (k + 1.0) + k / (1.0 - s**k),
+        deriv=lambda s: k * k * s ** (k - 1.0) / (1.0 - s**k) ** 2,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +388,7 @@ def _F_ball_double(p):
 
 
 # ---------------------------------------------------------------------------
-# root-pattern specs
+# root patterns
 
 _COMPARE = {"<": operator.lt, ">": operator.gt, "!=": operator.ne}
 
@@ -403,56 +410,6 @@ def _clause(text):
         return all(op(a, b) for op, a, b in zip(ops, v, v[1:]))
 
     return text, holds
-
-
-@dataclass(frozen=True)
-class _Spec:
-    """Root pattern of one family; see the module docstring."""
-
-    label: str
-    n: int
-    curv_factor: int
-    defaults: dict
-    roots: Callable
-    quad: Optional[tuple]
-    ineqs: tuple
-    eqs: tuple
-    window: Optional[int]
-
-    def _coeffs(self, p):
-        # the dimension-free families have lambda = mu = 0 in every
-        # dimension, so expanding them at the fixture n serves
-        quads = ((p[self.quad[0]], p[self.quad[1]], 1),) if self.quad else ()
-        lead = float(-self.curv_factor or 1)
-        return Poly.from_factors(self.roots(p, self.n), quads, lead).coeffs
-
-    def validate(self, p):
-        for text, holds in self.ineqs:
-            if not holds(p):
-                raise ConstraintViolationError(self.label, text)
-        if not self.eqs:
-            return
-        cs = self._coeffs(p)
-        top = self.n if self.curv_factor else self.n - 1
-        for j, text in zip(range(top, 1, -1), self.eqs):
-            target = 1.0 if j == self.n else 0.0
-            if not abs(cs[j] - target) <= _EQ_TOL:
-                raise ConstraintViolationError(self.label, text)
-
-    def lambda_mu(self, p):
-        cs = self._coeffs(p)
-        # + 0.0 turns the signed zero an exact zero root can leave into 0.0
-        return float(cs[1]) + 0.0, float(cs[0]) + 0.0
-
-    def branch_range(self, p):
-        values = [r for r, _ in self.roots(p, self.n)]
-        right = self.window + 1
-        return values[self.window], values[right] if right < len(values) else math.inf
-
-    def match_key(self, n):
-        """What match_label sees of the default member in dimension n."""
-        R = float(self.curv_factor * n * (n + 1))
-        return _match_key(n, R, self.roots(self.defaults, n), self.quad is not None)
 
 
 def _match_key(n, R, roots, has_quad):
@@ -484,28 +441,9 @@ _FINITE = ("FiniteExtensionOnly", "FiniteExtension")
 _NONE = ("Nonexistent", None)
 
 
-def _family(
-    label, n, curv_factor, defaults, outcome, roots, *, quad=None, ineqs=(),
-    eqs=(), window=None, closed_form=None, reference_F=None, n_is_free=False,
-):
+def _family(label, n, curv_factor, defaults, outcome, roots, *, ineqs=(), **fields):
     ineqs = tuple(_clause(text) for text in ineqs)
-    spec = _Spec(label, n, curv_factor, defaults, roots, quad, ineqs, eqs, window)
-    fixture = CaseFixture(
-        label=label,
-        n=n,
-        curv_factor=curv_factor,
-        param_names=tuple(defaults),
-        defaults=dict(defaults),
-        n_is_free=n_is_free,
-        verdict=outcome[0],
-        kind=outcome[1],
-        validate=spec.validate,
-        lambda_mu=spec.lambda_mu,
-        branch_range=None if window is None else spec.branch_range,
-        closed_form=closed_form,
-        reference_F=reference_F,
-    )
-    return spec, fixture
+    return CaseFixture(label, n, curv_factor, defaults, *outcome, roots, ineqs=ineqs, **fields)
 
 
 _SQ5 = math.sqrt(5.0)
@@ -519,7 +457,7 @@ _ALL = (
     # smooth metrics on the whole of C^n, any dimension
     _family(
         "1.1.1", 2, 0, {"a": 1.0}, _SMOOTH, _origin, ineqs=("a > 0",), window=0,
-        closed_form=lambda p: _g_linear(p["a"]), reference_F=_F_log, n_is_free=True,
+        closed_form=lambda p: _g_affine(p["a"], 0.0), reference_F=_F_log, n_is_free=True,
     ),
     _family(
         "1.1.2", 2, 1, {"a": 1.0}, _SMOOTH, _sphere, ineqs=("a > 0",), window=0,
@@ -530,7 +468,7 @@ _ALL = (
     # n = 2, R = 0
     _family(
         "1.2.1", 2, 0, {"a": 1.0, "b": 0.0}, _SMOOTH, _origin, ineqs=("a > 0",),
-        window=0, closed_form=lambda p: _g_linear(p["a"]), reference_F=_F_log,
+        window=0, closed_form=lambda p: _g_affine(p["a"], 0.0), reference_F=_F_log,
     ),
     _family(
         "1.2.2", 2, 0, {"a": 1.0, "b": 1.0}, _SINGULAR,
@@ -571,7 +509,7 @@ _ALL = (
     # n = 3, R = 0
     _family(
         "1.4.1", 3, 0, {"a": 1.0, "b": 0.0}, _SMOOTH, _origin, ineqs=("a > 0",),
-        window=0, closed_form=lambda p: _g_linear(p["a"]), reference_F=_F_log,
+        window=0, closed_form=lambda p: _g_affine(p["a"], 0.0), reference_F=_F_log,
     ),
     _family(
         "1.4.2", 3, 0, {"a": 1.0, "b": 1.0}, _SINGULAR,
@@ -683,14 +621,13 @@ _ALL = (
     ),
 )
 
-_SPECS = {spec.label: spec for spec, _ in _ALL}
-CASES = {fix.label: fix for _, fix in _ALL}
+CASES = {fix.label: fix for fix in _ALL}
 
 # One entry per windowed family of a fixed dimension: the multiplicity
 # sequence, the positions of exact zero roots and the presence of a
 # quadratic factor tell apart the families of one (n, R) table.
 _MATCH = {
-    _SPECS[label].match_key(fix.n): label
+    fix.match_key(fix.n): label
     for label, fix in CASES.items()
     if fix.branch_range is not None and not fix.n_is_free
 }
@@ -710,7 +647,7 @@ def canonical_label(label, n):
     fix = CASES.get(label)
     if fix is None or not fix.n_is_free or fix.branch_range is None:
         return label
-    return _MATCH.get(_SPECS[label].match_key(n), label)
+    return _MATCH.get(fix.match_key(n), label)
 
 
 def labels_for(n, r_sign):

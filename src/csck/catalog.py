@@ -184,14 +184,12 @@ def cross_check(
         "classify", classify, problem, allow_finite_extension=allow_fe
     )
     verdict = str(case_report.verdict.value)
+    if verdict != fix.verdict:
+        raise StageError(
+            "classify",
+            NotClassifiedError(f"verdict {verdict}, catalogue expects {fix.verdict}"),
+        )
     if expected is None:
-        if verdict != fix.verdict:
-            raise StageError(
-                "classify",
-                NotClassifiedError(
-                    f"verdict {verdict}, catalogue expects {fix.verdict}"
-                ),
-            )
         return CrossCheckReport(
             label=label,
             n=problem.n,
@@ -202,13 +200,6 @@ def cross_check(
             verification=None,
         )
 
-    if verdict != expected.verdict:
-        raise StageError(
-            "classify",
-            NotClassifiedError(
-                f"verdict {verdict}, catalogue expects {expected.verdict}"
-            ),
-        )
     branch = _run_stage("classify", _matching_branch, case_report.branches, expected)
 
     ode = case_report.ode

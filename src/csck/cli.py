@@ -407,9 +407,13 @@ def _read_samples(path):
         if len(parts) != len(CSV_COLUMNS):
             raise CsckError(f"malformed row in {path}: {line!r}")
         try:
-            rows.append(tuple(float(p) for p in parts))
+            row = tuple(float(p) for p in parts)
         except ValueError as exc:
             raise CsckError(f"malformed row in {path}: {line!r}") from exc
+        # a nan would drop out of the max() of every check below
+        if not all(map(math.isfinite, row)):
+            raise CsckError(f"malformed row in {path}: {line!r}")
+        rows.append(row)
     if not rows:
         raise CsckError(f"no sample rows in {path}")
     return rows

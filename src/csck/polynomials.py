@@ -8,6 +8,10 @@ expanded from the cluster centroids, reconstructs the polynomial within
 the backward tolerance. A cluster closed under conjugation is a real
 root, with the cluster's size as its multiplicity; any other cluster,
 with its mirror image, is a quadratic factor of that multiplicity.
+A zero low-order coefficient is an exact root 0.0, never clustered with
+a nonzero eigenvalue, so an H with no such coefficient pays nothing for
+the rule. Without it, a simple root e with e^2 / 4 below the tolerance
+would merge with 0.0 into a double root at e / 2 that passes the gate.
 Each factor is then polished on the derivative of matching order, so
 that multiple roots reach full precision.
 
@@ -300,7 +304,9 @@ def _clusterings(zs) -> tuple[list[int], list[list[int]]]:
 
     Pairs merge in order of increasing |zi - zj| / (1 + max(|zi|, |zj|)),
     each together with its conjugate pair, so every partition is closed
-    under conjugation. The last partition is one cluster.
+    under conjugation. The exact zeros that _candidates lists first never
+    merge with a nonzero candidate. The last partition is one cluster, or
+    the zeros and one cluster of the rest.
     """
     conj = list(range(len(zs)))
     for i, w in enumerate(zs):
@@ -312,6 +318,9 @@ def _clusterings(zs) -> tuple[list[int], list[list[int]]]:
         for i, zi in enumerate(zs)
         for j, zj in enumerate(zs[i + 1:], i + 1)
     )
+    zeros = next((i for i, w in enumerate(zs) if w), len(zs))
+    if zeros:
+        pairs = [t for t in pairs if not t[1] < zeros <= t[2]]
     label = list(range(len(zs)))
     out = [label]
     left = len(zs)

@@ -192,11 +192,15 @@ def recover_constants(
 
 
 def ode_residual(samples: Iterable[tuple[float, float, float]], ode: OdeData) -> float:
-    """Max relative defect of s g^k g' = H(g) over (s, g, g') samples."""
+    """Max relative defect of s g^k g' = H(g) over (s, g, g') samples;
+    nan when a sample's defect is nan."""
     worst = 0.0
     for s, gv, gd in samples:
         hg = ode.H(gv)
         if hg == 0.0:
             raise EndpointSampleError(f"H(g)=0 at s={s:.6g}, g={gv:.6g}")
-        worst = max(worst, abs(s * gv**ode.k * gd - hg) / (1.0 + abs(hg)))
+        defect = abs(s * gv**ode.k * gd - hg) / (1.0 + abs(hg))
+        # max() would keep worst over a nan defect; a nan worst stays
+        if defect > worst or math.isnan(defect):
+            worst = defect
     return worst

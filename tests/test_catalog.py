@@ -162,6 +162,16 @@ def test_cross_check_all_fixtures(label):
         assert report.reference_deviation < 1e-9
 
 
+@pytest.mark.parametrize("k", [0.9999, 0.99999, 0.999999])
+def test_cross_check_power_pole_with_a_root_next_to_zero(k):
+    # H = -x (x - (1 - k)/2) (x - (1 + k)/2) with mu = 0 exactly: the
+    # root 0 and the left window end must stay two simple roots
+    report = cross_check("1.3.2", {"k": k})
+    assert report.branch_window == pytest.approx((0.5 * (1.0 - k), 0.5 * (1.0 + k)))
+    assert report.verification.kahler_ok
+    assert report.verification.max_curvature_residual < 1e-10
+
+
 def test_stage_failures_carry_the_stage_tag(monkeypatch):
     def boom(sol, n_samples):
         raise RuntimeError("forced failure")

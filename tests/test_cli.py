@@ -240,6 +240,27 @@ def test_verify_reingests_solve_output(tmp_path, validator):
     assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize("column", range(7))
+@pytest.mark.parametrize("row", [1, 3])
+def test_verify_rejects_a_nan_entry(tmp_path, row, column):
+    # line 1 is the first sample row, line 3 a later one
+    path = tmp_path / "nan.csv"
+    run_cli(
+        [
+            "solve", "--n", "2", "--scalar", "6", "--lambda", "0", "--mu", "0",
+            "--anchor", "1,0.5", "--samples", "5", "--output", str(path),
+        ]
+    )
+    lines = path.read_text().splitlines()
+    parts = lines[row].split(",")
+    parts[column] = "nan"
+    lines[row] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["verify", "--input", str(path), "--n", "2", "--scalar", "6"])
+    assert (code, out) == (1, "")
+    assert "malformed row" in json.loads(err)["detail"]
+
+
 def test_verify_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("s,g,u\n1,1,1\n")

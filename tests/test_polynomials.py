@@ -73,6 +73,17 @@ def test_full_degree_multiple_root():
     assert abs(r - 1.0) < 1e-10
 
 
+def test_exact_zero_root_is_never_merged_with_a_nonzero_one():
+    # x (x - e) with e^2 / 4 below tol would pass the gate as a double
+    # root at e / 2; the zero coefficient makes 0.0 an exact root
+    for e in (5e-5, 5e-6, 5e-7):
+        p = Poly.from_factors([(0.0, 1), (e, 1), (1.0 - e, 1)], leading=-1.0)
+        prof = real_root_profile(p)
+        assert [m for _, m in prof.real_roots] == [1, 1, 1]
+        assert prof.real_roots[0][0] == 0.0
+        assert prof.real_roots[1][0] == pytest.approx(e, rel=1e-9)
+
+
 def test_complex_pair_goes_to_quad_factor():
     p = Poly.from_coeffs((1.0, 0.0, 1.0))  # x^2 + 1
     prof = real_root_profile(p)

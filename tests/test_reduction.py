@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -135,6 +136,15 @@ def test_ode_residual_detects_perturbation():
         g = s / (s + 1.0) + 0.01
         samples.append((s, g, 1.0 / (s + 1.0) ** 2))
     assert ode_residual(samples, ode) > 1e-3
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+@pytest.mark.parametrize("row", [0, 2])
+def test_ode_residual_is_nan_for_a_nan_sample(row, column):
+    ode = build_ode(RadialProblem(n=2, R=6.0, lam=0.0, mu=0.0))
+    samples = [[s, s / (s + 1.0), 1.0 / (s + 1.0) ** 2] for s in (0.5, 1.0, 2.0, 4.0)]
+    samples[row][column] = float("nan")
+    assert math.isnan(ode_residual(samples, ode))
 
 
 def test_ode_residual_endpoint_sample():
