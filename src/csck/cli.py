@@ -76,16 +76,6 @@ def _emit(text: str, path: Optional[str]):
             fh.write(text)
 
 
-def _branch_dict(branch):
-    return {
-        "A": branch.A,
-        "B": branch.B,
-        "kind": branch.kind.value,
-        "diverges_left": branch.diverges_left,
-        "diverges_right": branch.diverges_right,
-    }
-
-
 def _classify_payload(args, report):
     return {
         "type": "classify",
@@ -95,7 +85,7 @@ def _classify_payload(args, report):
         "mu": args.mu,
         "verdict": report.verdict.value,
         "matched_case": report.matched_case,
-        "branches": [_branch_dict(b) for b in report.branches],
+        "branches": [asdict(b) for b in report.branches],
         "diagnostics": list(report.diagnostics),
     }
 
@@ -135,14 +125,14 @@ def _anchor(text):
 
 
 def _grid(text):
-    """lo:hi:count with finite lo < hi and count >= 2."""
+    """lo:hi:count with finite lo < hi, a finite span hi - lo and count >= 2."""
     try:
         lo, hi, count = text.split(":")
         lo, hi, count = _finite_float(lo), _finite_float(hi), int(count)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo:hi:count, got {text!r}") from None
-    if count < 2 or not lo < hi:
-        raise argparse.ArgumentTypeError("need lo < hi and count >= 2")
+    if count < 2 or not 0.0 < hi - lo < math.inf:
+        raise argparse.ArgumentTypeError("need lo < hi, a finite hi - lo and count >= 2")
     return lo, hi, count
 
 
@@ -217,7 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="check curvature constancy of a solution")
     _add_problem_flags(sub)
     _add_gauge_flags(sub)
-    _add_grid_flags(sub)
+    # the s-grid is verify_solution's own; only its size is a flag
+    sub.add_argument("--samples", type=_sample_count, default=200)
     _add_io_flags(sub)
     sub.add_argument("--input", help="CSV sample file produced by solve")
     sub.add_argument("--tol", type=_positive_float, default=1e-6)
@@ -384,7 +375,7 @@ def _cmd_solve(args):
         "R": args.R,
         "lambda": args.lam,
         "mu": args.mu,
-        "branch": _branch_dict(sol.branch),
+        "branch": asdict(sol.branch),
         "c": sol.c,
         "s_domain": list(sol.s_domain),
         "columns": CSV_COLUMNS,

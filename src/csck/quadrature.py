@@ -58,11 +58,8 @@ _LOG_CANCEL_TOL = 1e-9
 # relative bracket width at which a Newton point outside the bracket ends
 # the inversion
 _BISECT_REL = 1e-13
-# outward bracket expansion attempts before giving up
+# points of a bracket walk, the probe point included, before giving up
 _EXPAND_CAP = 300
-# walk points in the first chunk an array solve_g evaluates; the catalog's
-# solutions need 4 to 22 on their verify grids, most of them 8 or fewer
-_WALK_CHUNK = 8
 # inversion steps (Newton or bisection) before the iterate is returned
 _ITER_CAP = 200
 # g value treated as a blow-up while shooting
@@ -412,23 +409,25 @@ def _outside(s, sol: RadialSolution) -> OutOfDomainError:
 def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
     """Invert F(g) = log s + c by Newton steps kept inside a bracket.
 
-    The bracket F(lo) <= t <= F(hi), t = log s + c, comes from stepping
-    out of the probe point geometrically toward the window endpoints.
-    From its midpoint, each step evaluates F at the iterate g, moves the
+    The bracket F(lo) <= t <= F(hi), t = log s + c, is the first
+    crossing of t along _walk, down toward A while F > t at the probe
+    point and up toward B otherwise, with the walk point before it. From
+    its midpoint, each step evaluates F at the iterate g, moves the
     bracket end on g's side of t to g, and goes to the Newton point
     g - (F(g) - t) / F'(g) when that lies strictly inside the bracket, to
     the bracket midpoint otherwise (rtsafe, Numerical Recipes 9.4). It
-    stops when the Newton step is below 1e-16 (1 + |g|), or when the
-    Newton point falls outside a bracket already narrower than
-    1e-13 (1 + |g|), and returns the Newton point clipped into the
+    stops when the Newton step is at most 2**-52 |g|, so that a Newton
+    point that rounds back to g always stops, or when the Newton point
+    falls outside a bracket already narrower than 1e-13 |g| (g > 0 on
+    every window), and returns the Newton point clipped into the
     bracket: in the second case, the bracket end it crossed. The result
     depends on s alone, not on earlier calls.
 
     A numpy array of s (any order, repeats allowed) returns the array of
-    g in the same shape. F is evaluated once at each point of the walk,
-    which is the same for every entry, and each entry takes the bracket
-    of its own first crossing; the Newton steps then run in lockstep,
-    each one pass over F and F' for all entries still iterating.
+    g in the same shape. F is evaluated over each whole walk in one pass,
+    and each entry takes the bracket of its own first crossing; the
+    Newton steps then run in lockstep, each one pass over F and F' for
+    all entries still iterating.
     """
     if isinstance(s, np.ndarray):
         return _solve_g_array(sol, s)
@@ -439,27 +438,20 @@ def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
     F = sol.F
     A, B = sol.branch.A, sol.branch.B
 
-    # walk down from the probe point while F > t, then up while F < t;
-    # the last point passed on the other side of t closes the bracket
+    # walk down while F > t or, from a probe point at or below t, up while
+    # F < t; the point before the crossing closes the bracket, and the
+    # walk's first point is the probe point x itself
     x = probe_point(A, B)
-    hi = None
-    for _ in range(_EXPAND_CAP):
+    fx = eval_F(F, x)
+    up = fx <= t
+    walk = _walk(A, B, up)
+    near = next(walk)
+    while not (fx >= t if up else fx <= t):
+        near, x = x, next(walk, None)
+        if x is None:
+            raise OutOfDomainError(f"no {'upper' if up else 'lower'} bracket for s = {s!r}")
         fx = eval_F(F, x)
-        if fx <= t:
-            break
-        hi, x = x, A + 0.5 * (x - A)
-    else:
-        raise OutOfDomainError(f"no lower bracket for s = {s!r}")
-    lo = x
-    if hi is None:
-        for _ in range(_EXPAND_CAP):
-            if fx >= t:
-                break
-            lo, x = x, 2.0 * x - A + 1.0 if math.isinf(B) else B - 0.5 * (B - x)
-            fx = eval_F(F, x)
-        else:
-            raise OutOfDomainError(f"no upper bracket for s = {s!r}")
-        hi = x
+    lo, hi = (near, x) if up else (x, near)
 
     g = 0.5 * (lo + hi)
     for _ in range(_ITER_CAP):
@@ -471,8 +463,8 @@ def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
             hi = g
         step = r / slope if slope > 0.0 else math.nan
         cand = g - step
-        if abs(step) <= 1e-16 * (1.0 + abs(g)) or (
-            not lo < cand < hi and hi - lo <= _BISECT_REL * (1.0 + abs(g))
+        if abs(step) <= 2.0**-52 * abs(g) or (
+            not lo < cand < hi and hi - lo <= _BISECT_REL * abs(g)
         ):
             # a nan candidate keeps g
             return g if cand != cand else min(max(cand, lo), hi)
@@ -520,35 +512,25 @@ def _F_dF_array(F: AntiderivativeF, x: np.ndarray):
     return value, slope
 
 
-def _crossings(F, x, step, sign, t):
-    """The walk x_0 = x, x_{i+1} = step(x_i) and, per entry of t, the first
-    i with sign F(x_i) >= sign t (the number of points where none does).
-
-    F is evaluated once per point, in chunks that double the walk, from
-    _WALK_CHUNK points, until every entry has crossed, the walk holds
-    _EXPAND_CAP points, or a point repeats: the walk is then at a fixed
-    point, and no later point crosses where it did not. The running
-    maximum of sign F makes the first crossing a binary search, whatever
-    the rounding of F.
+def _walk(A: float, B: float, up: bool):
+    """solve_g's bracket walk on the window (A, B): the probe point, then
+    each next point. Down, it halves the distance to A; up, it halves the
+    distance to B, or on a ray doubles the distance to A - 1. It stops
+    after _EXPAND_CAP points, read at each call, or at the first point
+    the step leaves fixed, since no later point could cross t there.
     """
-    goal = sign * t
-    xs = [x]
-    top = np.empty(0)
-    size = _WALK_CHUNK
-    while True:
-        while len(xs) < min(size, _EXPAND_CAP):
-            x = step(xs[-1])
-            if x == xs[-1]:
-                break
-            xs.append(x)
-        if len(xs) == top.size:
-            break
-        fresh = sign * _F_dF_array(F, np.array(xs[top.size:]))[0]
-        top = np.maximum.accumulate(np.concatenate((top, fresh)))
-        if not (goal > top[-1]).any():
-            break
-        size *= 2
-    return np.array(xs), np.searchsorted(top, goal)
+    x = probe_point(A, B)
+    for _ in range(_EXPAND_CAP):
+        yield x
+        if not up:
+            step = A + 0.5 * (x - A)
+        elif math.isinf(B):
+            step = 2.0 * x - A + 1.0
+        else:
+            step = B - 0.5 * (B - x)
+        if step == x:
+            return
+        x = step
 
 
 def _brackets(sol: RadialSolution, s: np.ndarray, t: np.ndarray):
@@ -556,21 +538,29 @@ def _brackets(sol: RadialSolution, s: np.ndarray, t: np.ndarray):
 
     Each entry's bracket is the one the scalar walk finds: down from the
     probe point to its first F(x) <= t, or, when the probe point is
-    already there, up to its first F(x) >= t. A failure names the first
-    entry without a bracket, lower brackets first.
+    already there, up to its first F(x) >= t. F is evaluated over each
+    whole walk in one pass, and the running maximum of sign F makes each
+    entry's first crossing a binary search, whatever the rounding of F.
+    A failure names the first entry without a bracket, lower brackets
+    first.
     """
     F = sol.F
     A, B = sol.branch.A, sol.branch.B
-    probe = probe_point(A, B)
-    xs, j = _crossings(F, probe, lambda x: A + 0.5 * (x - A), -1.0, t)
+
+    def crossings(up, goal):
+        sign = 1.0 if up else -1.0
+        xs = np.fromiter(_walk(A, B, up), float)
+        top = np.maximum.accumulate(sign * _F_dF_array(F, xs)[0])
+        return xs, np.searchsorted(top, sign * goal)
+
+    xs, j = crossings(False, t)
     miss = np.flatnonzero(j == xs.size)
     if miss.size:
         raise OutOfDomainError(f"no lower bracket for s = {float(s[miss[0]])!r}")
     lo, hi = xs[j], xs[np.maximum(j - 1, 0)]
     rise = np.flatnonzero(j == 0)
     if rise.size:
-        up = (lambda x: 2.0 * x - A + 1.0) if math.isinf(B) else (lambda x: B - 0.5 * (B - x))
-        xs, i = _crossings(F, probe, up, 1.0, t[rise])
+        xs, i = crossings(True, t[rise])
         miss = np.flatnonzero(i == xs.size)
         if miss.size:
             raise OutOfDomainError(f"no upper bracket for s = {float(s[rise[miss[0]]])!r}")
@@ -604,8 +594,8 @@ def _solve_g_array(sol: RadialSolution, s: np.ndarray) -> np.ndarray:
             step = np.where(slope > 0.0, r / slope, math.nan)
             cand = g - step
             inside = (lo < cand) & (cand < hi)
-            stop = (np.abs(step) <= 1e-16 * (1.0 + np.abs(g))) | (
-                ~inside & (hi - lo <= _BISECT_REL * (1.0 + np.abs(g)))
+            stop = (np.abs(step) <= 2.0**-52 * np.abs(g)) | (
+                ~inside & (hi - lo <= _BISECT_REL * np.abs(g))
             )
             if stop.any():
                 # as on the scalar path, a nan candidate keeps g

@@ -283,6 +283,23 @@ def test_verify_pipeline_mode(validator):
     assert payload["verification"]["kahler_ok"] is True
 
 
+def test_verify_takes_no_s_range(tmp_path):
+    # verify's grid is verify_solution's, so an s-range there would be ignored
+    base = ["verify", "--n", "3", "--scalar", "12", "--lambda", "0", "--mu", "0",
+            "--anchor", "1,0.5"]
+    assert run_cli(base)[0] == 0
+    for flags in (["--s-min", "5", "--s-max", "6"], ["--s-min", "5"], ["--s-max", "6"]):
+        code, out, _ = run_cli(base + flags)
+        assert code == 64 and out == "", flags
+    cfg = tmp_path / "cfg.json"
+    for key in ("s-min", "s_max"):
+        cfg.write_text(json.dumps({key: 5}))
+        code, out, _ = run_cli(["verify", "--config", str(cfg)] + base[1:])
+        assert code == 64 and out == "", key
+    cfg.write_text(json.dumps({"samples": 20}))
+    assert run_cli(["verify", "--config", str(cfg)] + base[1:])[0] == 0
+
+
 def test_verify_pipeline_on_a_domain_that_ends_below_the_grid_floor(validator):
     # the s-domain is (0, 0.02), below verify's usual grid floor of 0.05
     code, out, _ = run_cli(
@@ -494,7 +511,7 @@ def test_non_finite_flags_exit_64():
     assert run_cli(verify + ["--gauge-c", "nan"])[0] == 64
     assert run_cli(verify + ["--anchor", "1,0.5", "--tol", "nan"])[0] == 64
     classify = ["classify", "--n", "2", "--scalar", "0"]
-    for grid in ("--grid=-inf:0:3", "--grid=0:1e400:3"):
+    for grid in ("--grid=-inf:0:3", "--grid=0:1e400:3", "--grid=-1e308:1e308:3"):
         code, out, _ = run_cli(classify + [grid])
         assert code == 64 and out == "", grid
 

@@ -527,6 +527,43 @@ def test_solve_g_is_history_free(label):
     assert backward == fresh
 
 
+@pytest.mark.parametrize("s", [1e-20, 3.3e-15])
+def test_small_g_stops_on_a_relative_step(s):
+    # g(s) = s with A = 0: a stop test absolute below g = 1 ended these
+    # inversions 1e-4 relative off
+    sol = solution_for("1.1.1")
+    for got in (solve_g(sol, s), solve_g(sol, np.array([s, 1.0]))[0]):
+        assert abs(got - s) <= 1e-14 * s
+
+
+@pytest.mark.parametrize("label", BRANCHED)
+def test_a_newton_point_that_rounds_back_to_g_stops(monkeypatch, label):
+    # a step bound below half an ulp of g (1e-16 |g| just above a power of
+    # two) sent such iterates on to about 40 bisection steps
+    sol = solution_for(label)
+    lo, hi = sol.s_domain
+    s = np.geomspace(max(0.01, 2.0 * lo), 100.0 if math.isinf(hi) else 0.99 * hi, 300)
+    calls = []
+
+    def counted(kernel):
+        def wrapper(F, x):
+            calls.append(x)
+            return kernel(F, x)
+        return wrapper
+
+    monkeypatch.setattr(quadrature, "_value_and_slope", counted(quadrature._value_and_slope))
+    for v in s:
+        calls.clear()
+        solve_g(sol, float(v))
+        assert len(calls) <= 15, v
+    # the array path: one or two walk passes, then one pass per round
+    monkeypatch.undo()
+    calls.clear()
+    monkeypatch.setattr(quadrature, "_F_dF_array", counted(quadrature._F_dF_array))
+    solve_g(sol, s)
+    assert len(calls) <= 17
+
+
 def test_newton_polish_takes_the_crossed_bracket_end():
     # F = log x and c = 0, so g(s) = s; these s once came out 1e-13 off
     sol = solution_for("1.1.1")
@@ -691,6 +728,26 @@ def test_array_solve_g_bracket_exhaustion(monkeypatch):
             message = re.escape(f"no {side} bracket for s = {far!r}")
             with pytest.raises(OutOfDomainError, match=message):
                 solve_g(sol, s)
+
+
+@pytest.mark.parametrize("s, side", [(1e-5, "lower"), (1e6, "upper")])
+def test_scalar_walk_stops_where_it_cannot_move(monkeypatch, s, side):
+    # the "wall" window of test_array_bracket_is_the_walk: the walk sticks
+    # one ulp from an end after about 53 points, and evaluating F there
+    # again until the cap of 300 points cannot cross
+    ode = build_ode(RadialProblem(2, 6.0, 2.18, -0.73))
+    br = admissible_branches(ode)[0]
+    sol = gauge_from_anchor(ode, br, partial_fractions(ode, br), (1.0, 0.5 * (br.A + br.B)))
+    calls = []
+
+    def counted(F, x):
+        calls.append(x)
+        return eval_F(F, x)
+
+    monkeypatch.setattr(quadrature, "eval_F", counted)
+    with pytest.raises(OutOfDomainError, match=re.escape(f"no {side} bracket for s = {s!r}")):
+        solve_g(sol, s)
+    assert len(calls) <= 60
 
 
 # Reference kernels that dispatch on the term objects with isinstance; the
