@@ -208,10 +208,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(sub)
     _add_gauge_flags(sub)
     # the s-grid is verify_solution's own; only its size is a flag
-    sub.add_argument("--samples", type=_sample_count, default=200)
+    sub.add_argument("--samples", type=_sample_count)
     _add_io_flags(sub)
     sub.add_argument("--input", help="CSV sample file produced by solve")
     sub.add_argument("--tol", type=_positive_float, default=1e-6)
+    # None tells a flag given from one left out: --input reads neither,
+    # and _parse_args fills in the defaults without it
+    sub.set_defaults(branch_index=None)
 
     sub = subs.add_parser("catalog", help="catalogued families: list, build, check")
     which = sub.add_mutually_exclusive_group(required=True)
@@ -249,7 +252,7 @@ def _parse_args(parser, argv):
     comma-joined items (the anchor) and an object for its JSON text (the
     params). What no single flag settles is settled on the namespace:
     R, the curvature sign that catalog --list needs, the need for a
-    gauge, and s-min < s-max.
+    gauge, the flags verify --input does not read, and s-min < s-max.
     """
     pre = argparse.ArgumentParser(prog="csck", add_help=False)
     pre.add_argument("--config")
@@ -287,9 +290,20 @@ def _parse_args(parser, argv):
         args.R = -float(args.n * (args.n + 1))
     if args.subcommand == "catalog" and args.list_cases and args.curv_sign is None:
         parser.error("catalog --list needs --curvature-sign")
-    if "anchor" in args and args.anchor is None and args.gauge_c is None:
-        if getattr(args, "input", None) is None:
+    if getattr(args, "input", None) is not None:
+        unread = [
+            "--" + key.replace("_", "-")
+            for key in ("anchor", "gauge_c", "branch_index", "samples")
+            if getattr(args, key) is not None
+        ]
+        if unread:
+            parser.error(f"verify --input does not read {', '.join(unread)}")
+    elif "anchor" in args:
+        if args.anchor is None and args.gauge_c is None:
             parser.error("a gauge is required: --anchor s0,g0 or --gauge-c value")
+        if args.subcommand == "verify":
+            args.branch_index = 0 if args.branch_index is None else args.branch_index
+            args.samples = 200 if args.samples is None else args.samples
     if "s_min" in args and not args.s_min < args.s_max:
         parser.error("need --s-min < --s-max")
     return args

@@ -190,7 +190,8 @@ def metric_tensor(sol: RadialSolution, z) -> np.ndarray:
     """
     n = sol.ode.problem.n
     z = np.asarray(z, dtype=complex)
-    assert z.shape == (n,)
+    if z.shape != (n,):
+        raise ValueError(f"z must have shape ({n},), got {z.shape}")
     s = float(np.real(np.vdot(z, z)))
     if s == 0.0:
         raise OutOfDomainError("the metric is defined away from the origin")

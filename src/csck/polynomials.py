@@ -12,8 +12,10 @@ A zero low-order coefficient is an exact root 0.0, never clustered with
 a nonzero eigenvalue, so an H with no such coefficient pays nothing for
 the rule. Without it, a simple root e with e^2 / 4 below the tolerance
 would merge with 0.0 into a double root at e / 2 that passes the gate.
-Each factor is then polished on the derivative of matching order, so
-that multiple roots reach full precision.
+Each factor is then polished by Newton's method on the derivative of
+matching order, where its root is simple, so that multiple roots reach
+full precision: a real root from its centroid on the real line, a
+quadratic factor (x - beta)^2 + gamma^2 from beta + i gamma.
 
 Most clusterings fail. Before one is expanded, its product is compared
 with the polynomial at one point, where coefficients within tol move the
@@ -36,6 +38,9 @@ import numpy as np
 from .errors import IllConditionedError, ZeroPolyError
 
 _EPS = float(np.finfo(float).eps)
+# Newton converges quadratically from a cluster centroid; the cap only
+# bounds steps that keep shrinking |d| by rounding noise
+_POLISH_STEPS = 50
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +53,7 @@ def _trim(cs) -> tuple[float, ...]:
     return tuple(float(c) for c in cs)
 
 
-def _horner(cs, x: float) -> float:
+def _horner(cs, x: complex) -> complex:
     acc = 0.0
     for c in reversed(cs):
         acc = acc * x + c
@@ -190,90 +195,29 @@ class RootProfile:
 # ---------------------------------------------------------------------------
 # root candidates, numerical multiplicity and polish
 
-def _bracketed_newton(cs, dcs, a: float, b: float, fa: float, fb: float) -> float:
-    """Root of cs in [a, b], given fa = cs(a) and fb = cs(b) of opposite
-    signs (or a zero); Newton inside the bracket.
+def _polish(cs, z, m: int):
+    """Newton on the (m-1)-th derivative of cs, where a multiplicity-m
+    root is simple, from z (a float for a real root, beta + i gamma for a
+    quadratic factor; the arithmetic keeps a real z real).
 
-    Stops on an exact zero, or when the Newton point leaves a bracket
-    narrower than 4 eps (1 + |x|).
+    A step is taken only while it shrinks |d(z)|, so the polished root
+    is never a worse zero of d than its start.
     """
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    lo, hi = a, b
-    flo = fa
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        fx = _horner(cs, x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (flo > 0.0):
-            lo, flo = x, fx
-        else:
-            hi = x
-        # a Newton point inside the bracket is always taken, so the
-        # iterate keeps converging once the bracket is at rounding width
-        dfx = _horner(dcs, x)
-        if dfx != 0.0:
-            step = fx / dfx
-            xn = x - step
-            if lo < xn < hi and abs(step) <= 0.5 * (hi - lo):
-                x = xn
-                continue
-        if hi - lo <= 4.0 * _EPS * (1.0 + abs(x)):
-            break
-        x = 0.5 * (lo + hi)
-    return x
-
-
-def _polish(cs, r: float, m: int) -> float:
-    """Re-polish a multiplicity-m root of cs on the (m-1)-th derivative."""
     d = cs
     for _ in range(m - 1):
         d = _deriv(d)
     dd = _deriv(d)
-    delta = 1e-12 * (1.0 + abs(r))
-    # cap wide enough to cover the spread of a perturbed m-fold root,
-    # which scales like eps**(1/m)
-    while delta <= 1e-2 * (1.0 + abs(r)):
-        a, b = r - delta, r + delta
-        fa, fb = _horner(d, a), _horner(d, b)
-        if fa == 0.0 or fb == 0.0 or (fa > 0.0) != (fb > 0.0):
-            return _bracketed_newton(d, dd, a, b, fa, fb)
-        delta *= 8.0
-    return r
-
-
-def _bairstow_polish(cs, beta: float, gamma: float) -> tuple[float, float]:
-    """Newton-polish the quadratic factor (x-beta)^2 + gamma^2 of cs.
-
-    Bairstow's recurrence on x^2 - r x - q: b_i = a_i + r b_{i+1} + q b_{i+2}
-    leaves the remainder terms b_1, b_0, and the same recurrence run on b
-    gives the c of the Newton system [c_2 c_3; c_1 c_2] (dr, dq) = -(b_1, b_0).
-    """
-    r = 2.0 * beta
-    q = -(beta * beta + gamma * gamma)
-    n = len(cs) - 1
-    for _ in range(30):
-        b = [0.0] * (n + 3)
-        c = [0.0] * (n + 3)
-        for i in range(n, -1, -1):
-            b[i] = cs[i] + r * b[i + 1] + q * b[i + 2]
-            c[i] = b[i] + r * c[i + 1] + q * c[i + 2]
-        det = c[2] * c[2] - c[1] * c[3]
-        if det == 0.0:
+    dz = _horner(d, z)
+    for _ in range(_POLISH_STEPS):
+        slope = _horner(dd, z)
+        if dz == 0.0 or slope == 0.0:
             break
-        dr = (b[0] * c[3] - b[1] * c[2]) / det
-        dq = (b[1] * c[1] - b[0] * c[2]) / det
-        r += dr
-        q += dq
-        if abs(dr) <= 1e-15 * (1.0 + abs(r)) and abs(dq) <= 1e-15 * (1.0 + abs(q)):
+        zn = z - dz / slope
+        dn = _horner(d, zn)
+        if not abs(dn) < abs(dz):
             break
-    beta = 0.5 * r
-    disc = -q - beta * beta
-    gamma = math.sqrt(disc) if disc > 0.0 else gamma
-    return beta, gamma
+        z, dz = zn, dn
+    return z
 
 
 def _candidates(cs) -> list[complex]:
@@ -420,10 +364,8 @@ def _certified(cs, reals, quads, tol: float) -> RootProfile:
     real_roots = sorted((_polish(cs, r, m), m) for r, m in reals)
     quad_factors = []
     for beta, gamma, m in quads:
-        d = cs
-        for _ in range(m - 1):
-            d = _deriv(d)
-        quad_factors.append((*_bairstow_polish(d, beta, gamma), m))
+        z = _polish(cs, complex(beta, gamma), m)
+        quad_factors.append((z.real, abs(z.imag), m))
     quad_factors.sort()
 
     if any(g <= 0.0 for _, g, _ in quad_factors):

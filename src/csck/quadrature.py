@@ -30,6 +30,7 @@ import numpy as np
 from .branches import admissible_branches
 from .errors import (
     BadAnchorError,
+    IllConditionedError,
     NotNormalizableError,
     OutOfDomainError,
     UnsupportedMultiplicityError,
@@ -346,7 +347,11 @@ def _split(ode: OdeData, branch, root: Optional[float] = None) -> Antiderivative
     if root is not None:
         want *= probe - root
     got = F.derivative(probe)
-    assert got > 0.0 and abs(got - want) <= 1e-8 * (1.0 + abs(want))
+    if not (got > 0.0 and abs(got - want) <= 1e-8 * (1.0 + abs(want))):
+        mismatch = abs(got - want) / (1.0 + abs(want))
+        raise IllConditionedError(
+            mismatch, f"F'({probe!r}) = {got!r} misses x^k/H = {want!r} by {mismatch:.3e} relative"
+        )
     return F
 
 
@@ -826,7 +831,9 @@ def shoot_ode(ode, s0: float, g0: float, s_targets) -> ShootResult:
 
     t0 = math.log(s0)
     targets = sorted(set(float(s) for s in s_targets))
-    assert all(s > 0.0 for s in targets)
+    bad = [s for s in targets if not s > 0.0]
+    if bad:
+        raise ValueError(f"shoot targets must be positive, got s = {bad[0]!r}")
     collected = {}
     domain_end = None
     message = ""

@@ -3,9 +3,12 @@
 import io
 import json
 import math
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -259,6 +262,28 @@ def test_verify_rejects_a_nan_entry(tmp_path, row, column):
     code, out, err = run_cli(["verify", "--input", str(path), "--n", "2", "--scalar", "6"])
     assert (code, out) == (1, "")
     assert "malformed row" in json.loads(err)["detail"]
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("anchor", "5,0.1"), ("gauge-c", "3"), ("branch-index", "3"), ("samples", "7")]
+)
+def test_verify_input_rejects_the_flags_it_does_not_read(tmp_path, flag, value):
+    # the rows carry their own gauge, branch and grid
+    path = tmp_path / "run.csv"
+    run_cli(
+        [
+            "solve", "--n", "2", "--scalar", "6", "--lambda", "0", "--mu", "0",
+            "--anchor", "1,0.5", "--samples", "5", "--output", str(path),
+        ]
+    )
+    base = ["verify", "--input", str(path), "--n", "2", "--scalar", "6"]
+    assert run_cli(base)[0] == 0
+    code, out, err = run_cli(base + [f"--{flag}", value])
+    assert code == 64 and out == "" and f"--{flag}" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: value}))
+    code, out, _ = run_cli(base + ["--config", str(cfg)])
+    assert code == 64 and out == ""
 
 
 def test_verify_rejects_foreign_header(tmp_path):
@@ -539,3 +564,27 @@ def test_readme_commands_run(tmp_path, monkeypatch, validator):
             valid(validator, json.loads(out))
         else:
             assert out.startswith(CSV_HEADER + "\n"), argv
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_unmatched_antiderivative_is_ill_conditioned(optimize):
+    # F' misses x^k/H at the probe point by 2e-8 relative; the check is no
+    # assert, so python -O raises it too instead of printing a window
+    args = [
+        "solve", "--n", "4", "--scalar", "40", "--lambda=-5.938808097987455e-11",
+        "--mu=-3.5321373703027535e-11", "--anchor", "1,0.25", "--format", "json",
+    ]
+    if optimize:
+        src = str(Path(errors.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "csck.cli", *args], env=env, capture_output=True, text=True
+        )
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        code, out, err = run_cli(args)
+    assert (code, out) == (1, "")
+    report = json.loads(err)
+    assert report["error"] == "IllConditionedError"
+    assert "misses" in report["detail"]

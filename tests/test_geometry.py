@@ -152,6 +152,12 @@ def test_metric_rejects_origin_and_boundary():
         metric_tensor(sol, [1.0, 0.5])
 
 
+def test_metric_rejects_a_point_of_the_wrong_dimension():
+    sol = plain_solution(2, 6.0, 0.0, 0.0, (1.0, 0.5))
+    with pytest.raises(ValueError, match="shape"):
+        metric_tensor(sol, [1.0, 0.0, 0.0])
+
+
 def test_metric_hermitian_and_spectrum():
     sol = solution_for("1.3.3")
     rng = np.random.default_rng(7)

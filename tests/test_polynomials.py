@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,12 +13,12 @@ from csck.catalog import instantiate
 from csck.errors import IllConditionedError, ZeroPolyError
 from csck.polynomials import (
     Poly,
-    _bairstow_polish,
     _candidates,
     _certified,
     _clusterings,
     _factors,
     _misses,
+    _polish,
     _residual,
     real_root_profile,
 )
@@ -297,11 +298,64 @@ def test_planted_structure_property(max_degree):
     check()
 
 
-def test_bairstow_polish_lands_on_the_planted_factor():
+def test_polish_lands_on_the_planted_quadratic_factor():
     # (x - 1)^2 + 4 times (x - 3)(x + 1), polished from a start 10% off
     p = Poly.from_factors([(3.0, 1), (-1.0, 1)], quad_factors=[(1.0, 2.0, 1)])
-    beta, gamma = _bairstow_polish(p.coeffs, 1.1, 1.8)
+    z = _polish(p.coeffs, complex(1.1, 1.8), 1)
+    beta, gamma = z.real, abs(z.imag)
     assert abs(beta - 1.0) <= 1e-15 and abs(gamma - 2.0) <= 1e-15
+
+
+def _exact(cs, x):
+    acc = Fraction(0)
+    for c in reversed(cs):
+        acc = acc * Fraction(x) + Fraction(c)
+    return acc
+
+
+def _ulps(x, k, toward):
+    for _ in range(k):
+        x = math.nextafter(x, toward)
+    return x
+
+
+def test_simple_real_roots_are_bracketed_within_4_ulp():
+    # 400 H from the sweep's distribution: H, evaluated exactly, changes
+    # sign (or vanishes) between 4 ulp below and 4 ulp above each nonzero
+    # simple real root
+    rng = random.Random(0)
+    checked = 0
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        factor = rng.choice((0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0))
+        lam = rng.gauss(0.0, 3.0)
+        while abs(lam) < 0.25:
+            lam = rng.gauss(0.0, 3.0)
+        H = build_ode(RadialProblem(n, factor * n * (n + 1), lam, rng.gauss(0.0, 3.0))).H
+        for r, m in real_root_profile(H).real_roots:
+            if m != 1 or r == 0.0:
+                continue
+            lo = _exact(H.coeffs, _ulps(r, 4, -math.inf))
+            hi = _exact(H.coeffs, _ulps(r, 4, math.inf))
+            assert lo == 0 or hi == 0 or (lo > 0) != (hi > 0), (n, factor, lam, r)
+            checked += 1
+    assert checked == 610
+
+
+def test_small_simple_roots_reach_full_precision():
+    # the roots of H for (n, R, lambda, mu) = (2, 12, -0.00888..., 5.39...e-06)
+    # to 50 digits; the left end A of the window (0.00065..., 0.00837...)
+    # is the second
+    H = build_ode(RadialProblem(2, 12.0, -0.008883133255605843, 5.3937305551519845e-06)).H
+    want = (
+        "0.00065549388033866507493870726094807657751289816972704",
+        "0.0083799312008221212844793049822284867761039473944957",
+        "0.49096457491883921364058198775682343664638315443578",
+    )
+    prof = real_root_profile(H)
+    assert [m for _, m in prof.real_roots] == [1, 1, 1]
+    for (r, _), w in zip(prof.real_roots, want):
+        assert abs(Fraction(r) - Fraction(w)) <= Fraction(math.ulp(r)), (r, w)
 
 
 def test_non_finite_coefficient_is_a_value_error():

@@ -419,6 +419,13 @@ def test_shoot_bad_anchor():
         shoot_ode(ode, 0.0, 0.5, [2.0])
 
 
+def test_shoot_rejects_a_target_that_is_not_positive():
+    ode = build_ode(RadialProblem(2, 6.0, 0.0, 0.0))
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="positive"):
+            shoot_ode(ode, 1.0, 0.5, [2.0, bad])
+
+
 @pytest.mark.parametrize("label", ["1.2.3", "1.2.4", "1.3.3", "1.4.3",
                                    "1.4.6", "1.5.3", "1.5.6", "1.7.3", "1.7.6"])
 def test_shoot_agrees_with_inversion(label):
