@@ -16,8 +16,10 @@ from typing import Optional
 from .cases import match_label
 from .reduction import OdeData, RadialProblem, build_ode
 
-# Roots this close to zero are treated as exactly zero so that the
-# lambda = mu = 0 families land on the A = 0 patterns they belong to.
+# A multiple root this close to zero is treated as exactly zero so that
+# the lambda = mu = 0 families land on the A = 0 patterns they belong to:
+# the centroid of a numerical m-fold root is only known to about
+# tol**(1/m). A simple root is known to full precision and stays put.
 _ZERO_SNAP = 1e-10
 
 
@@ -36,7 +38,12 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class Branch:
-    """One admissible window (A, B) of the slope polynomial."""
+    """One admissible window (A, B) of the slope polynomial.
+
+    diverges_left is true for every branch classify returns, since a
+    window whose antiderivative stays finite at A is discarded; the field
+    stays for the report schema.
+    """
 
     A: float
     B: float
@@ -58,7 +65,7 @@ class CaseReport:
 def _snap_roots(real_roots):
     snapped = []
     for value, mult in real_roots:
-        if abs(value) <= _ZERO_SNAP:
+        if mult >= 2 and abs(value) <= _ZERO_SNAP:
             value = 0.0
         if snapped and snapped[-1][0] == value:
             snapped[-1] = (value, snapped[-1][1] + mult)
@@ -67,48 +74,38 @@ def _snap_roots(real_roots):
     return tuple(snapped)
 
 
-def _diverges_at_root(value, mult, k):
-    # near a root e of H, the integrand x^k / H behaves like
-    # e^k / (c (x - e)^mult); for e = 0 it behaves like x^(k - mult)
-    if value > 0.0:
-        return True
-    return mult >= k + 1
-
-
 def _enumerate(ode: OdeData):
     roots = _snap_roots(ode.roots.real_roots)
     has_quad = bool(ode.roots.quad_factors)
     k = ode.k
-    deg = ode.H.degree
     lead_positive = ode.H.coeffs[-1] > 0.0
 
     nonneg = [(r, m) for r, m in roots if r >= 0.0]
     windows = []
-    for (a, ma), (b, mb) in zip(nonneg, nonneg[1:]):
+    for (a, ma), (b, _) in zip(nonneg, nonneg[1:]):
         # no root lies strictly between consecutive nonnegative roots,
         # so one midpoint sample decides the sign on the whole window
         if ode.H(0.5 * (a + b)) > 0.0:
-            windows.append((a, ma, b, mb))
+            windows.append((a, ma, b))
     if nonneg and lead_positive:
-        a, ma = nonneg[-1]
-        windows.append((a, ma, math.inf, 0))
+        windows.append((*nonneg[-1], math.inf))
 
     notes = []
     branches = []
-    for a, ma, b, mb in windows:
-        dl = _diverges_at_root(a, ma, k)
-        if math.isinf(b):
-            dr = deg <= k + 1
-        else:
-            dr = _diverges_at_root(b, mb, k)
-        if not dl:
+    for a, ma, b in windows:
+        # near a root a > 0 of H, x^k / H behaves like a^k / (c (x - a)^ma),
+        # and near a = 0 like x^(k - ma): the left end diverges iff a > 0
+        # or ma >= k + 1 = n. A finite right end b > a >= 0 is a positive
+        # root, so it always diverges; a ray diverges iff deg H <= k + 1.
+        if not (a > 0.0 or ma >= k + 1):
             notes.append(
                 f"window ({a:g}, {b:g}) discarded: finite antiderivative "
                 "at the left endpoint, s = 0 is unreachable"
             )
             continue
+        dr = not math.isinf(b) or ode.H.degree <= k + 1
         kind = BranchKind.FULL_RAY if dr else BranchKind.FINITE_EXTENSION
-        branch = Branch(a, b, dl, dr, kind)
+        branch = Branch(a, b, True, dr, kind)
         if dr and smooth_origin_test(branch, ode):
             branch = replace(branch, kind=BranchKind.SMOOTH_ORIGIN)
         branches.append(branch)

@@ -674,10 +674,11 @@ def labels_for(n, r_sign):
 def match_label(n, R, lam, mu, real_roots, has_quad, has_branch):
     """Label of the catalogued family a classified problem falls into.
 
-    real_roots must be the zero-snapped root profile of the slope
-    polynomial, sorted increasing. Returns None when the problem admits
-    no branch, and 'unclassified' when branches exist but no catalogued
-    family covers the combination.
+    real_roots must be the root profile of the slope polynomial as
+    classify reads it, sorted increasing: a multiple root within 1e-10
+    of zero snapped to 0.0, a simple one left where it is. Returns None
+    when the problem admits no branch, and 'unclassified' when branches
+    exist but no catalogued family covers the combination.
     """
     if not has_branch:
         return None

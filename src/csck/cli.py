@@ -28,7 +28,7 @@ from .cases import get_case
 from .errors import CsckError
 from .geometry import metric_sample, verify_solution
 from .inequalities import certify_negative
-from .quadrature import _gauge, ball_normalize, gauge_from_anchor, partial_fractions
+from .quadrature import RadialSolution, ball_normalize, gauge_from_anchor, partial_fractions
 from .reduction import RadialProblem, build_ode, ode_residual
 
 CSV_HEADER = "s,g,u,up,upp,f,R_num"
@@ -339,7 +339,7 @@ def _solution(args, finite_only=False):
     elif args.anchor is not None:
         sol = gauge_from_anchor(report.ode, branch, F, args.anchor)
     else:
-        sol = _gauge(report.ode, branch, F, args.gauge_c)
+        sol = RadialSolution(report.ode, branch, F, args.gauge_c)
     return sol, report
 
 

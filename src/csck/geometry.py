@@ -269,13 +269,13 @@ def metric_sample(sol: RadialSolution, s) -> MetricSample:
 def verify_solution(sol: RadialSolution, n_samples: int) -> VerificationReport:
     """Residual maxima over a log-spaced grid: curvature, determinant, positivity.
 
-    The grid spans [max(0.01, 2 s_lo), 100] on ray domains and
-    [max(0.05, 2 s_lo), 0.998 s_hi] on finite ones: near both ends of a
-    finite domain the profile is pinned against a singular abscissa where
-    float spacing makes the finite-difference cross-check noise dominated,
-    while the analytic values stay accurate. A finite domain too short for
-    that floor (0.998 s_hi at or below it) starts at max(0.05 s_hi, 2 s_lo)
-    instead. Failures are reported, not raised.
+    Every domain starts at s = 0. The grid spans [0.01, 100] on ray
+    domains and [0.05, 0.998 s_hi] on finite ones (0, s_hi): near both
+    ends of a finite domain the profile is pinned against a singular
+    abscissa where float spacing makes the finite-difference cross-check
+    noise dominated, while the analytic values stay accurate. A finite
+    domain too short for that floor (0.998 s_hi at or below it) starts at
+    0.05 s_hi instead. Failures are reported, not raised.
 
     The grid and its four Richardson neighbours are inverted by one array
     call of solve_g, the derivative chain runs once over all five rows,
@@ -285,13 +285,13 @@ def verify_solution(sol: RadialSolution, n_samples: int) -> VerificationReport:
     """
     if n_samples < 1:
         raise ValueError(f"n_samples = {n_samples!r} must be at least 1")
-    lo, hi = sol.s_domain
+    hi = sol.s_domain[1]
     if math.isinf(hi):
-        bottom, top = max(0.01, 2.0 * lo), 100.0
+        bottom, top = 0.01, 100.0
     else:
-        bottom, top = max(0.05, 2.0 * lo), 0.998 * hi
+        bottom, top = 0.05, 0.998 * hi
         if bottom >= top:
-            bottom = max(0.05 * hi, 2.0 * lo)
+            bottom = 0.05 * hi
     grid = np.geomspace(bottom, top, n_samples)
     ode = sol.ode
     n = ode.problem.n

@@ -359,19 +359,33 @@ class RadialSolution:
     """Gauge-fixed radial profile g(s) on one admissible window.
 
     Holds the problem, the window, F, the gauge constant c and the s-domain;
-    solve_g inverts it. The potential's antiderivative G and its anchor
-    value g(s_a) are computed on first use and kept: both are fixed by
-    the solution alone.
+    solve_g inverts it. F diverges at the left end of every admissible
+    window and at a finite right end, so the domain starts at s = 0, and
+    it ends at inf, or on a finite extension at exp(F(inf) - c). A finite
+    extension whose F has no finite limit at infinity (its log terms fail
+    to cancel) raises IllConditionedError. The potential's antiderivative
+    G and its anchor value g(s_a) are computed on first use and kept: both
+    are fixed by the solution alone.
     """
 
     __slots__ = ("ode", "branch", "F", "c", "s_domain", "_G", "_g_anchor")
 
-    def __init__(self, ode, branch, F, c, s_domain):
+    def __init__(self, ode, branch, F, c):
+        hi = math.inf
+        if not branch.diverges_right:
+            limit = F.limit_at_inf()
+            if not math.isfinite(limit):
+                raise IllConditionedError(
+                    limit,
+                    f"F has no finite limit at infinity on the finite extension"
+                    f" ({branch.A}, inf): its log terms do not cancel",
+                )
+            hi = _exp(limit - c)
         self.ode = ode
         self.branch = branch
         self.F = F
         self.c = c
-        self.s_domain = s_domain
+        self.s_domain = (0.0, hi)
         self._G = None
         self._g_anchor = None
 
@@ -379,8 +393,8 @@ class RadialSolution:
     def s_anchor(self) -> float:
         """The abscissa s_a where the potential vanishes: 1, or the domain
         midpoint when 1 is not interior (ball-normalized domains end at 1)."""
-        lo, hi = self.s_domain
-        return 1.0 if lo < 1.0 < hi else 0.5 * (lo + hi)
+        hi = self.s_domain[1]
+        return 1.0 if 1.0 < hi else 0.5 * hi
 
     def g_anchor(self) -> float:
         """g(s_a), from the scalar solve_g."""
@@ -622,23 +636,6 @@ def _exp(t: float) -> float:
         return math.inf
 
 
-def _gauge(ode, branch, F, c) -> RadialSolution:
-    """The solution F(g) = log s + c on the branch.
-
-    Its s-domain runs from exp(F(A) - c) to exp(F(B) - c), with F's
-    limits at the ends: 0 and inf where F diverges, inf too where the
-    exponent passes the float range.
-    """
-    lo = -math.inf if branch.diverges_left else eval_F(F, branch.A)
-    if branch.diverges_right:
-        hi = math.inf
-    elif math.isinf(branch.B):
-        hi = F.limit_at_inf()
-    else:
-        hi = eval_F(F, branch.B)
-    return RadialSolution(ode, branch, F, c, (_exp(lo - c), _exp(hi - c)))
-
-
 def gauge_from_anchor(ode, branch, F, anchor) -> RadialSolution:
     """Fix the gauge so the profile passes through anchor = (s0, g0)."""
     s0, g0 = anchor
@@ -648,7 +645,7 @@ def gauge_from_anchor(ode, branch, F, anchor) -> RadialSolution:
         raise BadAnchorError(
             f"anchor value g0 = {g0!r} is not interior to ({branch.A}, {branch.B})"
         )
-    return _gauge(ode, branch, F, eval_F(F, g0) - math.log(s0))
+    return RadialSolution(ode, branch, F, eval_F(F, g0) - math.log(s0))
 
 
 def ball_normalize(ode, branch, F) -> RadialSolution:
@@ -656,17 +653,15 @@ def ball_normalize(ode, branch, F) -> RadialSolution:
 
     Only finite-extension windows qualify; the constant comes out of the
     analytic limit (log terms cancel by degree counting, arctangents give
-    c * pi/2), never out of a numerical evaluation at large g.
+    c * pi/2), never out of a numerical evaluation at large g. When the
+    log terms fail to cancel, RadialSolution raises IllConditionedError.
     """
     if branch.diverges_right:
         raise NotNormalizableError(
             "the antiderivative diverges at the right endpoint, "
             "so the domain cannot be scaled to end at s = 1"
         )
-    assert math.isinf(branch.B)
-    c = F.limit_at_inf()
-    assert math.isfinite(c)
-    return _gauge(ode, branch, F, c)
+    return RadialSolution(ode, branch, F, F.limit_at_inf())
 
 
 @dataclass(frozen=True)
@@ -795,11 +790,10 @@ def shoot_ode(ode, s0: float, g0: float, s_targets) -> ShootResult:
     backward and then forward from the anchor, with rtol 1e-10 and atol
     1e-12. It uses only H, never F or solve_g, so it checks the inversion
     independently. Integration stops when g falls to the window's left
-    endpoint or, on a finite extension, rises to the window's top (or
-    to 1e9 on a ray); the crossing is located on the cubic Hermite
-    interpolant of the step. The result then keeps the partial samples
-    and records the reached abscissa in domain_end, as it does when the
-    step size underflows.
+    endpoint or, on a finite extension, rises to 1e9; the crossing is
+    located on the cubic Hermite interpolant of the step. The result then
+    keeps the partial samples and records the reached abscissa in
+    domain_end, as it does when the step size underflows.
     """
     if not (s0 > 0.0 and math.isfinite(s0)):
         raise BadAnchorError(f"shoot abscissa s0 = {s0!r} must be positive and finite")
@@ -824,10 +818,7 @@ def shoot_ode(ode, s0: float, g0: float, s_targets) -> ShootResult:
             return math.nan  # a trial stage left the domain; the step is rejected
 
     floor = window.A + 1e-12 * (1.0 + abs(window.A))
-    if window.diverges_right:
-        cap = math.inf
-    else:
-        cap = _SHOOT_GCAP if math.isinf(window.B) else window.B
+    cap = math.inf if window.diverges_right else _SHOOT_GCAP
 
     t0 = math.log(s0)
     targets = sorted(set(float(s) for s in s_targets))

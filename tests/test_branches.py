@@ -108,12 +108,30 @@ def test_admissible_branches_bare_call():
     assert branches[0].kind is BranchKind.SMOOTH_ORIGIN
 
 
-def test_near_zero_root_snaps_to_zero():
+def test_simple_root_next_to_zero_stays_put():
+    # H = x (x - 1e-12): only a multiple root snaps to zero, so the window
+    # starts at the simple root 1e-12, where F diverges
     report = classify(RadialProblem(n=2, R=0.0, lam=-1e-12, mu=0.0))
     (b,) = report.branches
-    assert b.A == 0.0
-    # lambda is not exactly zero, so the branch is not certified smooth
+    assert b.A == 1e-12
     assert b.kind is BranchKind.FULL_RAY
+
+
+def test_simple_root_next_to_zero_gives_a_singular_family():
+    # H = x^2 + x - 1e-11 has a simple root at 9.9999999999e-12; snapped to
+    # zero it would read as a window with a finite left end
+    report = classify(RadialProblem(n=2, R=0.0, lam=1.0, mu=-1e-11))
+    assert report.verdict is Verdict.SINGULAR_FAMILIES
+    (b,) = report.branches
+    assert b.A == pytest.approx(9.9999999999e-12, rel=1e-15)
+
+
+def test_simple_zero_root_does_not_absorb_its_neighbour():
+    # H = x (x + 1e-12) has the simple roots -1e-12 and 0, and F is finite
+    # at 0; merged into a double root at 0 it would diverge there
+    report = classify(RadialProblem(n=2, R=0.0, lam=1e-12, mu=0.0))
+    assert report.verdict is Verdict.NONEXISTENT
+    assert "real roots: -1e-12, 0" in report.diagnostics
 
 
 def test_lelong_number_reads_left_endpoint():

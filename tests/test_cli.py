@@ -566,25 +566,41 @@ def test_readme_commands_run(tmp_path, monkeypatch, validator):
             assert out.startswith(CSV_HEADER + "\n"), argv
 
 
+def run_cli_in(optimize, args):
+    """run_cli, or with optimize a `python -O` subprocess, where no assert runs."""
+    if not optimize:
+        return run_cli(args)
+    src = str(Path(errors.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "csck.cli", *args], env=env, capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 @pytest.mark.parametrize("optimize", [False, True])
 def test_unmatched_antiderivative_is_ill_conditioned(optimize):
     # F' misses x^k/H at the probe point by 2e-8 relative; the check is no
     # assert, so python -O raises it too instead of printing a window
-    args = [
+    code, out, err = run_cli_in(optimize, [
         "solve", "--n", "4", "--scalar", "40", "--lambda=-5.938808097987455e-11",
         "--mu=-3.5321373703027535e-11", "--anchor", "1,0.25", "--format", "json",
-    ]
-    if optimize:
-        src = str(Path(errors.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "csck.cli", *args], env=env, capture_output=True, text=True
-        )
-        code, out, err = proc.returncode, proc.stdout, proc.stderr
-    else:
-        code, out, err = run_cli(args)
+    ])
     assert (code, out) == (1, "")
     report = json.loads(err)
     assert report["error"] == "IllConditionedError"
     assert "misses" in report["detail"]
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_ball_without_a_limit_at_infinity_is_ill_conditioned(optimize):
+    # the log terms of F miss cancelling at infinity by 1.5e-9, so the ball
+    # has no boundary constant; python -O raises the same error
+    code, out, err = run_cli_in(optimize, [
+        "ball", "--n", "2", "--lambda=-1.740276161677827e-10", "--mu", "4.992736763817746e-10",
+    ])
+    assert (code, out) == (1, "")
+    report = json.loads(err)
+    assert report["error"] == "IllConditionedError"
+    assert "no finite limit at infinity" in report["detail"]

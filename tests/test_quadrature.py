@@ -12,6 +12,8 @@ from csck import (
     BadAnchorError,
     Branch,
     BranchKind,
+    CsckError,
+    IllConditionedError,
     LogLinear,
     LogQuadratic,
     NotNormalizableError,
@@ -34,7 +36,7 @@ from csck import (
 )
 from csck import quadrature
 from csck.cases import CASES
-from csck.quadrature import _F_dF_array
+from csck.quadrature import _F_dF_array, probe_point
 
 ALL_LABELS = sorted(CASES)
 BRANCHED = [l for l in ALL_LABELS if get_case(l).branch_range is not None]
@@ -378,6 +380,77 @@ def test_ball_constant_from_arctangent_limit():
     # the arctangent term contributes 0.6 * pi/2, so c = 0.3 pi
     sol = solution_for("1.7.6")
     assert sol.c == pytest.approx(0.3 * math.pi, abs=1e-12)
+
+
+def test_finite_extension_without_a_limit_at_infinity_is_ill_conditioned():
+    # the root profile reads H as (x + 1) x^2 with the double root at
+    # 8.7e-11; the residues taken from the true H then leave a log sum of
+    # 1.5e-9 at infinity, so F has no finite limit there and no gauge has a
+    # domain end to report
+    problem = RadialProblem(2, -6.0, -1.740276161677827e-10, 4.992736763817746e-10)
+    report = classify(problem, allow_finite_extension=True)
+    (br,) = report.branches
+    assert br.kind is BranchKind.FINITE_EXTENSION
+    F = partial_fractions(report.ode, br)
+    assert F.limit_at_inf() == math.inf
+    with pytest.raises(IllConditionedError, match="no finite limit at infinity"):
+        ball_normalize(report.ode, br, F)
+    with pytest.raises(IllConditionedError, match="no finite limit at infinity"):
+        gauge_from_anchor(report.ode, br, F, (1.0, probe_point(br.A, br.B)))
+
+
+@pytest.fixture(scope="module")
+def pipeline_fuzz():
+    """The pipeline on 1500 seeded problems whose lambda and mu are scaled
+    by 10**U(-12, 8): (branches, solutions, errors) over all of them.
+
+    Every branch of classify(allow_finite_extension=True) runs through
+    partial_fractions and gauge_from_anchor at (1, probe point), and a
+    finite extension through ball_normalize too. errors holds each
+    exception raised, with its problem and step.
+    """
+    branches, solutions, errors = [], [], []
+
+    def attempt(problem, step, *args):
+        try:
+            return step(*args)
+        except Exception as exc:  # judged by the tests below
+            errors.append((problem, step.__name__, exc))
+            return None
+
+    rng = np.random.default_rng(0)
+    for _ in range(1500):
+        n = int(rng.integers(2, 12))
+        R = float(rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])) * n * (n + 1)
+        lam, mu = rng.normal(0.0, 3.0, 2) * 10.0 ** rng.uniform(-12.0, 8.0, 2)
+        problem = RadialProblem(n, R, float(lam), float(mu))
+        report = attempt(problem, classify, problem, True)
+        for br in report.branches if report else ():
+            branches.append(br)
+            F = attempt(problem, partial_fractions, report.ode, br)
+            if F is None:
+                continue
+            anchor = (1.0, probe_point(br.A, br.B))
+            solutions.append(attempt(problem, gauge_from_anchor, report.ode, br, F, anchor))
+            if br.kind is BranchKind.FINITE_EXTENSION:
+                solutions.append(attempt(problem, ball_normalize, report.ode, br, F))
+    return branches, [sol for sol in solutions if sol is not None], errors
+
+
+def test_pipeline_fuzz_raises_only_named_errors(pipeline_fuzz):
+    _, solutions, errors = pipeline_fuzz
+    leaked = [e for e in errors if not isinstance(e[2], (CsckError, ValueError))]
+    assert not leaked, leaked[:3]
+    assert len(solutions) > 1000
+
+
+def test_pipeline_fuzz_window_ends_obey_the_divergence_rules(pipeline_fuzz):
+    # the facts RadialSolution rests on: F diverges at every left end and
+    # at every finite right end, so every domain starts at s = 0
+    branches, solutions, _ = pipeline_fuzz
+    assert all(br.diverges_left for br in branches)
+    assert all(br.diverges_right for br in branches if math.isfinite(br.B))
+    assert all(sol.s_domain[0] == 0.0 for sol in solutions)
 
 
 def test_shoot_spec_examples():
