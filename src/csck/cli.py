@@ -9,8 +9,9 @@ verification failure, 2 nothing to solve, 64 flag errors.
 The parsed argparse namespace is the whole configuration: every handler
 takes it as is. argparse owns the flag checks (the flag types, required
 flags and mutually exclusive groups); _parse_args adds R, the need for a
-gauge and s-min < s-max to the namespace. solve, verify and ball share
-one pipeline, _solution: classify, branch, F, gauge.
+gauge, the flags a mode never reads and s-min < s-max to the namespace.
+solve, verify and ball share one pipeline, _solution: classify, branch,
+F, gauge.
 """
 
 import argparse
@@ -179,10 +180,25 @@ def _add_gauge_flags(sub):
     sub.add_argument("--branch-index", dest="branch_index", type=int, default=0)
 
 
-def _add_grid_flags(sub, s_max=100.0):
+def _add_grid_flags(sub):
     sub.add_argument("--s-min", dest="s_min", type=_positive_float, default=0.01)
-    sub.add_argument("--s-max", dest="s_max", type=_positive_float, default=s_max)
+    sub.add_argument("--s-max", dest="s_max", type=_positive_float, default=100.0)
     sub.add_argument("--samples", type=_sample_count, default=200)
+
+
+# the flags that one mode of a subcommand never reads: (subcommand, mode,
+# the mode's test, {dest: default}). They parse to None when left out, so
+# that given in that mode, from the command line or --config, they are a
+# flag error; _parse_args fills in the defaults after that check
+_UNREAD = (
+    ("verify", "--input", lambda a: a.input is not None,
+     {"anchor": None, "gauge_c": None, "branch_index": 0, "samples": 200}),
+    ("classify", "--grid", lambda a: a.grid is not None, {"lam": 0.0, "mu": 0.0}),
+    ("catalog", "--list", lambda a: a.list_cases, {"params": None, "check": False}),
+    ("catalog", "--label", lambda a: a.label is not None, {"curv_sign": None}),
+    ("ball", "in JSON format", lambda a: a.output_format == "json",
+     {"s_min": 0.01, "s_max": 0.99}),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -212,9 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_io_flags(sub)
     sub.add_argument("--input", help="CSV sample file produced by solve")
     sub.add_argument("--tol", type=_positive_float, default=1e-6)
-    # None tells a flag given from one left out: --input reads neither,
-    # and _parse_args fills in the defaults without it
-    sub.set_defaults(branch_index=None)
 
     sub = subs.add_parser("catalog", help="catalogued families: list, build, check")
     which = sub.add_mutually_exclusive_group(required=True)
@@ -232,13 +245,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     _add_lambda_mu(sub)
     sub.add_argument("--branch-index", dest="branch_index", type=int, default=0)
-    _add_grid_flags(sub, s_max=0.99)
+    _add_grid_flags(sub)
     _add_io_flags(sub, formats=("json", "csv"))
 
     sub = subs.add_parser("lemmas", help="certify the constrained sign claims")
     sub.add_argument("--which", choices=["J", "I"], required=True)
     _add_io_flags(sub)
 
+    for command, _mode, _applies, flags in _UNREAD:
+        subs.choices[command].set_defaults(**dict.fromkeys(flags))
     return parser
 
 
@@ -252,7 +267,7 @@ def _parse_args(parser, argv):
     comma-joined items (the anchor) and an object for its JSON text (the
     params). What no single flag settles is settled on the namespace:
     R, the curvature sign that catalog --list needs, the need for a
-    gauge, the flags verify --input does not read, and s-min < s-max.
+    gauge, the flags of _UNREAD, and s-min < s-max.
     """
     pre = argparse.ArgumentParser(prog="csck", add_help=False)
     pre.add_argument("--config")
@@ -290,20 +305,17 @@ def _parse_args(parser, argv):
         args.R = -float(args.n * (args.n + 1))
     if args.subcommand == "catalog" and args.list_cases and args.curv_sign is None:
         parser.error("catalog --list needs --curvature-sign")
-    if getattr(args, "input", None) is not None:
-        unread = [
-            "--" + key.replace("_", "-")
-            for key in ("anchor", "gauge_c", "branch_index", "samples")
-            if getattr(args, key) is not None
-        ]
-        if unread:
-            parser.error(f"verify --input does not read {', '.join(unread)}")
-    elif "anchor" in args:
-        if args.anchor is None and args.gauge_c is None:
+    for command, mode, applies, flags in _UNREAD:
+        if args.subcommand == command:
+            given = [key for key in flags if getattr(args, key) is not None]
+            if given and applies(args):
+                names = {"lam": "lambda", "curv_sign": "curvature_sign"}
+                text = ", ".join("--" + names.get(key, key).replace("_", "-") for key in given)
+                parser.error(f"{command} {mode} does not read {text}")
+            vars(args).update((key, flags[key]) for key in flags if key not in given)
+    if "anchor" in args and args.anchor is None and args.gauge_c is None:
+        if getattr(args, "input", None) is None:
             parser.error("a gauge is required: --anchor s0,g0 or --gauge-c value")
-        if args.subcommand == "verify":
-            args.branch_index = 0 if args.branch_index is None else args.branch_index
-            args.samples = 200 if args.samples is None else args.samples
     if "s_min" in args and not args.s_min < args.s_max:
         parser.error("need --s-min < --s-max")
     return args

@@ -59,7 +59,9 @@ _LOG_CANCEL_TOL = 1e-9
 # relative bracket width at which a Newton point outside the bracket ends
 # the inversion
 _BISECT_REL = 1e-13
-# points of a bracket walk, the probe point included, before giving up
+# points of a bracket walk, the probe point included, before giving up; it
+# keeps a ray's walk at or below 2**300, since eval_F raises OverflowError
+# further out: (x - beta)**2 near 1.3e154, a double pole's d**3 near 5.6e102
 _EXPAND_CAP = 300
 # inversion steps (Newton or bisection) before the iterate is returned
 _ITER_CAP = 200
@@ -178,88 +180,76 @@ class AntiderivativeF:
 
 
 def eval_F(F: AntiderivativeF, x: float) -> float:
-    """Value of F at x, one pass over F.table; a singular abscissa gives a
-    signed infinity."""
+    """Value of F at x, one pass over F.table; a log or pole abscissa gives
+    the signed infinity of _singular."""
     total = 0.0
-    pole_c = 0.0
-    pole_p = 0
-    log_c = 0.0
-    for kind, c, a, e in F.table:
-        if kind == _LOG:
-            d = x - a
-            if d == 0.0:
-                log_c += c
+    try:
+        for kind, c, a, e in F.table:
+            if kind == _LOG:
+                total += c * math.log(abs(x - a))
+            elif kind == _LOGQ:
+                total += c * math.log((x - a) ** 2 + e)
+            elif kind == _ATAN:
+                total += c * math.atan((x - a) / e)
+            elif kind == _POLE:
+                total += c / (x - a) ** e
             else:
-                total += c * math.log(abs(d))
-        elif kind == _LOGQ:
-            total += c * math.log((x - a) ** 2 + e)
-        elif kind == _ATAN:
-            total += c * math.atan((x - a) / e)
-        elif kind == _POLE:
-            d = x - a
-            if d == 0.0:
-                if e > pole_p:
-                    pole_p, pole_c = e, c
-            else:
-                total += c / d**e
-        else:
-            total += c * x
-    # the strongest pole wins; a bare log diverges to -inf from either side
-    if pole_p > 0:
-        return math.copysign(math.inf, pole_c)
-    if log_c != 0.0:
-        return math.copysign(math.inf, -log_c)
+                total += c * x
+    except (ValueError, ZeroDivisionError):
+        return _singular(F, x)[0]
     return total
 
 
 def _value_and_slope(F: AntiderivativeF, x: float):
     """(eval_F(F, x), F'(x)) in one pass over F.table.
 
-    The value takes eval_F's float operations, in the same order, and its
-    signed infinity at a log or pole abscissa. The slope's infinity there
-    is that of its strongest pole (order p + 1 for a reciprocal power of
-    order p, 1 for a log), approached from the right.
+    The value takes eval_F's float operations, in the same order. At a log
+    or pole abscissa both are the signed infinities of _singular.
     """
     value = slope = 0.0
-    pole_c = slope_pole_c = log_c = 0.0
-    pole_p = slope_pole_p = 0
-    for kind, c, a, e in F.table:
-        if kind == _LOG:
-            d = x - a
-            if d == 0.0:
-                log_c += c
-                if slope_pole_p < 1:
-                    slope_pole_p, slope_pole_c = 1, c
-            else:
+    try:
+        for kind, c, a, e in F.table:
+            if kind == _LOG:
+                d = x - a
                 value += c * math.log(abs(d))
                 slope += c / d
-        elif kind == _LOGQ:
-            q = (x - a) ** 2 + e
-            value += c * math.log(q)
-            slope += 2.0 * c * (x - a) / q
-        elif kind == _ATAN:
-            value += c * math.atan((x - a) / e)
-            slope += c * e / ((x - a) ** 2 + e**2)
-        elif kind == _POLE:
-            d = x - a
-            if d == 0.0:
-                if e > pole_p:
-                    pole_p, pole_c = e, c
-                if e + 1 > slope_pole_p:
-                    slope_pole_p, slope_pole_c = e + 1, -c
-            else:
+            elif kind == _LOGQ:
+                q = (x - a) ** 2 + e
+                value += c * math.log(q)
+                slope += 2.0 * c * (x - a) / q
+            elif kind == _ATAN:
+                value += c * math.atan((x - a) / e)
+                slope += c * e / ((x - a) ** 2 + e**2)
+            elif kind == _POLE:
+                d = x - a
                 value += c / d**e
                 slope -= e * c / d ** (e + 1)
-        else:
-            value += c * x
-            slope += c
-    if pole_p > 0:
-        value = math.copysign(math.inf, pole_c)
-    elif log_c != 0.0:
-        value = math.copysign(math.inf, -log_c)
-    if slope_pole_p > 0:
-        slope = math.copysign(math.inf, slope_pole_c)
+            else:
+                value += c * x
+                slope += c
+    except (ValueError, ZeroDivisionError):
+        return _singular(F, x)
     return value, slope
+
+
+def _singular(F: AntiderivativeF, x: float):
+    """(F(x), F'(x)) at a log or pole abscissa x: the signed infinities of
+    the limits from the right.
+
+    The strongest term at x decides both: the first reciprocal power of
+    the highest order p, which tends to c * inf with a slope of -c * inf,
+    or else the log, which tends to -c * inf with a slope of c * inf.
+    Called from a kernel's handler of the error that the zero distance
+    raised; at any other x it re-raises that error.
+    """
+    order, sign = -1, 0.0
+    for kind, c, a, e in F.table:
+        # a log row has e = 0, below the order of every pole
+        if a == x and kind in (_LOG, _POLE) and e > order:
+            order, sign = e, c if kind == _POLE else -c
+    if order < 0:
+        raise
+    return math.copysign(math.inf, sign), math.copysign(math.inf, -sign)
 
 
 def partial_fractions(ode: OdeData, branch) -> AntiderivativeF:
@@ -428,25 +418,25 @@ def _outside(s, sol: RadialSolution) -> OutOfDomainError:
 def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
     """Invert F(g) = log s + c by Newton steps kept inside a bracket.
 
-    The bracket F(lo) <= t <= F(hi), t = log s + c, is the first
-    crossing of t along _walk, down toward A while F > t at the probe
-    point and up toward B otherwise, with the walk point before it. From
-    its midpoint, each step evaluates F at the iterate g, moves the
-    bracket end on g's side of t to g, and goes to the Newton point
-    g - (F(g) - t) / F'(g) when that lies strictly inside the bracket, to
-    the bracket midpoint otherwise (rtsafe, Numerical Recipes 9.4). It
-    stops when the Newton step is at most 2**-52 |g|, so that a Newton
-    point that rounds back to g always stops, or when the Newton point
-    falls outside a bracket already narrower than 1e-13 |g| (g > 0 on
-    every window), and returns the Newton point clipped into the
-    bracket: in the second case, the bracket end it crossed. The result
-    depends on s alone, not on earlier calls.
+    The bracket F(lo) <= t <= F(hi), t = log s + c, is the last step of
+    _walk: down toward A while F > t at the probe point, up toward B
+    otherwise, to the first point that crosses t. From its midpoint, each
+    step evaluates F at the iterate g, moves the bracket end on g's side
+    of t to g, and goes to the Newton point g - (F(g) - t) / F'(g) when
+    that lies strictly inside the bracket, to the bracket midpoint
+    otherwise (rtsafe, Numerical Recipes 9.4). It stops when the Newton
+    step is at most 2**-52 |g|, so that a Newton point that rounds back to
+    g always stops, or when the Newton point falls outside a bracket
+    already narrower than 1e-13 |g| (g > 0 on every window), and returns
+    the Newton point clipped into the bracket: in the second case, the
+    bracket end it crossed. The result depends on s alone, not on earlier
+    calls.
 
     A numpy array of s (any order, repeats allowed) returns the array of
-    g in the same shape. F is evaluated over each whole walk in one pass,
-    and each entry takes the bracket of its own first crossing; the
-    Newton steps then run in lockstep, each one pass over F and F' for
-    all entries still iterating.
+    g in the same shape. One _walk serves all entries, down to the least
+    t and up to the greatest, and each entry takes the bracket of its own
+    first crossing; the Newton steps then run in lockstep, each one pass
+    over F and F' for all entries still iterating.
     """
     if isinstance(s, np.ndarray):
         return _solve_g_array(sol, s)
@@ -455,22 +445,13 @@ def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
         raise _outside(s, sol)
     t = math.log(s) + sol.c
     F = sol.F
-    A, B = sol.branch.A, sol.branch.B
-
-    # walk down while F > t or, from a probe point at or below t, up while
-    # F < t; the point before the crossing closes the bracket, and the
-    # walk's first point is the probe point x itself
-    x = probe_point(A, B)
-    fx = eval_F(F, x)
-    up = fx <= t
-    walk = _walk(A, B, up)
-    near = next(walk)
-    while not (fx >= t if up else fx <= t):
-        near, x = x, next(walk, None)
-        if x is None:
-            raise OutOfDomainError(f"no {'upper' if up else 'lower'} bracket for s = {s!r}")
-        fx = eval_F(F, x)
-    lo, hi = (near, x) if up else (x, near)
+    down, up = _walk(F, sol.branch.A, sol.branch.B, t, t)
+    rising = down[1][0] <= t
+    xs, fs = up if rising else down
+    if not (fs[-1] >= t if rising else fs[-1] <= t):
+        raise OutOfDomainError(f"no {'upper' if rising else 'lower'} bracket for s = {s!r}")
+    # a walk of one point, the probe point on t, brackets with itself
+    lo, hi = sorted((xs[-2:][0], xs[-1]))
 
     g = 0.5 * (lo + hi)
     for _ in range(_ITER_CAP):
@@ -531,59 +512,61 @@ def _F_dF_array(F: AntiderivativeF, x: np.ndarray):
     return value, slope
 
 
-def _walk(A: float, B: float, up: bool):
-    """solve_g's bracket walk on the window (A, B): the probe point, then
-    each next point. Down, it halves the distance to A; up, it halves the
-    distance to B, or on a ray doubles the distance to A - 1. It stops
-    after _EXPAND_CAP points, read at each call, or at the first point
-    the step leaves fixed, since no later point could cross t there.
+def _walk(F: AntiderivativeF, A: float, B: float, lo: float, hi: float):
+    """solve_g's bracket walks on the window (A, B), F evaluated once per
+    point: ((xs, fs) down, (xs, fs) up), the points and F there.
+
+    Both start at the probe point. Down, each next point halves the
+    distance to A, until the first F(x) <= lo; up, it halves the distance
+    to B, or on a ray doubles the distance to A - 1, until the first
+    F(x) >= hi. A walk also stops after _EXPAND_CAP points, read at each
+    call, or at the first point its step leaves fixed, since no later
+    point could cross there.
     """
     x = probe_point(A, B)
-    for _ in range(_EXPAND_CAP):
-        yield x
-        if not up:
-            step = A + 0.5 * (x - A)
-        elif math.isinf(B):
-            step = 2.0 * x - A + 1.0
-        else:
-            step = B - 0.5 * (B - x)
-        if step == x:
-            return
-        x = step
+    f = eval_F(F, x)
+    walks = [([x], [f]), ([x], [f])]
+    for up, (xs, fs) in enumerate(walks):
+        while not (fs[-1] >= hi if up else fs[-1] <= lo) and len(xs) < _EXPAND_CAP:
+            x = xs[-1]
+            if not up:
+                step = A + 0.5 * (x - A)
+            elif math.isinf(B):
+                step = 2.0 * x - A + 1.0
+            else:
+                step = B - 0.5 * (B - x)
+            if step == x:
+                break
+            xs.append(step)
+            fs.append(eval_F(F, step))
+    return walks
 
 
 def _brackets(sol: RadialSolution, s: np.ndarray, t: np.ndarray):
-    """solve_g's bracket walk for every entry of s at once: arrays lo, hi.
+    """solve_g's bracket for every entry of s at once: arrays lo, hi.
 
-    Each entry's bracket is the one the scalar walk finds: down from the
+    Each entry's bracket is the one the scalar path finds: down from the
     probe point to its first F(x) <= t, or, when the probe point is
-    already there, up to its first F(x) >= t. F is evaluated over each
-    whole walk in one pass, and the running maximum of sign F makes each
-    entry's first crossing a binary search, whatever the rounding of F.
-    A failure names the first entry without a bracket, lower brackets
-    first.
+    already there, up to its first F(x) >= t. One _walk goes down to the
+    least t and up to the greatest, and the running maximum of sign F
+    makes each entry's first crossing a binary search, whatever the
+    rounding of F. A failure names the first entry without a bracket,
+    lower brackets first.
     """
-    F = sol.F
-    A, B = sol.branch.A, sol.branch.B
-
-    def crossings(up, goal):
-        sign = 1.0 if up else -1.0
-        xs = np.fromiter(_walk(A, B, up), float)
-        top = np.maximum.accumulate(sign * _F_dF_array(F, xs)[0])
-        return xs, np.searchsorted(top, sign * goal)
-
-    xs, j = crossings(False, t)
-    miss = np.flatnonzero(j == xs.size)
-    if miss.size:
-        raise OutOfDomainError(f"no lower bracket for s = {float(s[miss[0]])!r}")
-    lo, hi = xs[j], xs[np.maximum(j - 1, 0)]
-    rise = np.flatnonzero(j == 0)
-    if rise.size:
-        xs, i = crossings(True, t[rise])
+    walks = _walk(sol.F, sol.branch.A, sol.branch.B, t.min(initial=math.inf),
+                  t.max(initial=-math.inf))
+    rising = walks[0][1][0] <= t
+    lo, hi = np.empty(t.size), np.empty(t.size)
+    sides = zip(("lower", "upper"), (-1.0, 1.0), (~rising, rising), walks)
+    for side, sign, pick, (xs, fs) in sides:
+        xs = np.array(xs)
+        i = np.searchsorted(np.maximum.accumulate(sign * np.array(fs)), sign * t[pick])
         miss = np.flatnonzero(i == xs.size)
         if miss.size:
-            raise OutOfDomainError(f"no upper bracket for s = {float(s[rise[miss[0]]])!r}")
-        lo[rise], hi[rise] = xs[np.maximum(i - 1, 0)], xs[i]
+            raise OutOfDomainError(f"no {side} bracket for s = {float(s[pick][miss[0]])!r}")
+        # the walk point before the crossing closes the bracket
+        near, x = xs[np.maximum(i - 1, 0)], xs[i]
+        lo[pick], hi[pick] = np.minimum(near, x), np.maximum(near, x)
     return lo, hi
 
 
@@ -645,7 +628,11 @@ def gauge_from_anchor(ode, branch, F, anchor) -> RadialSolution:
         raise BadAnchorError(
             f"anchor value g0 = {g0!r} is not interior to ({branch.A}, {branch.B})"
         )
-    return RadialSolution(ode, branch, F, eval_F(F, g0) - math.log(s0))
+    try:
+        f0 = eval_F(F, g0)
+    except OverflowError:
+        raise BadAnchorError(f"F overflows at the anchor value g0 = {g0!r}") from None
+    return RadialSolution(ode, branch, F, f0 - math.log(s0))
 
 
 def ball_normalize(ode, branch, F) -> RadialSolution:

@@ -286,6 +286,55 @@ def test_verify_input_rejects_the_flags_it_does_not_read(tmp_path, flag, value):
     assert code == 64 and out == ""
 
 
+@pytest.mark.parametrize(
+    "base, flag, value",
+    [
+        (["classify", "--n", "3", "--scalar", "0", "--grid=-10:10:21"], "lambda", "1"),
+        (["classify", "--n", "3", "--scalar", "0", "--grid=-10:10:21"], "mu", "0"),
+        (["catalog", "--list", "--n", "2", "--curvature-sign", "zero"], "params", '{"a": 1}'),
+        (["catalog", "--list", "--n", "2", "--curvature-sign", "zero"], "check", True),
+        (["catalog", "--label", "1.5.2"], "curvature-sign", "pos"),
+        (["ball", "--n", "2", "--lambda", "1", "--mu=-0.5"], "s-min", "0.2"),
+        (["ball", "--n", "2", "--lambda", "1", "--mu=-0.5"], "s-max", "0.5"),
+        (["ball", "--n", "2", "--lambda", "1", "--mu=-0.5", "--format", "json"], "s-min", "0.2"),
+    ],
+)
+def test_modes_reject_the_flags_they_do_not_read(tmp_path, base, flag, value):
+    # the grid sweeps lambda and mu itself, the list builds no case, a label
+    # fixes its own curvature, and the ball report's grid is verify's own
+    assert run_cli(base)[0] == 0
+    code, out, err = run_cli(base + ([f"--{flag}"] if value is True else [f"--{flag}", value]))
+    assert code == 64 and out == "" and f"--{flag}" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: value}))
+    code, out, _ = run_cli(base + ["--config", str(cfg)])
+    assert code == 64 and out == ""
+
+
+def test_modes_still_read_the_flags_elsewhere():
+    # the same flags outside the mode that leaves them unread
+    assert run_cli(["classify", "--n", "3", "--scalar", "0", "--lambda", "1"])[0] == 0
+    assert run_cli(["catalog", "--label", "1.2.1", "--params", '{"a": 1}'])[0] == 0
+    ball = ["ball", "--n", "2", "--lambda", "1", "--mu=-0.5", "--format", "csv", "--samples", "3"]
+    code, out, _ = run_cli(ball + ["--s-min", "0.2", "--s-max", "0.5"])
+    assert code == 0
+    assert [float(row.split(",")[0]) for row in out.splitlines()[1::2]] == [0.2, 0.5]
+    code, out, _ = run_cli(ball)
+    assert [float(row.split(",")[0]) for row in out.splitlines()[1::2]] == [0.01, 0.99]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_anchor_where_F_overflows_is_a_bad_anchor(command):
+    code, out, err = run_cli([
+        command, "--n", "3", "--scalar", "0", "--lambda", "0.25", "--mu=-1.25",
+        "--anchor", "1,1e160", "--samples", "3",
+    ])
+    assert (code, out) == (1, "")
+    report = json.loads(err)
+    assert report["error"] == "BadAnchorError"
+    assert "g0 = 1e+160" in report["detail"]
+
+
 def test_verify_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("s,g,u\n1,1,1\n")

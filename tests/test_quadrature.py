@@ -320,6 +320,16 @@ def test_bad_anchor_rejected():
             gauge_from_anchor(ode, br, F, anchor)
 
 
+def test_anchor_where_F_overflows_rejected():
+    # fixture 1.4.6's F has a LogQuadratic row, which squares g0 - beta
+    ode = build_ode(RadialProblem(3, 0.0, 0.25, -1.25))
+    br = admissible_branches(ode)[0]
+    F = partial_fractions(ode, br)
+    assert math.isfinite(eval_F(F, 1e150))
+    with pytest.raises(BadAnchorError, match=re.escape("g0 = 1e+160")):
+        gauge_from_anchor(ode, br, F, (1.0, 1e160))
+
+
 def test_out_of_domain_rejected():
     sol = solution_for("1.7.1")
     assert sol.s_domain == (0.0, 1.0)
@@ -636,12 +646,12 @@ def test_a_newton_point_that_rounds_back_to_g_stops(monkeypatch, label):
         calls.clear()
         solve_g(sol, float(v))
         assert len(calls) <= 15, v
-    # the array path: one or two walk passes, then one pass per round
+    # the array path: one pass per round, the walk being point by point
     monkeypatch.undo()
     calls.clear()
     monkeypatch.setattr(quadrature, "_F_dF_array", counted(quadrature._F_dF_array))
     solve_g(sol, s)
-    assert len(calls) <= 17
+    assert len(calls) <= 15
 
 
 def test_newton_polish_takes_the_crossed_bracket_end():
@@ -721,8 +731,7 @@ def _walk_copy(sol, s, t):
     A, B = sol.branch.A, sol.branch.B
 
     def F(x):
-        with _quiet():
-            return _F_dF_array(sol.F, np.array([x]))[0][0]
+        return eval_F(sol.F, x)
 
     x = A + 1.0 if math.isinf(B) else 0.5 * (A + B)
     hi = None
@@ -765,9 +774,8 @@ def test_array_bracket_is_the_walk(label):
         down = A + 0.5 * (down - A)
         up = 2.0 * up - A + 1.0 if math.isinf(B) else B - 0.5 * (B - up)
         points += [down, up]
-    with _quiet():
-        ties = _F_dF_array(sol.F, np.array(points))[0]
-        s, t = np.append(s, np.exp(ties - sol.c)), np.append(t, ties)
+    ties = np.array([eval_F(sol.F, x) for x in points])
+    s, t = np.append(s, np.exp(ties - sol.c)), np.append(t, ties)
     order = np.random.default_rng(11).permutation(s.size)
     s, t = s[order], t[order]
     walks, failures = [], {"lower": [], "upper": []}
@@ -788,6 +796,28 @@ def test_array_bracket_is_the_walk(label):
         got = quadrature._brackets(sol, s[ok], t[ok])
     want = np.array([w for w in walks if w is not None]).T
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("label", ["1.1.1", "1.7.1", "1.4.4"])
+def test_array_bracket_walks_only_to_the_farthest_target(monkeypatch, label):
+    # A = 0 and rays: the walks toward A and toward B run to the cap of 300
+    # points each unless they stop at the farthest target's crossing
+    sol = solution_for(label)
+    s = np.geomspace(0.01, 100.0, 400)
+    s = s[s < sol.s_domain[1]]
+    points = []
+
+    def counted(kernel, size):
+        def wrapper(F, x):
+            points.append(size(x))
+            return kernel(F, x)
+        return wrapper
+
+    monkeypatch.setattr(quadrature, "eval_F", counted(quadrature.eval_F, lambda x: 1))
+    monkeypatch.setattr(quadrature, "_F_dF_array", counted(quadrature._F_dF_array, np.size))
+    with _quiet():
+        quadrature._brackets(sol, s, np.log(s) + sol.c)
+    assert sum(points) <= 30
 
 
 def test_array_solve_g_out_of_domain():
