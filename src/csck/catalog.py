@@ -19,7 +19,7 @@ import numpy as np
 
 from .branches import BranchKind, classify
 from .cases import get_case, labels_for
-from .errors import ConstraintViolationError, NotClassifiedError, StageError
+from .errors import ConstraintViolationError, IllConditionedError, NotClassifiedError, StageError
 from .geometry import VerificationReport, verify_solution
 from .quadrature import ball_normalize, gauge_from_anchor, partial_fractions, probe_point
 from .reduction import RadialProblem
@@ -152,10 +152,12 @@ def _reference_deviation(engine_F, reference_F, branch) -> float:
     engine = np.array([engine_F(float(x)) for x in xs])
     printed = np.array([reference_F(float(x)) for x in xs])
     deviation = float(np.max(np.abs(np.diff(engine) - np.diff(printed))))
-    assert deviation < _REFERENCE_TOL, (
-        f"engine antiderivative deviates from the printed identity"
-        f" by {deviation:.3e}"
-    )
+    if not deviation < _REFERENCE_TOL:
+        raise IllConditionedError(
+            deviation,
+            f"engine antiderivative deviates from the printed identity"
+            f" by {deviation:.3e}",
+        )
     return deviation
 
 

@@ -116,6 +116,14 @@ def _sample_count(text):
     return value
 
 
+def _dimension(text):
+    """argparse type of the required --n flags: an integer n >= 2."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"dimension n must be at least 2, got {text!r}")
+    return value
+
+
 def _anchor(text):
     """s0,g0 as a pair of finite floats."""
     try:
@@ -156,7 +164,7 @@ def _add_lambda_mu(sub):
 
 
 def _add_problem_flags(sub):
-    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--n", type=_dimension, required=True)
     curvature = sub.add_mutually_exclusive_group(required=True)
     curvature.add_argument("--scalar", type=_finite_float)
     curvature.add_argument(
@@ -242,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_io_flags(sub)
 
     sub = subs.add_parser("ball", help="unit-ball normalization of a negative family")
-    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--n", type=_dimension, required=True)
     _add_lambda_mu(sub)
     sub.add_argument("--branch-index", dest="branch_index", type=int, default=0)
     _add_grid_flags(sub)

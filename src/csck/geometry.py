@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotKahlerError, OutOfDomainError
-from .quadrature import RadialSolution, _F_dF_array, solve_g
+from .quadrature import RadialSolution, solve_g
 
 __all__ = [
     "MetricSample",
@@ -163,12 +163,7 @@ def _richardson(ode, s, g, h, phi):
 def _potential(sol: RadialSolution, s, g, g_a):
     """A log(s / s_a) + G(g) - G(g_a), with g = g(s) and g_a = g(s_a)."""
     G = sol.G()
-    if isinstance(g, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            Gg = _F_dF_array(G, g)[0]
-    else:
-        Gg = G(g)
-    return sol.branch.A * np.log(s / sol.s_anchor) + (Gg - G(g_a))
+    return sol.branch.A * np.log(s / sol.s_anchor) + (G(g) - G(g_a))
 
 
 def potential_u(sol: RadialSolution, s: float) -> float:

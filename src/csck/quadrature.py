@@ -14,7 +14,8 @@ residue rule: a Taylor series division at each root of H, real or
 complex, gives the principal part there, and the logs at a conjugate
 pair combine into a log of the quadratic factor and an arctangent. The
 same split applied to x^k (x - A) / H gives the potential in closed
-form (RadialSolution.G).
+form (RadialSolution.G). One value-and-slope loop over the terms serves
+floats and arrays alike; eval_F keeps a value-only loop (see there).
 A direct Runge-Kutta shoot of the first order equation s g^k g' = H(g),
 a plain-float Dormand-Prince 5(4) integrator, is provided as an
 independent cross check.
@@ -152,7 +153,11 @@ class AntiderivativeF:
                 rows.append((_LIN, t.c, 0.0, 0))
         return tuple(rows)
 
-    def __call__(self, x: float) -> float:
+    def __call__(self, x):
+        """F at x, a float or an array of any shape."""
+        if isinstance(x, np.ndarray):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                return _F_dF_array(self, x)[0]
         return eval_F(self, x)
 
     def derivative(self, x: float) -> float:
@@ -182,6 +187,8 @@ class AntiderivativeF:
 def eval_F(F: AntiderivativeF, x: float) -> float:
     """Value of F at x, one pass over F.table; a log or pole abscissa gives
     the signed infinity of _singular."""
+    # apart from _value_and_slope: the walk and the gauge need no slope, and
+    # a pole's slope c / d**(p + 1) overflows where its value c / d**p is finite
     total = 0.0
     try:
         for kind, c, a, e in F.table:
@@ -200,28 +207,29 @@ def eval_F(F: AntiderivativeF, x: float) -> float:
     return total
 
 
-def _value_and_slope(F: AntiderivativeF, x: float):
-    """(eval_F(F, x), F'(x)) in one pass over F.table.
+def _value_and_slope(F: AntiderivativeF, x, log=math.log, atan=math.atan):
+    """(eval_F(F, x), F'(x)) in one pass over F.table, for a float x with
+    the math functions, or for an array x with log=np.log, atan=np.arctan.
 
     The value takes eval_F's float operations, in the same order. At a log
-    or pole abscissa both are the signed infinities of _singular.
+    or pole abscissa of a float x both are the signed infinities of
+    _singular; an array x leaves them to _F_dF_array.
     """
     value = slope = 0.0
     try:
         for kind, c, a, e in F.table:
+            d = x - a
             if kind == _LOG:
-                d = x - a
-                value += c * math.log(abs(d))
+                value += c * log(abs(d))
                 slope += c / d
             elif kind == _LOGQ:
-                q = (x - a) ** 2 + e
-                value += c * math.log(q)
-                slope += 2.0 * c * (x - a) / q
+                q = d**2 + e
+                value += c * log(q)
+                slope += 2.0 * c * d / q
             elif kind == _ATAN:
-                value += c * math.atan((x - a) / e)
-                slope += c * e / ((x - a) ** 2 + e**2)
+                value += c * atan(d / e)
+                slope += c * e / (d**2 + e**2)
             elif kind == _POLE:
-                d = x - a
                 value += c / d**e
                 slope -= e * c / d ** (e + 1)
             else:
@@ -477,32 +485,12 @@ def _F_dF_array(F: AntiderivativeF, x: np.ndarray):
 
     Call it under np.errstate(divide="ignore", invalid="ignore",
     over="ignore"). An entry whose value or slope is not finite, such as
-    one on a log or pole abscissa, is recomputed by _value_and_slope and
-    so gets its signed infinity.
+    one on a log or pole abscissa, is recomputed by the float
+    _value_and_slope and so gets its signed infinity.
     """
-    value = np.zeros(x.shape)
-    slope = np.zeros(x.shape)
-    for kind, c, a, e in F.table:
-        if kind == _LOG:
-            d = x - a
-            value += c * np.log(np.abs(d))
-            slope += c / d
-        elif kind == _LOGQ:
-            d = x - a
-            q = d**2 + e
-            value += c * np.log(q)
-            slope += 2.0 * c * d / q
-        elif kind == _ATAN:
-            d = x - a
-            value += c * np.arctan(d / e)
-            slope += c * e / (d**2 + e**2)
-        elif kind == _POLE:
-            d = x - a
-            value += c / d**e
-            slope -= e * c / d ** (e + 1)
-        else:
-            value += c * x
-            slope += c
+    # np.full: a lone Linear row, G's at R = 0, leaves the slope a constant
+    value, slope = (v if np.ndim(v) else np.full(x.shape, v)
+                    for v in _value_and_slope(F, x, np.log, np.arctan))
     for i in np.flatnonzero(~(np.isfinite(value) & np.isfinite(slope))):
         v, dv = _value_and_slope(F, float(x.flat[i]))
         if not math.isfinite(value.flat[i]):

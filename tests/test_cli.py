@@ -203,6 +203,10 @@ def test_flag_errors_exit_64():
     # lemmas has no sampling knobs
     assert run_cli(["lemmas", "--which", "J", "--seed", "1"])[0] == 64
     assert run_cli(["lemmas", "--which", "J", "--samples", "10"])[0] == 64
+    # every required --n is at least 2
+    for args in (["classify", "--scalar", "0"], ["solve", "--scalar", "6", "--anchor", "1,0.5"],
+                 ["verify", "--scalar", "6", "--anchor", "1,0.5"], ["ball"]):
+        assert run_cli(args + ["--n", "1"])[0] == 64, args
 
 
 def test_runconfig_invariants_exit_64():
@@ -333,6 +337,16 @@ def test_anchor_where_F_overflows_is_a_bad_anchor(command):
     report = json.loads(err)
     assert report["error"] == "BadAnchorError"
     assert "g0 = 1e+160" in report["detail"]
+
+
+def test_anchor_where_only_F_prime_overflows_is_solved():
+    # F(1e120) is finite while F' overflows there; the gauge needs F alone
+    code, out, err = run_cli([
+        "solve", "--n", "3", "--scalar", "-12", "--lambda=-0.25", "--mu=-0.0625",
+        "--anchor", "1,1e120", "--samples", "3", "--s-min", "0.5", "--s-max", "0.9",
+    ])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 4
 
 
 def test_verify_rejects_foreign_header(tmp_path):
@@ -548,6 +562,7 @@ def test_config_unknown_key_exits_64(tmp_path):
         ('{"lambda": NaN}', True),
         ('{"samples": "abc"}', True),
         ('{"n": 2.5, "scalar": 6, "anchor": "1,0.5"}', False),
+        ('{"n": 1, "scalar": 6, "anchor": "1,0.5"}', False),
     ],
 )
 def test_config_values_take_the_flag_types(tmp_path, config, flags):
@@ -653,3 +668,17 @@ def test_ball_without_a_limit_at_infinity_is_ill_conditioned(optimize):
     report = json.loads(err)
     assert report["error"] == "IllConditionedError"
     assert "no finite limit at infinity" in report["detail"]
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_catalog_reference_deviation_is_ill_conditioned(optimize):
+    # at this k the roots of H sit 2.9e-13 from alpha = (1 - k) / 2 and the
+    # engine F misses the printed identity's differences by 4.0e-4; the
+    # check is no assert, so python -O fails the reference stage too
+    code, out, err = run_cli_in(optimize, [
+        "catalog", "--label", "1.3.2", "--params", '{"k": 0.0001368}', "--check",
+    ])
+    assert (code, out) == (1, "")
+    report = json.loads(err)
+    assert report["error"] == "StageError"
+    assert report["detail"].startswith("stage reference: IllConditionedError: ")

@@ -330,6 +330,20 @@ def test_anchor_where_F_overflows_rejected():
         gauge_from_anchor(ode, br, F, (1.0, 1e160))
 
 
+def test_anchor_where_only_the_slope_overflows_is_gauged():
+    # H = (x + 1/2)^3 (x - 1/2): F(1e120) is finite, but the double pole's
+    # slope term c / d**3 overflows once |d| passes about 5.6e102, which is
+    # why the gauge's eval_F computes the value alone
+    ode = build_ode(RadialProblem(3, -12.0, -0.25, -0.0625))
+    br = admissible_branches(ode)[0]
+    F = partial_fractions(ode, br)
+    assert math.isfinite(eval_F(F, 1e120))
+    with pytest.raises(OverflowError):
+        quadrature._value_and_slope(F, 1e120)
+    sol = gauge_from_anchor(ode, br, F, (1.0, 1e120))
+    assert sol.c == eval_F(F, 1e120)
+
+
 def test_out_of_domain_rejected():
     sol = solution_for("1.7.1")
     assert sol.s_domain == (0.0, 1.0)
