@@ -14,9 +14,10 @@ equation s g^{n-1} g' = H(g), so the curvature chain is exact in
 difference of the bracket s g^{n-1} f' across neighbouring abscissae,
 each inverted on its own, is what tests the inversion g(s).
 
-The formulas are written once, over numpy-broadcastable (s, g); the
-one-point functions, metric_sample's array path and verify_solution's
-whole-grid pass share them.
+The formulas are written once, over numpy-broadcastable (s, g). One
+reader, _kahler_point, inverts and checks every point (float or array)
+that metric_tensor, metric_sample and the curvatures read; verify_solution
+reports instead of raising, so its whole-grid pass reads its own.
 """
 
 import math
@@ -80,24 +81,27 @@ class VerificationReport:
     kahler_ok: bool
 
 
-def _slope(ode, s, g):
-    """g' = H(g) / (s g^k), from the first order equation."""
-    return ode.H(g) / (s * g**ode.k)
-
-
 def _radial(ode, s, g):
-    """u' = g / s, u'' = (g' - u') / s and g' = u' + s u'' at (s, g)."""
-    g1 = _slope(ode, s, g)
+    """u' = g / s, u'' = (g' - u') / s and g' = H(g) / (s g^k) at (s, g)."""
+    g1 = ode.H(g) / (s * g**ode.k)
     up = g / s
     return up, (g1 - up) / s, g1
 
 
-def _require_kahler(s, up, g1) -> None:
-    """Raise at the first entry where u' or u' + s u'' = g' is not positive."""
+def _kahler_point(sol: RadialSolution, s):
+    """(g, u', u'', g') at s, a float or an array, with g inverted once.
+
+    Raises NotKahlerError at the first entry where u' or u' + s u'' = g'
+    is not positive: the chain divides by g', which vanishes where
+    rounding pins g to a window end.
+    """
+    g = solve_g(sol, s)
+    up, upp, g1 = _radial(sol.ode, s, g)
     bad = np.flatnonzero(np.logical_not((up > 0.0) & (g1 > 0.0)))
     if bad.size:
         s, up, g1 = (float(np.ravel(v)[bad[0]]) for v in (s, up, g1))
         raise NotKahlerError(f"u' = {up:.6g}, u' + s u'' = {g1:.6g} at s = {s:.6g}")
+    return g, up, upp, g1
 
 
 def _tensor(up, upp, z) -> np.ndarray:
@@ -107,8 +111,9 @@ def _tensor(up, upp, z) -> np.ndarray:
     return up * np.eye(z.shape[-1]) + upp * (np.conj(z)[..., :, None] * z[..., None, :])
 
 
-def _profile_derivatives(ode, s, g):
-    """g', g'', g''' at (s, g), differentiating s g^k g' = H(g)."""
+def _density_derivatives(ode, s, g):
+    """g', f' and f'' at (s, g), for the density f = k (log g - log s) + log g';
+    g'' and g''' come from differentiating s g^k g' = H(g)."""
     H, Hp, Hpp, k = ode.H, ode.Hp, ode.Hpp, ode.k
     P = H(g)
     Q = s * g**k
@@ -123,13 +128,6 @@ def _profile_derivatives(ode, s, g):
         + k * s * g ** (k - 1) * g2
     )
     g3 = (P2 * Q - P * Q2) / Q**2 - 2.0 * g2 * Q1 / Q
-    return g1, g2, g3
-
-
-def _density_derivatives(ode, s, g):
-    """g', f' and f'' at (s, g), for the density f = k (log g - log s) + log g'."""
-    k = ode.k
-    g1, g2, g3 = _profile_derivatives(ode, s, g)
     f1 = k * (g1 / g - 1.0 / s) + g2 / g1
     f2 = k * (g2 / g - (g1 / g) ** 2) + (g3 * g1 - g2**2) / g1**2 + k / s**2
     return g1, f1, f2
@@ -152,12 +150,13 @@ def _neighbours(s):
     return h, (s + h, s - h, s + 0.5 * h, s - 0.5 * h)
 
 
-def _richardson(ode, s, g, h, phi):
-    """Curvature at (s, g) from the bracket values phi at _neighbours(s)."""
+def _richardson(k, g, g1, h, phi):
+    """Curvature at (s, g), with g' = g1 there, from the bracket values phi
+    at _neighbours(s)."""
     d1 = (phi[0] - phi[1]) / (2.0 * h)
     d2 = (phi[2] - phi[3]) / h
     phi1 = (4.0 * d2 - d1) / 3.0
-    return -phi1 / (g**ode.k * _slope(ode, s, g))
+    return -phi1 / (g**k * g1)
 
 
 def _potential(sol: RadialSolution, s, g, g_a):
@@ -190,18 +189,8 @@ def metric_tensor(sol: RadialSolution, z) -> np.ndarray:
     s = float(np.real(np.vdot(z, z)))
     if s == 0.0:
         raise OutOfDomainError("the metric is defined away from the origin")
-    up, upp, g1 = _radial(sol.ode, s, solve_g(sol, s))
-    _require_kahler(s, up, g1)
+    _, up, upp, _ = _kahler_point(sol, s)
     return _tensor(up, upp, z)
-
-
-def _kahler_g(sol: RadialSolution, s: float) -> float:
-    """g(s), once u' and g' are checked positive there (the chain divides
-    by g', which vanishes where rounding pins g to a window end)."""
-    g = solve_g(sol, s)
-    up, _, g1 = _radial(sol.ode, s, g)
-    _require_kahler(s, up, g1)
-    return g
 
 
 def scalar_curvature(sol: RadialSolution, s: float) -> float:
@@ -211,12 +200,12 @@ def scalar_curvature(sol: RadialSolution, s: float) -> float:
     inversion; curvature_fd does. Non-Kahler data at s raises
     NotKahlerError, as in metric_sample.
     """
-    g = _kahler_g(sol, s)
+    g = _kahler_point(sol, s)[0]
     return _curvature(sol.ode.k, s, g, *_density_derivatives(sol.ode, s, g))
 
 
 def _phi(sol: RadialSolution, s: float) -> float:
-    g = _kahler_g(sol, s)
+    g = _kahler_point(sol, s)[0]
     _, f1, _ = _density_derivatives(sol.ode, s, g)
     return _bracket(sol.ode.k, s, g, f1)
 
@@ -226,33 +215,26 @@ def curvature_fd(sol: RadialSolution, s: float) -> float:
 
     Non-Kahler data at s or at a neighbour raises NotKahlerError.
     """
-    g = _kahler_g(sol, s)  # first, so an s outside the domain is named as such
+    g, _, _, g1 = _kahler_point(sol, s)  # first, so an s outside the domain is named as such
     h, near = _neighbours(s)
     phi = [_phi(sol, x) for x in near]
-    return _richardson(sol.ode, s, g, h, phi)
+    return _richardson(sol.ode.k, g, g1, h, phi)
 
 
 def metric_sample(sol: RadialSolution, s) -> MetricSample:
     """Assemble the full radial record at s; rejects non-Kahler data.
 
-    s is a float or a numpy array. g(s) is inverted once and feeds the
-    potential and the curvature chain. For a float, the potential's
-    anchor value is the solution's own g(s_a); for an array, s_a joins
-    the same solve_g call, and every field is evaluated over the whole
-    array at once.
+    s is a float or a numpy array, whose fields are evaluated over the
+    whole array at once. g(s) is inverted once and feeds the potential
+    and the curvature chain; the potential's anchor value is the
+    solution's own g(s_a).
     """
-    if isinstance(s, np.ndarray):
-        gs = solve_g(sol, np.append(s, sol.s_anchor))
-        g, g_a = gs[:-1].reshape(s.shape), gs[-1]
-    else:
-        g, g_a = solve_g(sol, s), sol.g_anchor()
+    g, up, upp, g1 = _kahler_point(sol, s)
     ode = sol.ode
-    up, upp, g1 = _radial(ode, s, g)
-    _require_kahler(s, up, g1)
     return MetricSample(
         s=s,
         g=g,
-        u=_potential(sol, s, g, g_a),
+        u=_potential(sol, s, g, sol.g_anchor()),
         up=up,
         upp=upp,
         # the density of reduction.f_of, from the g and g' at hand
@@ -299,7 +281,7 @@ def verify_solution(sol: RadialSolution, n_samples: int) -> VerificationReport:
     up, upp, g1 = _radial(ode, grid, g)
     _, f1, f2 = _density_derivatives(ode, points, gs)
     curv = _curvature(ode.k, grid, g, g1, f1[0], f2[0])
-    r_fd = _richardson(ode, grid, g, h, _bracket(ode.k, points[1:], gs[1:], f1[1:]))
+    r_fd = _richardson(ode.k, g, g1, h, _bracket(ode.k, points[1:], gs[1:], f1[1:]))
     z = np.zeros((n_samples, n), dtype=complex)
     z[:, 0] = np.sqrt(grid)
     det = np.real(np.linalg.det(_tensor(up, upp, z)))

@@ -271,8 +271,9 @@ def partial_fractions(ode: OdeData, branch) -> AntiderivativeF:
     residue at z = beta + i gamma, and the logs at z and at its conjugate
     combine into a log of the factor and an arctangent; a repeated
     quadratic factor raises UnsupportedMultiplicityError. Shared roots of
-    x^k and H cancel automatically because their leading quotient entries
-    vanish.
+    x^k and H cancel because their leading quotient entries vanish. A
+    value that leaves the float range, or a root whose multiplicity H's
+    Taylor coefficients miss, raises IllConditionedError naming it.
     """
     return _split(ode, branch)
 
@@ -287,12 +288,15 @@ def _principal_part(H, k: int, z, mult: int, root: Optional[float]) -> list:
     H / (x - z)^mult; a_1 of a simple root is P(z) / H'(z).
     """
     denom = _taylor(H.coeffs, z)[mult:]
-    assert denom and denom[0] != 0.0
+    if not (denom and denom[0] != 0.0):
+        raise IllConditionedError(
+            0.0, f"H's Taylor coefficient of order {mult} at its {mult}-fold root {z!r} is 0"
+        )
     # Taylor coefficients of P at z; (z - root) is exactly 0 at root
-    numer = [
-        float(math.comb(k, j)) * z ** (k - j) if j <= k else 0.0
-        for j in range(mult)
-    ]
+    try:
+        numer = [float(math.comb(k, j)) * z ** (k - j) if j <= k else 0.0 for j in range(mult)]
+    except OverflowError:
+        raise IllConditionedError(math.inf, f"x^{k} overflows at the root {z!r} of H") from None
     if root is not None:
         numer = [(z - root) * a + b for a, b in zip(numer, [0.0] + numer)]
     quo = []
@@ -341,10 +345,18 @@ def _split(ode: OdeData, branch, root: Optional[float] = None) -> Antiderivative
 
     F = AntiderivativeF(tuple(terms))
     probe = probe_point(branch.A, branch.B)
+    # on a ray with A >= 2**53 the probe point A + 1 rounds to A, where H is 0
+    if not branch.A < probe < branch.B:
+        raise IllConditionedError(
+            math.inf, f"probe point {probe!r} is not inside ({branch.A}, {branch.B})"
+        )
     want = probe**k / H(probe)
     if root is not None:
         want *= probe - root
-    got = F.derivative(probe)
+    try:
+        got = F.derivative(probe)
+    except (OverflowError, ZeroDivisionError):
+        raise IllConditionedError(math.inf, f"F' is not finite at {probe!r}") from None
     if not (got > 0.0 and abs(got - want) <= 1e-8 * (1.0 + abs(want))):
         mismatch = abs(got - want) / (1.0 + abs(want))
         raise IllConditionedError(
@@ -361,9 +373,10 @@ class RadialSolution:
     window and at a finite right end, so the domain starts at s = 0, and
     it ends at inf, or on a finite extension at exp(F(inf) - c). A finite
     extension whose F has no finite limit at infinity (its log terms fail
-    to cancel) raises IllConditionedError. The potential's antiderivative
-    G and its anchor value g(s_a) are computed on first use and kept: both
-    are fixed by the solution alone.
+    to cancel) raises IllConditionedError, and a c for which that end
+    underflows to 0 raises OutOfDomainError. The potential's
+    antiderivative G and its anchor value g(s_a) are computed on first use
+    and kept: both are fixed by the solution alone.
     """
 
     __slots__ = ("ode", "branch", "F", "c", "s_domain", "_G", "_g_anchor")
@@ -379,6 +392,8 @@ class RadialSolution:
                     f" ({branch.A}, inf): its log terms do not cancel",
                 )
             hi = _exp(limit - c)
+            if hi == 0.0:
+                raise OutOfDomainError(f"the s-domain (0, exp(F(inf) - c)) is empty at c = {c!r}")
         self.ode = ode
         self.branch = branch
         self.F = F

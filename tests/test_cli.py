@@ -682,3 +682,48 @@ def test_catalog_reference_deviation_is_ill_conditioned(optimize):
     report = json.loads(err)
     assert report["error"] == "StageError"
     assert report["detail"].startswith("stage reference: IllConditionedError: ")
+
+
+SPLIT_FLOAT_RANGE = {
+    # x^2's Taylor coefficients overflow at a root near 3.7e201
+    "overflow": ([
+        "solve", "--n", "3", "--scalar=3.2414365214354135e-201",
+        "--lambda=-1.5507399196705884e-101", "--mu=4.076031672312117e-13",
+        "--anchor", "1,1", "--samples", "5", "--format", "json",
+    ], "overflows at the root"),
+    # A = 8.8e49 on a ray: the probe point A + 1 rounds to A, where H is 0
+    "probe": ([
+        "ball", "--n", "5", "--lambda=6.6373514880557e-07", "--mu=-4.521056060236043e+299",
+        "--samples", "5",
+    ], "is not inside"),
+    # a numerical triple root at 0 where H has no x^3 term
+    "triple-root": ([
+        "solve", "--n", "4", "--scalar", "0", "--lambda=3.1287883239167286e-114",
+        "--mu=-3.4565543442730043e-217", "--anchor", "1,1", "--samples", "3",
+    ], "Taylor coefficient of order 3"),
+}
+
+
+@pytest.mark.parametrize("case, optimize", [
+    ("overflow", False), ("probe", False), ("triple-root", False), ("triple-root", True),
+])
+def test_split_float_range_failures_are_ill_conditioned(case, optimize):
+    # the triple root used to fail an assert, and a ZeroDivisionError under -O
+    args, detail = SPLIT_FLOAT_RANGE[case]
+    code, out, err = run_cli_in(optimize, args)
+    assert (code, out) == (1, "")
+    report = json.loads(err)
+    assert report["error"] == "IllConditionedError"
+    assert detail in report["detail"]
+
+
+def test_gauge_constant_that_empties_the_domain_exits_1(validator):
+    # exp(F(inf) - c) underflows to 0: the domain (0, 0.0) has no grid
+    code, out, err = run_cli([
+        "verify", "--n", "6", "--scalar=-797490.929544062", "--lambda=-0.05927224077667122",
+        "--mu=8.550385033450465e-13", "--gauge-c=288382.7069678669", "--samples", "5",
+    ])
+    assert (code, out) == (1, "")
+    payload = valid(validator, json.loads(err))
+    assert payload["error"] == "OutOfDomainError"
+    assert "empty at c = 288382.7069678669" in payload["detail"]

@@ -229,13 +229,18 @@ def test_curvature_fd_cross_check():
 
 @pytest.mark.parametrize("s", [1e-4, 1e-5, 1e-6])
 def test_curvature_where_g_is_pinned_to_the_left_end(s):
-    # g rounds to A, where H and so g' vanish: every curvature path names
-    # the non-Kahler point instead of dividing by g' = 0
+    # g rounds to A, where H and so g' vanish: every curvature and metric
+    # path names the non-Kahler point instead of dividing by g' = 0, for
+    # the point z with |z|^2 = s and for an array holding s too
     sol = solution_for("1.7.6")
     assert solve_g(sol, s) == sol.branch.A
-    for fn in (scalar_curvature, curvature_fd, metric_sample):
+    z = np.zeros(sol.ode.problem.n)
+    z[0] = math.sqrt(s)
+    inputs = [(fn, s) for fn in (scalar_curvature, curvature_fd, metric_sample)]
+    inputs += [(metric_tensor, z), (metric_sample, np.array([0.5, s]))]
+    for fn, arg in inputs:
         with pytest.raises(NotKahlerError, match="u' \\+ s u'' = 0 at s"):
-            fn(sol, s)
+            fn(sol, arg)
 
 
 def test_metric_sample_fields():

@@ -21,6 +21,7 @@ from csck import (
     OutOfDomainError,
     Poly,
     RadialProblem,
+    RadialSolution,
     RecipPower,
     UnsupportedMultiplicityError,
     admissible_branches,
@@ -425,9 +426,12 @@ def test_finite_extension_without_a_limit_at_infinity_is_ill_conditioned():
 
 @pytest.fixture(scope="module")
 def pipeline_fuzz():
-    """The pipeline on 1500 seeded problems whose lambda and mu are scaled
-    by 10**U(-12, 8): (branches, solutions, errors) over all of them.
+    """The pipeline on 2000 seeded problems: (branches, solutions, errors)
+    over all of them.
 
+    1500 problems have lambda and mu scaled by 10**U(-12, 8). 500 more
+    reach the ends of the float range: R, lambda and mu of either sign
+    and magnitude 10**U(-300, 300), R = 0 for about 30% of them.
     Every branch of classify(allow_finite_extension=True) runs through
     partial_fractions and gauge_from_anchor at (1, probe point), and a
     finite extension through ball_normalize too. errors holds each
@@ -442,12 +446,22 @@ def pipeline_fuzz():
             errors.append((problem, step.__name__, exc))
             return None
 
-    rng = np.random.default_rng(0)
-    for _ in range(1500):
-        n = int(rng.integers(2, 12))
-        R = float(rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])) * n * (n + 1)
-        lam, mu = rng.normal(0.0, 3.0, 2) * 10.0 ** rng.uniform(-12.0, 8.0, 2)
-        problem = RadialProblem(n, R, float(lam), float(mu))
+    def problems():
+        rng = np.random.default_rng(0)
+        for _ in range(1500):
+            n = int(rng.integers(2, 12))
+            R = float(rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])) * n * (n + 1)
+            lam, mu = rng.normal(0.0, 3.0, 2) * 10.0 ** rng.uniform(-12.0, 8.0, 2)
+            yield RadialProblem(n, R, float(lam), float(mu))
+        rng = np.random.default_rng(1)
+        for _ in range(500):
+            n = int(rng.integers(2, 12))
+            R, lam, mu = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-300.0, 300.0, 3)
+            if not rng.random() < 0.7:
+                R = 0.0
+            yield RadialProblem(n, float(R), float(lam), float(mu))
+
+    for problem in problems():
         report = attempt(problem, classify, problem, True)
         for br in report.branches if report else ():
             branches.append(br)
@@ -475,6 +489,39 @@ def test_pipeline_fuzz_window_ends_obey_the_divergence_rules(pipeline_fuzz):
     assert all(br.diverges_left for br in branches)
     assert all(br.diverges_right for br in branches if math.isfinite(br.B))
     assert all(sol.s_domain[0] == 0.0 for sol in solutions)
+
+
+@pytest.mark.parametrize("n, R, lam, mu, detail", [
+    # a root near -1.3e120, where x^9's Taylor coefficients overflow
+    (10, -8.25843157851535e-119, -1.2552599957618862e-28, 2.6608374738678816e-220,
+     "x^9 overflows at the root"),
+    # A = 6.5e20 on a ray: the probe point A + 1 rounds to A, where H is 0
+    (5, 0.0, 4.947735742683611e-286, -1.1910563031379722e104, "is not inside"),
+    # a numerical double root at 0 where H has no x^2 term
+    (10, 1.430333303033823e-246, 8.551374279193614e-250, 2.273745477653093e-96,
+     "Taylor coefficient of order 2"),
+    # a pole row's slope c / d**(p + 1) overflows at the probe point
+    (2, 3.183919745717332e-170, -5.270547460701579e-127, -1.2933262285204272e-26,
+     "F' is not finite"),
+])
+def test_split_names_its_float_range_failures(n, R, lam, mu, detail):
+    report = classify(RadialProblem(n, R, lam, mu), True)
+    with pytest.raises(IllConditionedError, match=re.escape(detail)):
+        partial_fractions(report.ode, report.branches[0])
+
+
+def test_gauge_constant_that_empties_the_domain_is_out_of_domain():
+    # exp(F(inf) - c) underflows to 0 at this c; the domain was (0, 0.0)
+    report = classify(
+        RadialProblem(6, -797490.929544062, -0.05927224077667122, 8.550385033450465e-13), True
+    )
+    br = report.branches[0]
+    F = partial_fractions(report.ode, br)
+    with pytest.raises(OutOfDomainError, match="empty at c = 288382.7069678669"):
+        RadialSolution(report.ode, br, F, 288382.7069678669)
+    # the two gauges of the library keep a domain that is not empty
+    assert ball_normalize(report.ode, br, F).s_domain == (0.0, 1.0)
+    assert gauge_from_anchor(report.ode, br, F, (1.0, probe_point(br.A, br.B))).s_domain[1] > 1.0
 
 
 def test_shoot_spec_examples():
