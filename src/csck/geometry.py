@@ -10,9 +10,11 @@ curvature comes out of the density f = log(g^{n-1} g' / s^{n-1}) as
 
 All derivatives of g are obtained analytically from the first order
 equation s g^{n-1} g' = H(g), so the curvature chain is exact in
-(s, g): it returns R for any g, accurate or not. A Richardson finite
-difference of the bracket s g^{n-1} f' across neighbouring abscissae,
-each inverted on its own, is what tests the inversion g(s).
+(s, g): it returns R for any g, accurate or not. On that equation the
+bracket s g^{n-1} f' is lam - (R/n) g^n, so the finite-difference check
+is R times a ratio of slopes, (R/n) [g^n]' / (g^{n-1} g'), with [g^n]'
+differenced across neighbouring abscissae, each inverted on its own.
+It tests the inversion g(s) where R != 0; at R = 0 it reads 0 for any g.
 
 The formulas are written once, over numpy-broadcastable (s, g). One
 reader, _kahler_point, inverts and checks every point (float or array)
@@ -64,9 +66,9 @@ class VerificationReport:
     max_curvature_residual and curvature_stddev come from the analytic
     (s, g) chain, which returns R for any g, so they check the algebra
     and its rounding, not the inversion. max_fd_mismatch compares that
-    chain with finite differences across neighbouring abscissae, each
-    inverted on its own; it and an independent shoot_ode are the checks
-    that test g(s).
+    chain with (R/n) [g^n]' / (g^{n-1} g'), [g^n]' differenced across
+    neighbouring abscissae, each inverted on its own. It tests g(s) only
+    where R != 0; at R = 0 an independent shoot_ode is the check.
     """
 
     n_samples: int
@@ -111,9 +113,10 @@ def _tensor(up, upp, z) -> np.ndarray:
     return up * np.eye(z.shape[-1]) + upp * (np.conj(z)[..., :, None] * z[..., None, :])
 
 
-def _density_derivatives(ode, s, g):
-    """g', f' and f'' at (s, g), for the density f = k (log g - log s) + log g';
-    g'' and g''' come from differentiating s g^k g' = H(g)."""
+def _curvature(ode, s, g):
+    """R = -[s g^k f']' / (g^k g') at (s, g), for the density
+    f = k (log g - log s) + log g'; g', g'' and g''' come from
+    differentiating s g^k g' = H(g)."""
     H, Hp, Hpp, k = ode.H, ode.Hp, ode.Hpp, ode.k
     P = H(g)
     Q = s * g**k
@@ -130,18 +133,8 @@ def _density_derivatives(ode, s, g):
     g3 = (P2 * Q - P * Q2) / Q**2 - 2.0 * g2 * Q1 / Q
     f1 = k * (g1 / g - 1.0 / s) + g2 / g1
     f2 = k * (g2 / g - (g1 / g) ** 2) + (g3 * g1 - g2**2) / g1**2 + k / s**2
-    return g1, f1, f2
-
-
-def _curvature(k, s, g, g1, f1, f2):
-    """Scalar curvature at (s, g) from the density derivatives there."""
     phi1 = g**k * f1 + k * s * g ** (k - 1) * g1 * f1 + s * g**k * f2
     return -phi1 / (g**k * g1)
-
-
-def _bracket(k, s, g, f1):
-    """s g^{n-1} f', the bracket whose derivative carries the curvature."""
-    return s * g**k * f1
 
 
 def _neighbours(s):
@@ -150,13 +143,12 @@ def _neighbours(s):
     return h, (s + h, s - h, s + 0.5 * h, s - 0.5 * h)
 
 
-def _richardson(k, g, g1, h, phi):
-    """Curvature at (s, g), with g' = g1 there, from the bracket values phi
-    at _neighbours(s)."""
-    d1 = (phi[0] - phi[1]) / (2.0 * h)
-    d2 = (phi[2] - phi[3]) / h
-    phi1 = (4.0 * d2 - d1) / 3.0
-    return -phi1 / (g**k * g1)
+def _richardson(ode, g, g1, h, gn):
+    """(R/n) [g^n]' / (g^k g') at (s, g), with g' = g1 there and [g^n]'
+    the Richardson difference of the values gn at _neighbours(s)."""
+    d1 = (gn[0] - gn[1]) / (2.0 * h)
+    d2 = (gn[2] - gn[3]) / h
+    return ode.problem.R / ode.problem.n * ((4.0 * d2 - d1) / 3.0) / (g**ode.k * g1)
 
 
 def _potential(sol: RadialSolution, s, g, g_a):
@@ -197,28 +189,22 @@ def scalar_curvature(sol: RadialSolution, s: float) -> float:
     """Scalar curvature at s through the analytic derivative chain.
 
     The chain returns R for any g, so this value does not test the
-    inversion; curvature_fd does. Non-Kahler data at s raises
-    NotKahlerError, as in metric_sample.
+    inversion; curvature_fd does where R != 0. Non-Kahler data at s
+    raises NotKahlerError, as in metric_sample.
     """
-    g = _kahler_point(sol, s)[0]
-    return _curvature(sol.ode.k, s, g, *_density_derivatives(sol.ode, s, g))
-
-
-def _phi(sol: RadialSolution, s: float) -> float:
-    g = _kahler_point(sol, s)[0]
-    _, f1, _ = _density_derivatives(sol.ode, s, g)
-    return _bracket(sol.ode.k, s, g, f1)
+    return _curvature(sol.ode, s, _kahler_point(sol, s)[0])
 
 
 def curvature_fd(sol: RadialSolution, s: float) -> float:
-    """Curvature with the outer derivative taken by Richardson differences.
+    """Curvature (R/n) [g^n]' / (g^{n-1} g'), [g^n]' differenced across
+    neighbours of s, each inverted on its own: it tests g where R != 0.
 
     Non-Kahler data at s or at a neighbour raises NotKahlerError.
     """
     g, _, _, g1 = _kahler_point(sol, s)  # first, so an s outside the domain is named as such
     h, near = _neighbours(s)
-    phi = [_phi(sol, x) for x in near]
-    return _richardson(sol.ode.k, g, g1, h, phi)
+    gn = [_kahler_point(sol, x)[0] ** sol.ode.problem.n for x in near]
+    return _richardson(sol.ode, g, g1, h, gn)
 
 
 def metric_sample(sol: RadialSolution, s) -> MetricSample:
@@ -239,7 +225,7 @@ def metric_sample(sol: RadialSolution, s) -> MetricSample:
         upp=upp,
         # the density of reduction.f_of, from the g and g' at hand
         f=ode.k * (np.log(g) - np.log(s)) + np.log(g1),
-        R_num=_curvature(ode.k, s, g, *_density_derivatives(ode, s, g)),
+        R_num=_curvature(ode, s, g),
     )
 
 
@@ -255,10 +241,10 @@ def verify_solution(sol: RadialSolution, n_samples: int) -> VerificationReport:
     0.05 s_hi instead. Failures are reported, not raised.
 
     The grid and its four Richardson neighbours are inverted by one array
-    call of solve_g, the derivative chain runs once over all five rows,
-    and every residual is evaluated over the whole grid at once.
+    call of solve_g, the derivative chain runs on the grid row alone, and
+    every residual is evaluated over the whole grid at once.
     max_curvature_residual comes from the analytic chain, which returns R
-    for any g; max_fd_mismatch is the residual that tests the inversion.
+    for any g; max_fd_mismatch tests the inversion where R != 0.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples = {n_samples!r} must be at least 1")
@@ -279,9 +265,9 @@ def verify_solution(sol: RadialSolution, n_samples: int) -> VerificationReport:
     gs = solve_g(sol, points)
     g = gs[0]
     up, upp, g1 = _radial(ode, grid, g)
-    _, f1, f2 = _density_derivatives(ode, points, gs)
-    curv = _curvature(ode.k, grid, g, g1, f1[0], f2[0])
-    r_fd = _richardson(ode.k, g, g1, h, _bracket(ode.k, points[1:], gs[1:], f1[1:]))
+    curv = _curvature(ode, grid, g)
+    with np.errstate(divide="ignore", invalid="ignore"):  # nan or inf where g' = 0, as in curv
+        r_fd = _richardson(ode, g, g1, h, gs[1:] ** n)
     z = np.zeros((n_samples, n), dtype=complex)
     z[:, 0] = np.sqrt(grid)
     det = np.real(np.linalg.det(_tensor(up, upp, z)))

@@ -214,7 +214,10 @@ def _polish(cs, z, m: int):
             break
         zn = z - dz / slope
         dn = _horner(d, zn)
-        if not abs(dn) < abs(dz):
+        try:
+            if not abs(dn) < abs(dz):
+                break
+        except OverflowError:  # the modulus of a complex d passes the float range
             break
         z, dz = zn, dn
     return z

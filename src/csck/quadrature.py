@@ -248,7 +248,8 @@ def _singular(F: AntiderivativeF, x: float):
     the highest order p, which tends to c * inf with a slope of -c * inf,
     or else the log, which tends to -c * inf with a slope of c * inf.
     Called from a kernel's handler of the error that the zero distance
-    raised; at any other x it re-raises that error.
+    raised. At any other x a power of x - a underflowed to 0, which raises
+    IllConditionedError naming x.
     """
     order, sign = -1, 0.0
     for kind, c, a, e in F.table:
@@ -256,7 +257,7 @@ def _singular(F: AntiderivativeF, x: float):
         if a == x and kind in (_LOG, _POLE) and e > order:
             order, sign = e, c if kind == _POLE else -c
     if order < 0:
-        raise
+        raise IllConditionedError(math.inf, f"a denominator of F or F' underflows at x = {x!r}")
     return math.copysign(math.inf, sign), math.copysign(math.inf, -sign)
 
 
@@ -355,7 +356,7 @@ def _split(ode: OdeData, branch, root: Optional[float] = None) -> Antiderivative
         want *= probe - root
     try:
         got = F.derivative(probe)
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, IllConditionedError):
         raise IllConditionedError(math.inf, f"F' is not finite at {probe!r}") from None
     if not (got > 0.0 and abs(got - want) <= 1e-8 * (1.0 + abs(want))):
         mismatch = abs(got - want) / (1.0 + abs(want))

@@ -236,3 +236,16 @@ def test_hard_root_configurations_classify(name):
         got = [x for b in report.branches for x in (b.A, b.B)]
         want = [x for b in near.branches for x in (b.A, b.B)]
         assert got == pytest.approx(want, abs=1e-8)
+
+
+def test_polish_of_a_factor_past_the_float_range_classifies():
+    # H = x^5 - 2.97e258 x + 8.71e224 has roots near +-4.15e64 and a
+    # quadratic factor of the same modulus, where |d| at the polish start
+    # overflows abs of a complex; the polish ends there, and the window
+    # starts at the root of x^4 = -lam
+    lam = -2.972045604035326e258
+    report = classify(RadialProblem(5, 0.0, lam, 8.707273548475804e224))
+    assert report.verdict is Verdict.SINGULAR_FAMILIES
+    (b,) = report.branches
+    assert b.A == pytest.approx((-lam) ** 0.25, rel=1e-15)
+    assert math.isinf(b.B)

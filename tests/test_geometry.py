@@ -18,6 +18,7 @@ from csck import (
     partial_fractions,
     solve_g,
 )
+from csck import geometry
 from csck.cases import CASES
 from csck.geometry import (
     curvature_fd,
@@ -395,3 +396,102 @@ def test_verify_rejects_empty_grid():
     for n_samples in (0, -3):
         with pytest.raises(ValueError):
             verify_solution(sol, n_samples)
+
+
+def _curvature_oracle(sol, z):
+    """S = tr(G^-1 Ric) at z, with Ric = -ddbar log det G and G = metric_tensor.
+
+    No radial formula enters: the second derivatives of log det G are
+    central differences in the 2n real coordinates of z, with step
+    h = 3e-3 |z| and one Richardson step to h / 2. The step balances two
+    errors: at h = 1e-3 |z| the rounding of log det G, divided by h^2,
+    reads 1.2e-6 on 1.3.4, and at h = 5e-3 |z| the h^4 truncation reads
+    1.7e-6 on a random solution whose domain ends at s = 1.8.
+    """
+    n = z.size
+    x0 = np.concatenate([z.real, z.imag])
+
+    def log_det(x):
+        return math.log(np.linalg.det(metric_tensor(sol, x[:n] + 1j * x[n:])).real)
+
+    def hessian(h):
+        e = h * np.eye(2 * n)
+        at = log_det(x0)
+        out = np.empty((2 * n, 2 * n))
+        for a in range(2 * n):
+            out[a, a] = (log_det(x0 + e[a]) - 2.0 * at + log_det(x0 - e[a])) / h**2
+            for b in range(a):
+                out[a, b] = out[b, a] = (
+                    log_det(x0 + e[a] + e[b]) - log_det(x0 + e[a] - e[b])
+                    - log_det(x0 - e[a] + e[b]) + log_det(x0 - e[a] - e[b])
+                ) / (4.0 * h**2)
+        return out
+
+    h = 3e-3 * np.linalg.norm(z)
+    d2 = (4.0 * hessian(0.5 * h) - hessian(h)) / 3.0
+    # d_j dbar_k = (d_xj - i d_yj)(d_xk + i d_yk) / 4
+    ddbar = 0.25 * (d2[:n, :n] + d2[n:, n:] + 1j * (d2[:n, n:] - d2[n:, :n]))
+    return float(np.real(np.trace(np.linalg.solve(metric_tensor(sol, z), -ddbar))))
+
+
+def _oracle_point(sol, rng):
+    """A random direction at |z|^2 = 1, or at half the domain's end when
+    that end is at or below 2."""
+    hi = sol.s_domain[1]
+    w = rng.normal(size=sol.ode.problem.n) + 1j * rng.normal(size=sol.ode.problem.n)
+    return w * math.sqrt(1.0 if hi > 2.0 else 0.5 * hi) / np.linalg.norm(w)
+
+
+def _oracle_miss(sol, z):
+    R = sol.ode.problem.R
+    return abs(_curvature_oracle(sol, z) - R) / (1.0 + abs(R))
+
+
+def _bent(solve):
+    """solve_g times 1 + 1e-3 s^2 / (1 + s^2), a factor that no fixture
+    absorbs. Some factors are solutions themselves: a uniform scale on
+    1.1.1, 1.2.1 and 1.4.1 (g = a s), and 1 + d s / (1 + s) on 1.2.2
+    (g = a s + b)."""
+    return lambda sol, s: solve(sol, s) * (1.0 + 1e-3 * s**2 / (1.0 + s**2))
+
+
+@pytest.mark.parametrize("label", BRANCHED)
+def test_curvature_oracle_in_cn_on_fixtures(label, monkeypatch):
+    # 1.9e-7 at most (1.3.4); a profile that misses the ODE reads at least
+    # 1e4 times its exact value on every fixture
+    sol = solution_for(label)
+    z = _oracle_point(sol, np.random.default_rng(3))
+    miss = _oracle_miss(sol, z)
+    assert miss <= 1e-6
+    monkeypatch.setattr(geometry, "solve_g", _bent(geometry.solve_g))
+    assert _oracle_miss(sol, z) >= 100.0 * max(miss, 1e-12)
+
+
+def test_curvature_oracle_in_cn_on_random_solutions():
+    # the first branch of the first 40 problems that have one, anchored at
+    # (1, A + 1) on rays and (1, midpoint) on finite windows; max 2.2e-7
+    rng = np.random.default_rng(11)
+    misses = []
+    while len(misses) < 40:
+        n = int(rng.integers(2, 5))
+        R = float(rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])) * n * (n + 1)
+        lam, mu = rng.normal(0.0, 3.0, 2)
+        branches = admissible_branches(build_ode(RadialProblem(n, R, float(lam), float(mu))))
+        if not branches:
+            continue
+        br = branches[0]
+        anchor = (1.0, br.A + 1.0 if math.isinf(br.B) else 0.5 * (br.A + br.B))
+        sol = plain_solution(n, R, float(lam), float(mu), anchor)
+        misses.append(_oracle_miss(sol, _oracle_point(sol, rng)))
+    assert max(misses) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "label", [l for l in BRANCHED if problem_for(get_case(l))[0].R != 0.0]
+)
+def test_fd_mismatch_sees_a_profile_that_misses_the_ode(label, monkeypatch):
+    # where R != 0 the difference rule reads R times a ratio of slopes;
+    # the ball fixtures 1.7.1-1.7.4 read about 107 times their exact value
+    exact = verify_solution(solution_for(label), 40).max_fd_mismatch
+    monkeypatch.setattr(geometry, "solve_g", _bent(geometry.solve_g))
+    assert verify_solution(solution_for(label), 40).max_fd_mismatch >= 10.0 * exact

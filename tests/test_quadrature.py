@@ -1089,3 +1089,23 @@ def test_table_kernels_match_the_term_kernels_bitwise_on_random_problems():
             dims.add(n)
     assert dims == set(range(2, 9))
     assert kinds >= {LogLinear, LogQuadratic, ArcTan, quadrature.Linear}
+
+
+def test_a_pole_denominator_that_underflows_is_named():
+    # the pole rows sit at a = -1.37e-82; at x = 7.9e-82, off every
+    # abscissa, the slope's d**4 underflows to 0, which names x instead of
+    # leaking a ZeroDivisionError, at a scalar and at an array target
+    ode = build_ode(RadialProblem(5, -3.657182235335461e82, -9.928038755110622e-258,
+                                  3.7507198948348218e-121))
+    br = admissible_branches(ode)[0]
+    F = partial_fractions(ode, br)
+    x = 7.906648457422892e-82
+    assert all(a < 0.0 for _, _, a, _ in F.table)
+    assert math.isfinite(eval_F(F, x))
+    detail = re.escape(f"underflows at x = {x!r}")
+    with pytest.raises(IllConditionedError, match=detail):
+        quadrature._value_and_slope(F, x)
+    sol = gauge_from_anchor(ode, br, F, (1.0, 1e-20))
+    for s in (0.5, np.geomspace(0.5, 0.9, 3)):
+        with pytest.raises(IllConditionedError, match=detail):
+            solve_g(sol, s)
