@@ -21,15 +21,12 @@ import sys
 from dataclasses import asdict
 from typing import Optional
 
-import numpy as np
-
+# only the layers that load no numpy; each handler imports what else it
+# calls, so that lemmas and verify --input never load numpy
 from .branches import BranchKind, classify
-from .catalog import cross_check, enumerate_cases, instantiate, merged_params
 from .cases import get_case
 from .errors import CsckError
-from .geometry import metric_sample, verify_solution
 from .inequalities import certify_negative
-from .quadrature import RadialSolution, ball_normalize, gauge_from_anchor, partial_fractions
 from .reduction import RadialProblem, build_ode, ode_residual
 
 CSV_HEADER = "s,g,u,up,upp,f,R_num"
@@ -339,6 +336,8 @@ def _solution(args, finite_only=False):
     solution is normalized to the unit ball; otherwise the gauge is the
     anchor or the constant c of the flags.
     """
+    from .quadrature import RadialSolution, ball_normalize, gauge_from_anchor, partial_fractions
+
     problem = RadialProblem(n=args.n, R=args.R, lam=args.lam, mu=args.mu)
     report = classify(problem, allow_finite_extension=True)
     branches = report.branches
@@ -364,6 +363,10 @@ def _solution(args, finite_only=False):
 
 
 def _sample_rows(sol, args):
+    import numpy as np
+
+    from .geometry import metric_sample
+
     ms = metric_sample(sol, np.geomspace(args.s_min, args.s_max, args.samples))
     columns = (ms.s, ms.g, ms.u, ms.up, ms.upp, ms.f, ms.R_num)
     return list(zip(*(column.tolist() for column in columns)))
@@ -374,6 +377,8 @@ def _sample_rows(sol, args):
 
 def _cmd_classify(args):
     if args.grid is not None:
+        import numpy as np
+
         lo, hi, count = args.grid
         axis = np.linspace(lo, hi, count)
         counts = {}
@@ -480,6 +485,8 @@ def _cmd_verify(args):
         }
         return payload, 0 if passed else 1
 
+    from .geometry import verify_solution
+
     sol, report = _solution(args)
     if sol is None:
         return _classify_payload(args, report), 2
@@ -496,6 +503,8 @@ def _cmd_verify(args):
 
 
 def _cmd_catalog(args):
+    from .catalog import cross_check, enumerate_cases, instantiate, merged_params
+
     if args.list_cases:
         labels = enumerate_cases(args.n if args.n is not None else 2, args.curv_sign)
         payload = {
@@ -525,6 +534,8 @@ def _cmd_catalog(args):
 
 
 def _cmd_ball(args):
+    from .geometry import verify_solution
+
     sol, report = _solution(args, finite_only=True)
     if sol is None:
         return _classify_payload(args, report), 2

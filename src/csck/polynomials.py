@@ -31,13 +31,12 @@ raise IllConditionedError instead of returning a guess.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import IllConditionedError, ZeroPolyError
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 # Newton converges quadratically from a cluster centroid; the cap only
 # bounds steps that keep shrinking |d| by rounding noise
 _POLISH_STEPS = 50
@@ -231,6 +230,8 @@ def _candidates(cs) -> list[complex]:
     part first. A companion matrix that is not finite (a subnormal
     leading coefficient) raises IllConditionedError.
     """
+    import numpy as np  # on first use, so that importing this module loads no numpy
+
     z = next(i for i, c in enumerate(cs) if c != 0.0)
     tail = cs[z:]
     d = len(tail) - 1

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
-import numpy as np
-
 from .errors import EndpointSampleError, NotCsckError, NotKahlerError
 from .polynomials import Poly, RootProfile, real_root_profile
 
@@ -113,6 +111,7 @@ def f_of(g: FunctionHandle, n: int) -> Callable[[float], float]:
     The returned handle raises NotKahler when g or g' is nonpositive at
     the queried point.
     """
+    import numpy as np  # on first use, so that importing this module loads no numpy
 
     def f(s: float) -> float:
         gv = g.value(s)
@@ -161,6 +160,8 @@ def recover_constants(
     tol relative to its mean, g does not solve the constant-R equation
     and NotCsck is raised with the spread attached.
     """
+    import numpy as np
+
     if s_points is None:
         s_points = np.geomspace(0.5, 2.0, 8)
     f = f_of(g, n)

@@ -398,39 +398,47 @@ def test_verify_rejects_empty_grid():
             verify_solution(sol, n_samples)
 
 
-def _curvature_oracle(sol, z):
-    """S = tr(G^-1 Ric) at z, with Ric = -ddbar log det G and G = metric_tensor.
+def _ddbar(fn, z):
+    """The complex Hessian d_j dbar_k fn at z, of a real function fn on C^n.
 
-    No radial formula enters: the second derivatives of log det G are
-    central differences in the 2n real coordinates of z, with step
-    h = 3e-3 |z| and one Richardson step to h / 2. The step balances two
-    errors: at h = 1e-3 |z| the rounding of log det G, divided by h^2,
-    reads 1.2e-6 on 1.3.4, and at h = 5e-3 |z| the h^4 truncation reads
-    1.7e-6 on a random solution whose domain ends at s = 1.8.
+    The second derivatives are central differences in the 2n real
+    coordinates of z, with step h = 3e-3 |z| and one Richardson step to
+    h / 2. The step balances two errors: at h = 1e-3 |z| the rounding of
+    log det G, divided by h^2, reads 1.2e-6 on 1.3.4 in the curvature
+    oracle, and at h = 5e-3 |z| the h^4 truncation reads 1.7e-6 on a
+    random solution whose domain ends at s = 1.8.
     """
     n = z.size
     x0 = np.concatenate([z.real, z.imag])
 
-    def log_det(x):
-        return math.log(np.linalg.det(metric_tensor(sol, x[:n] + 1j * x[n:])).real)
+    def at(x):
+        return fn(x[:n] + 1j * x[n:])
 
     def hessian(h):
         e = h * np.eye(2 * n)
-        at = log_det(x0)
+        mid = at(x0)
         out = np.empty((2 * n, 2 * n))
         for a in range(2 * n):
-            out[a, a] = (log_det(x0 + e[a]) - 2.0 * at + log_det(x0 - e[a])) / h**2
+            out[a, a] = (at(x0 + e[a]) - 2.0 * mid + at(x0 - e[a])) / h**2
             for b in range(a):
                 out[a, b] = out[b, a] = (
-                    log_det(x0 + e[a] + e[b]) - log_det(x0 + e[a] - e[b])
-                    - log_det(x0 - e[a] + e[b]) + log_det(x0 - e[a] - e[b])
+                    at(x0 + e[a] + e[b]) - at(x0 + e[a] - e[b])
+                    - at(x0 - e[a] + e[b]) + at(x0 - e[a] - e[b])
                 ) / (4.0 * h**2)
         return out
 
     h = 3e-3 * np.linalg.norm(z)
     d2 = (4.0 * hessian(0.5 * h) - hessian(h)) / 3.0
     # d_j dbar_k = (d_xj - i d_yj)(d_xk + i d_yk) / 4
-    ddbar = 0.25 * (d2[:n, :n] + d2[n:, n:] + 1j * (d2[:n, n:] - d2[n:, :n]))
+    return 0.25 * (d2[:n, :n] + d2[n:, n:] + 1j * (d2[:n, n:] - d2[n:, :n]))
+
+
+def _curvature_oracle(sol, z):
+    """S = tr(G^-1 Ric) at z, with Ric = -ddbar log det G and G = metric_tensor.
+
+    No radial formula enters: _ddbar differentiates log det G.
+    """
+    ddbar = _ddbar(lambda w: math.log(np.linalg.det(metric_tensor(sol, w)).real), z)
     return float(np.real(np.trace(np.linalg.solve(metric_tensor(sol, z), -ddbar))))
 
 
@@ -484,6 +492,25 @@ def test_curvature_oracle_in_cn_on_random_solutions():
         sol = plain_solution(n, R, float(lam), float(mu), anchor)
         misses.append(_oracle_miss(sol, _oracle_point(sol, rng)))
     assert max(misses) <= 1e-6
+
+
+@pytest.mark.parametrize("label", BRANCHED)
+def test_metric_tensor_is_the_complex_hessian_of_the_potential(label, monkeypatch):
+    # G = ddbar u(|z|^2) checks metric_tensor and potential_u against each
+    # other. max |ddbar u - G| / max |G| reads 8.3e-10 at most (1.3.4); a
+    # profile that misses the ODE reads at least 6e4 times its exact value
+    sol = solution_for(label)
+    z = _oracle_point(sol, np.random.default_rng(3))
+
+    def miss():
+        G = metric_tensor(sol, z)
+        hess = _ddbar(lambda w: potential_u(sol, float(np.vdot(w, w).real)), z)
+        return np.max(np.abs(hess - G)) / np.max(np.abs(G))
+
+    exact = miss()
+    assert exact <= 1e-8
+    monkeypatch.setattr(geometry, "solve_g", _bent(geometry.solve_g))
+    assert miss() >= 100.0 * max(exact, 1e-12)
 
 
 @pytest.mark.parametrize(
