@@ -264,24 +264,24 @@ def verify_solution(sol: RadialSolution, n_samples: int) -> VerificationReport:
     points = np.stack((grid, *near))
     gs = solve_g(sol, points)
     g = gs[0]
-    up, upp, g1 = _radial(ode, grid, g)
-    curv = _curvature(ode, grid, g)
-    with np.errstate(divide="ignore", invalid="ignore"):  # nan or inf where g' = 0, as in curv
-        r_fd = _richardson(ode, g, g1, h, gs[1:] ** n)
     z = np.zeros((n_samples, n), dtype=complex)
     z[:, 0] = np.sqrt(grid)
-    det = np.real(np.linalg.det(_tensor(up, upp, z)))
-    want = up ** (n - 1) * g1
-    margin = min(float(np.min(up)), float(np.min(g1)))
-    return VerificationReport(
-        n_samples=n_samples,
-        s_lo=float(grid[0]),
-        s_hi=float(grid[-1]),
-        R_target=R_target,
-        max_curvature_residual=float(np.max(np.abs(curv - R_target))),
-        curvature_stddev=float(np.std(curv)),
-        max_fd_mismatch=float(np.max(np.abs(r_fd - curv) / (1.0 + np.abs(curv)))),
-        max_det_residual=float(np.max(np.abs(det - want) / np.abs(want))),
-        positivity_margin=margin,
-        kahler_ok=bool(margin > 0.0),
-    )
+    with np.errstate(all="ignore"):  # nan or inf where g' = 0 or a value overflows
+        up, upp, g1 = _radial(ode, grid, g)
+        curv = _curvature(ode, grid, g)
+        r_fd = _richardson(ode, g, g1, h, gs[1:] ** n)
+        det = np.real(np.linalg.det(_tensor(up, upp, z)))
+        want = up ** (n - 1) * g1
+        margin = min(float(np.min(up)), float(np.min(g1)))
+        return VerificationReport(
+            n_samples=n_samples,
+            s_lo=float(grid[0]),
+            s_hi=float(grid[-1]),
+            R_target=R_target,
+            max_curvature_residual=float(np.max(np.abs(curv - R_target))),
+            curvature_stddev=float(np.std(curv)),
+            max_fd_mismatch=float(np.max(np.abs(r_fd - curv) / (1.0 + np.abs(curv)))),
+            max_det_residual=float(np.max(np.abs(det - want) / np.abs(want))),
+            positivity_margin=margin,
+            kahler_ok=bool(margin > 0.0),
+        )

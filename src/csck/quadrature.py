@@ -691,23 +691,6 @@ def _dp_step(rhs, y: float, f: float, h: float):
     return y_new, f_new, err
 
 
-def _first_step(rhs, y: float, f: float, span: float, direction: float) -> float:
-    """Hairer, Norsett & Wanner's starting step (Solving ODEs I, II.4)."""
-    if span == 0.0:
-        return 0.0
-    scale = _SHOOT_ATOL + abs(y) * _SHOOT_RTOL
-    d0 = abs(y) / scale
-    d1 = abs(f) / scale
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    d2 = abs(rhs(y + direction * h0 * f) - f) / scale / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100.0 * h0, h1, span)
-
-
 def _crossing(level, t, y, f, t_new, y_new, f_new) -> float:
     """Abscissa where the step's cubic Hermite interpolant reaches level.
 
@@ -733,14 +716,16 @@ def _crossing(level, t, y, f, t_new, y_new, f_new) -> float:
 def _dopri(rhs, t: float, y: float, ts, floor: float, cap: float):
     """Adaptive Dormand-Prince 5(4) from (t, y) through the abscissae ts.
 
-    ts is ordered away from t. Each step is clamped so that t lands on the
-    next target exactly. Returns the values at the targets reached and,
-    when integration stopped early, (abscissa, reason): y fell through
-    floor or rose through cap during a step, or the step size underflowed.
+    ts is ordered away from t. The first trial step is the whole way to
+    ts[0]; the error test shrinks it from there. Each step is clamped so
+    that t lands on the next target exactly. Returns the values at the
+    targets reached and, when integration stopped early, (abscissa,
+    reason): y fell through floor or rose through cap during a step, or
+    the step size underflowed.
     """
     direction = 1.0 if ts[-1] > t else -1.0
     f = rhs(y)
-    h_abs = _first_step(rhs, y, f, abs(ts[-1] - t), direction)
+    h_abs = abs(ts[0] - t)
     values = []
     for target in ts:
         while t != target:
@@ -779,7 +764,8 @@ def shoot_ode(ode, s0: float, g0: float, s_targets) -> ShootResult:
 
     Runs an adaptive Dormand-Prince 5(4) in t = log s on plain floats,
     backward and then forward from the anchor, with rtol 1e-10 and atol
-    1e-12. It uses only H, never F or solve_g, so it checks the inversion
+    1e-12; each side's first trial step is the whole way to its nearest
+    target. It uses only H, never F or solve_g, so it checks the inversion
     independently. Integration stops when g falls to the window's left
     endpoint or, on a finite extension, rises to 1e9; the crossing is
     located on the cubic Hermite interpolant of the step. The result then
@@ -816,27 +802,17 @@ def shoot_ode(ode, s0: float, g0: float, s_targets) -> ShootResult:
     bad = [s for s in targets if not s > 0.0]
     if bad:
         raise ValueError(f"shoot targets must be positive, got s = {bad[0]!r}")
-    collected = {}
+    below = [s for s in targets if s < s0][::-1]
+    above = [s for s in targets if s > s0]
+    samples = [(s, g0) for s in targets if s == s0]
     domain_end = None
     message = ""
-
-    for s in targets:
-        if s == s0:
-            collected[s] = g0
-
-    for sign in (-1, 1):
-        if sign < 0:
-            side = [s for s in targets if s < s0]
-            side.sort(reverse=True)
-        else:
-            side = [s for s in targets if s > s0]
+    for side in (below, above):
         if not side:
             continue
         values, stop = _dopri(rhs, t0, g0, [math.log(s) for s in side], floor, cap)
-        collected.update(zip(side, values))
+        samples += zip(side, values)
         if stop is not None:
             domain_end = math.exp(stop[0])
             message = f"DomainEnd(s_reached={domain_end!r}): {stop[1]}"
-
-    samples = tuple(sorted(collected.items()))
-    return ShootResult(samples=samples, domain_end=domain_end, message=message)
+    return ShootResult(tuple(sorted(samples)), domain_end, message)

@@ -371,6 +371,19 @@ def test_verify_pipeline_mode(validator):
     assert payload["verification"]["kahler_ok"] is True
 
 
+def test_verify_reports_nan_without_a_numpy_warning(validator):
+    # g' = 0 where rounding pins g to the window end: the residuals are
+    # nan, the check fails, and the process prints no RuntimeWarning
+    code, out, err = run_process([
+        "verify", "--n", "8", "--scalar", "-144", "--lambda", "-3.5987978919500243",
+        "--mu", "-463.4992187806941", "--anchor", "1,2.7845335235039497",
+    ])
+    assert (code, err) == (1, "")
+    payload = valid(validator, json.loads(out))
+    assert payload["passed"] is False
+    assert payload["verification"]["max_curvature_residual"] == "nan"
+
+
 def test_verify_takes_no_s_range(tmp_path):
     # verify's grid is verify_solution's, so an s-range there would be ignored
     base = ["verify", "--n", "3", "--scalar", "12", "--lambda", "0", "--mu", "0",
@@ -630,17 +643,21 @@ def test_readme_commands_run(tmp_path, monkeypatch, validator):
             assert out.startswith(CSV_HEADER + "\n"), argv
 
 
-def run_cli_in(optimize, args):
-    """run_cli, or with optimize a `python -O` subprocess, where no assert runs."""
-    if not optimize:
-        return run_cli(args)
+def run_process(args, *flags):
+    """`python *flags -m csck.cli *args` as a fresh process, with Python's
+    default warning filters."""
     src = str(Path(errors.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "csck.cli", *args], env=env, capture_output=True, text=True
+        [sys.executable, *flags, "-m", "csck.cli", *args], env=env, capture_output=True, text=True
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli_in(optimize, args):
+    """run_cli, or with optimize a `python -O` subprocess, where no assert runs."""
+    return run_process(args, "-O") if optimize else run_cli(args)
 
 
 @pytest.mark.parametrize("optimize", [False, True])

@@ -34,6 +34,7 @@ from csck import (
     partial_fractions,
     shoot_ode,
     solve_g,
+    verify_solution,
 )
 from csck import quadrature
 from csck.cases import CASES
@@ -491,6 +492,17 @@ def test_pipeline_fuzz_window_ends_obey_the_divergence_rules(pipeline_fuzz):
     assert all(sol.s_domain[0] == 0.0 for sol in solutions)
 
 
+def test_pipeline_fuzz_verify_reports_without_warning(pipeline_fuzz):
+    # pyproject turns a RuntimeWarning into an error: where g' = 0 or a
+    # value leaves the float range the report carries nan or inf instead
+    _, solutions, _ = pipeline_fuzz
+    for sol in solutions:
+        try:
+            verify_solution(sol, 5)
+        except CsckError:
+            pass
+
+
 @pytest.mark.parametrize("n, R, lam, mu, detail", [
     # a root near -1.3e120, where x^9's Taylor coefficients overflow
     (10, -8.25843157851535e-119, -1.2552599957618862e-28, 2.6608374738678816e-220,
@@ -553,6 +565,19 @@ def test_shoot_backward():
     assert got[0.01] == pytest.approx(0.01 / 1.01, abs=1e-9)
     assert got[1.0] == 0.5
     assert got[3.0] == pytest.approx(0.75, abs=1e-8)
+
+
+@pytest.mark.parametrize("near", [1e-8, math.nextafter(1.0, 2.0)])
+def test_shoot_first_trial_step_is_the_way_to_the_nearest_target(near):
+    # g = s / (s + 1): the first trial is 18.4 in log s down to 1e-8 and
+    # one ulp up to nextafter(1, 2)
+    ode = build_ode(RadialProblem(2, 6.0, 0.0, 0.0))
+    res = shoot_ode(ode, 1.0, 0.5, [near, 1e8])
+    assert res.domain_end is None
+    assert [s for s, _ in res.samples] == [near, 1e8]
+    for s, g in res.samples:
+        want = s / (s + 1.0)
+        assert abs(g - want) <= 1e-8 * (1.0 + abs(want)), (s, g)
 
 
 def test_shoot_bad_anchor():
