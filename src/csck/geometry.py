@@ -213,20 +213,22 @@ def metric_sample(sol: RadialSolution, s) -> MetricSample:
     s is a float or a numpy array, whose fields are evaluated over the
     whole array at once. g(s) is inverted once and feeds the potential
     and the curvature chain; the potential's anchor value is the
-    solution's own g(s_a).
+    solution's own g(s_a). A field whose arithmetic overflows or divides
+    0 by 0 reads inf or nan, with no numpy warning.
     """
-    g, up, upp, g1 = _kahler_point(sol, s)
     ode = sol.ode
-    return MetricSample(
-        s=s,
-        g=g,
-        u=_potential(sol, s, g, sol.g_anchor()),
-        up=up,
-        upp=upp,
-        # the density of reduction.f_of, from the g and g' at hand
-        f=ode.k * (np.log(g) - np.log(s)) + np.log(g1),
-        R_num=_curvature(ode, s, g),
-    )
+    with np.errstate(all="ignore"):
+        g, up, upp, g1 = _kahler_point(sol, s)
+        return MetricSample(
+            s=s,
+            g=g,
+            u=_potential(sol, s, g, sol.g_anchor()),
+            up=up,
+            upp=upp,
+            # the density of reduction.f_of, from the g and g' at hand
+            f=ode.k * (np.log(g) - np.log(s)) + np.log(g1),
+            R_num=_curvature(ode, s, g),
+        )
 
 
 def verify_solution(sol: RadialSolution, n_samples: int) -> VerificationReport:

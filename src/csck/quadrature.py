@@ -375,12 +375,12 @@ class RadialSolution:
     it ends at inf, or on a finite extension at exp(F(inf) - c). A finite
     extension whose F has no finite limit at infinity (its log terms fail
     to cancel) raises IllConditionedError, and a c for which that end
-    underflows to 0 raises OutOfDomainError. The potential's
-    antiderivative G and its anchor value g(s_a) are computed on first use
-    and kept: both are fixed by the solution alone.
+    underflows to 0 raises OutOfDomainError. It keeps three things from
+    first use, all fixed by the solution alone: the potential's
+    antiderivative G, g(s_a), and solve_g's walks with F at their points.
     """
 
-    __slots__ = ("ode", "branch", "F", "c", "s_domain", "_G", "_g_anchor")
+    __slots__ = ("ode", "branch", "F", "c", "s_domain", "_G", "_g_anchor", "_walks")
 
     def __init__(self, ode, branch, F, c):
         hi = math.inf
@@ -402,6 +402,7 @@ class RadialSolution:
         self.s_domain = (0.0, hi)
         self._G = None
         self._g_anchor = None
+        self._walks = None
 
     @property
     def s_anchor(self) -> float:
@@ -442,9 +443,10 @@ def _outside(s, sol: RadialSolution) -> OutOfDomainError:
 def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
     """Invert F(g) = log s + c by Newton steps kept inside a bracket.
 
-    The bracket F(lo) <= t <= F(hi), t = log s + c, is the last step of
-    _walk: down toward A while F > t at the probe point, up toward B
-    otherwise, to the first point that crosses t. From its midpoint, each
+    The bracket F(lo) <= t <= F(hi), t = log s + c, is a step of the
+    solution's kept _walk (F is evaluated only where it walks further):
+    down toward A while F > t at the probe point, up toward B otherwise,
+    to the first point that crosses t. From its midpoint, each
     step evaluates F at the iterate g, moves the bracket end on g's side
     of t to g, and goes to the Newton point g - (F(g) - t) / F'(g) when
     that lies strictly inside the bracket, to the bracket midpoint
@@ -454,12 +456,12 @@ def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
     already narrower than 1e-13 |g| (g > 0 on every window), and returns
     the Newton point clipped into the bracket: in the second case, the
     bracket end it crossed. The result depends on s alone, not on earlier
-    calls.
+    calls, stored walk or not.
 
     A numpy array of s (any order, repeats allowed) returns the array of
-    g in the same shape. One _walk serves all entries, down to the least
-    t and up to the greatest, and each entry takes the bracket of its own
-    first crossing; the Newton steps then run in lockstep, each one pass
+    g in the same shape. The solution's two walks serve all entries, down
+    to the least t and up to the greatest, and each entry takes the
+    bracket of its own first crossing; the Newton steps then run in lockstep, each one pass
     over F and F' for all entries still iterating.
     """
     if isinstance(s, np.ndarray):
@@ -469,13 +471,14 @@ def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
         raise _outside(s, sol)
     t = math.log(s) + sol.c
     F = sol.F
-    down, up = _walk(F, sol.branch.A, sol.branch.B, t, t)
-    rising = down[1][0] <= t
-    xs, fs = up if rising else down
-    if not (fs[-1] >= t if rising else fs[-1] <= t):
+    xs, _, i = _walk(sol, False, t)
+    rising = i == 0  # F <= t at the probe point
+    if rising:
+        xs, _, i = _walk(sol, True, t)
+    if i is None:
         raise OutOfDomainError(f"no {'upper' if rising else 'lower'} bracket for s = {s!r}")
-    # a walk of one point, the probe point on t, brackets with itself
-    lo, hi = sorted((xs[-2:][0], xs[-1]))
+    # the probe point on t brackets with itself
+    lo, hi = sorted((xs[max(i - 1, 0)], xs[i]))
 
     g = 0.5 * (lo + hi)
     for _ in range(_ITER_CAP):
@@ -516,34 +519,47 @@ def _F_dF_array(F: AntiderivativeF, x: np.ndarray):
     return value, slope
 
 
-def _walk(F: AntiderivativeF, A: float, B: float, lo: float, hi: float):
-    """solve_g's bracket walks on the window (A, B), F evaluated once per
-    point: ((xs, fs) down, (xs, fs) up), the points and F there.
+def _walk(sol: RadialSolution, up: bool, target: float):
+    """(xs, fs, i): the solution's walk toward B (up) or toward A, F at its
+    points, and the index of the first of its first _EXPAND_CAP points (a
+    cap read at each call) where F >= target up, F <= target down; i is
+    None when none of them crosses.
 
-    Both start at the probe point. Down, each next point halves the
-    distance to A, until the first F(x) <= lo; up, it halves the distance
-    to B, or on a ray doubles the distance to A - 1, until the first
-    F(x) >= hi. A walk also stops after _EXPAND_CAP points, read at each
-    call, or at the first point its step leaves fixed, since no later
-    point could cross there.
+    Both walks start at the probe point. Down, each next point halves the
+    distance to A; up, it halves the distance to B, or on a ray doubles
+    the distance to A - 1. A walk sticks at the first point its step
+    leaves fixed, where no later point could cross. The solution keeps
+    the walks, fixed by it alone, and a call extends one only to its first
+    crossing, into new tuples stored at once: a concurrent call reads a
+    whole walk, and gets back the one it read or built.
     """
-    x = probe_point(A, B)
-    f = eval_F(F, x)
-    walks = [([x], [f]), ([x], [f])]
-    for up, (xs, fs) in enumerate(walks):
-        while not (fs[-1] >= hi if up else fs[-1] <= lo) and len(xs) < _EXPAND_CAP:
-            x = xs[-1]
-            if not up:
-                step = A + 0.5 * (x - A)
-            elif math.isinf(B):
-                step = 2.0 * x - A + 1.0
-            else:
-                step = B - 0.5 * (B - x)
-            if step == x:
-                break
-            xs.append(step)
-            fs.append(eval_F(F, step))
-    return walks
+    A, B = sol.branch.A, sol.branch.B
+    walks = sol._walks
+    if walks is None:
+        x = probe_point(A, B)
+        walks = sol._walks = [((x,), (eval_F(sol.F, x),), False)] * 2
+    xs, fs, stuck = walks[up]
+    for i, f in enumerate(fs[:_EXPAND_CAP]):
+        if f >= target if up else f <= target:
+            return xs, fs, i
+    i, x, new_xs, new_fs = None, xs[-1], [], []
+    while i is None and not stuck and len(xs) + len(new_xs) < _EXPAND_CAP:
+        if not up:
+            step = A + 0.5 * (x - A)
+        elif math.isinf(B):
+            step = 2.0 * x - A + 1.0
+        else:
+            step = B - 0.5 * (B - x)
+        stuck = step == x
+        if not stuck:
+            x, f = step, eval_F(sol.F, step)
+            new_xs.append(x)
+            new_fs.append(f)
+            if f >= target if up else f <= target:
+                i = len(xs) + len(new_xs) - 1
+    xs, fs = xs + tuple(new_xs), fs + tuple(new_fs)
+    walks[up] = (xs, fs, stuck)
+    return xs, fs, i
 
 
 def _brackets(sol: RadialSolution, s: np.ndarray, t: np.ndarray):
@@ -551,14 +567,18 @@ def _brackets(sol: RadialSolution, s: np.ndarray, t: np.ndarray):
 
     Each entry's bracket is the one the scalar path finds: down from the
     probe point to its first F(x) <= t, or, when the probe point is
-    already there, up to its first F(x) >= t. One _walk goes down to the
-    least t and up to the greatest, and the running maximum of sign F
-    makes each entry's first crossing a binary search, whatever the
-    rounding of F. A failure names the first entry without a bracket,
+    already there, up to its first F(x) >= t. It reads the prefixes of
+    the solution's walks down to the least t's crossing and up to the
+    greatest t's (at most _EXPAND_CAP points each), and the running
+    maximum of sign F makes each entry's first crossing a binary search,
+    whatever the rounding of F. A failure names the first entry without a bracket,
     lower brackets first.
     """
-    walks = _walk(sol.F, sol.branch.A, sol.branch.B, t.min(initial=math.inf),
-                  t.max(initial=-math.inf))
+    walks = []
+    for up, target in ((False, t.min(initial=math.inf)), (True, t.max(initial=-math.inf))):
+        xs, fs, i = _walk(sol, up, target)
+        end = _EXPAND_CAP if i is None else i + 1
+        walks.append((xs[:end], fs[:end]))
     rising = walks[0][1][0] <= t
     lo, hi = np.empty(t.size), np.empty(t.size)
     sides = zip(("lower", "upper"), (-1.0, 1.0), (~rising, rising), walks)

@@ -2,6 +2,9 @@
 
 import math
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from csck import (
     eval_F,
     gauge_from_anchor,
     get_case,
+    metric_sample,
     partial_fractions,
     shoot_ode,
     solve_g,
@@ -503,6 +507,18 @@ def test_pipeline_fuzz_verify_reports_without_warning(pipeline_fuzz):
             pass
 
 
+def test_pipeline_fuzz_metric_sample_reports_without_warning(pipeline_fuzz):
+    # the array record of csck solve: where g' = 0 or a value leaves the
+    # float range a field reads nan or inf, and no RuntimeWarning is raised
+    _, solutions, _ = pipeline_fuzz
+    for sol in solutions:
+        hi = sol.s_domain[1]
+        try:
+            metric_sample(sol, np.geomspace(0.05, 0.9 * hi if math.isfinite(hi) else 20.0, 5))
+        except CsckError:
+            pass
+
+
 @pytest.mark.parametrize("n, R, lam, mu, detail", [
     # a root near -1.3e120, where x^9's Taylor coefficients overflow
     (10, -8.25843157851535e-119, -1.2552599957618862e-28, 2.6608374738678816e-220,
@@ -944,6 +960,99 @@ def test_scalar_walk_stops_where_it_cannot_move(monkeypatch, s, side):
     with pytest.raises(OutOfDomainError, match=re.escape(f"no {side} bracket for s = {s!r}")):
         solve_g(sol, s)
     assert len(calls) <= 60
+
+
+def _outcome(sol, s):
+    """solve_g's result as float hex strings, or its error."""
+    try:
+        return [float(g).hex() for g in np.ravel(solve_g(sol, s))]
+    except CsckError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _fresh(sol):
+    return RadialSolution(sol.ode, sol.branch, sol.F, sol.c)
+
+
+@pytest.mark.parametrize("label", ["1.1.1", "1.7.1", "1.4.4"])
+def test_a_solution_walks_its_brackets_once(monkeypatch, label):
+    # after one array call, the walk points of every later call within its
+    # range are the solution's own, and F is not evaluated there again
+    sol = solution_for(label)
+    s = np.geomspace(0.01, 100.0, 400)
+    s = s[s < sol.s_domain[1]]
+    solve_g(sol, s)
+    points = []
+
+    def counted(F, x):
+        points.append(x)
+        return eval_F(F, x)
+
+    monkeypatch.setattr(quadrature, "eval_F", counted)
+    for v in (s[0], s[-1], s[len(s) // 2], s[0]):
+        solve_g(sol, float(v))
+    solve_g(sol, np.random.default_rng(2).permutation(s[10:-10]))
+    assert points == []
+
+
+@pytest.mark.parametrize("label", BRANCHED)
+def test_a_warmed_solution_returns_the_same_bits(label):
+    warm = solution_for(label)
+    hi = warm.s_domain[1]
+    top = 1e6 if math.isinf(hi) else hi * (1.0 - 1e-6)
+    rng = np.random.default_rng(13)
+    s = np.geomspace(1e-9, top, 30)
+    s = rng.permutation(np.concatenate([s, rng.choice(s, 10)]))
+    far = [1e-300, 1e300 if math.isinf(hi) else hi * (1.0 - 1e-15)]
+    for v in far + list(s[:8]):
+        _outcome(warm, float(v))
+    _outcome(warm, s[5:20])
+    _outcome(warm, np.array(far))
+    for v in s:
+        assert _outcome(warm, float(v)) == _outcome(_fresh(warm), float(v)), v
+    assert _outcome(warm, s) == _outcome(_fresh(warm), s)
+
+
+def test_a_stored_walk_obeys_a_lowered_cap(monkeypatch):
+    # the walk stored at the full cap still gives the errors of
+    # test_array_solve_g_bracket_exhaustion once the cap is lowered
+    sol = solution_for("1.1.2")
+    solve_g(sol, np.array([1e-6, 1e6]))
+    monkeypatch.setattr(quadrature, "_EXPAND_CAP", 1)
+    for far, side in ((1e-6, "lower"), (1e6, "upper")):
+        for s in (far, np.array([sol.s_domain[0] + 1.0, far, far * 2.0])):
+            message = re.escape(f"no {side} bracket for s = {far!r}")
+            with pytest.raises(OutOfDomainError, match=message):
+                solve_g(sol, s)
+
+
+@pytest.mark.parametrize("label", ["1.1.1", "1.4.4"])
+def test_threads_sharing_a_solution_get_the_sequential_results(label):
+    # the threads start together on each fresh solution, so that they
+    # extend its walks at the same time toward different targets
+    sol = solution_for(label)
+    rng = np.random.default_rng(17)
+    jobs = [rng.permutation(np.geomspace(1e-8, 1e8, 60)) for _ in range(4)]
+    start = threading.Barrier(4)
+
+    def outcomes(sol, s):
+        return [_outcome(sol, float(v)) for v in s[:30]] + [_outcome(sol, s[30:])]
+
+    def work(sol, s):
+        start.wait(timeout=60)
+        return outcomes(sol, s)
+
+    want = [outcomes(_fresh(sol), s) for s in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for _ in range(40):
+                shared = _fresh(sol)
+                futures = [pool.submit(work, shared, s) for s in jobs]
+                assert [f.result(timeout=60) for f in futures] == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # Reference kernels that dispatch on the term objects with isinstance; the
