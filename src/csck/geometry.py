@@ -213,8 +213,9 @@ def metric_sample(sol: RadialSolution, s) -> MetricSample:
     s is a float or a numpy array, whose fields are evaluated over the
     whole array at once. g(s) is inverted once and feeds the potential
     and the curvature chain; the potential's anchor value is the
-    solution's own g(s_a). A field whose arithmetic overflows or divides
-    0 by 0 reads inf or nan, with no numpy warning.
+    solution's own g(s_a). For an array s, a field whose arithmetic
+    overflows or divides 0 by 0 reads inf or nan, with no numpy warning;
+    a float s can raise OverflowError there instead.
     """
     ode = sol.ode
     with np.errstate(all="ignore"):

@@ -537,28 +537,28 @@ def _walk(sol: RadialSolution, up: bool, target: float):
     walks = sol._walks
     if walks is None:
         x = probe_point(A, B)
-        walks = sol._walks = [((x,), (eval_F(sol.F, x),), False)] * 2
-    xs, fs, stuck = walks[up]
+        walks = sol._walks = [((x,), (eval_F(sol.F, x),))] * 2
+    xs, fs = walks[up]
     for i, f in enumerate(fs[:_EXPAND_CAP]):
         if f >= target if up else f <= target:
             return xs, fs, i
     i, x, new_xs, new_fs = None, xs[-1], [], []
-    while i is None and not stuck and len(xs) + len(new_xs) < _EXPAND_CAP:
+    while i is None and len(xs) + len(new_xs) < _EXPAND_CAP:
         if not up:
             step = A + 0.5 * (x - A)
         elif math.isinf(B):
             step = 2.0 * x - A + 1.0
         else:
             step = B - 0.5 * (B - x)
-        stuck = step == x
-        if not stuck:
-            x, f = step, eval_F(sol.F, step)
-            new_xs.append(x)
-            new_fs.append(f)
-            if f >= target if up else f <= target:
-                i = len(xs) + len(new_xs) - 1
+        if step == x:
+            break
+        x, f = step, eval_F(sol.F, step)
+        new_xs.append(x)
+        new_fs.append(f)
+        if f >= target if up else f <= target:
+            i = len(xs) + len(new_xs) - 1
     xs, fs = xs + tuple(new_xs), fs + tuple(new_fs)
-    walks[up] = (xs, fs, stuck)
+    walks[up] = (xs, fs)
     return xs, fs, i
 
 
