@@ -19,15 +19,19 @@ It tests the inversion g(s) where R != 0; at R = 0 it reads 0 for any g.
 The formulas are written once, over numpy-broadcastable (s, g). One
 reader, _kahler_point, inverts and checks every point (float or array)
 that metric_tensor, metric_sample and the curvatures read; verify_solution
-reports instead of raising, so its whole-grid pass reads its own.
+reports instead of raising, so its whole-grid pass reads its own. Where
+the arithmetic of metric_sample or a curvature leaves the float range,
+an array s reads inf or nan and a float s raises IllConditionedError
+naming it (_names_s).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotKahlerError, OutOfDomainError
+from .errors import IllConditionedError, NotKahlerError, OutOfDomainError
 from .quadrature import RadialSolution, solve_g
 
 __all__ = [
@@ -151,6 +155,24 @@ def _richardson(ode, g, g1, h, gn):
     return ode.problem.R / ode.problem.n * ((4.0 * d2 - d1) / 3.0) / (g**ode.k * g1)
 
 
+def _names_s(reader):
+    """reader(sol, s), with an OverflowError or ZeroDivisionError of its
+    float arithmetic raised as IllConditionedError naming s, the way
+    quadrature._singular names x; numpy arithmetic on an array raises
+    neither."""
+
+    @functools.wraps(reader)
+    def named(sol, s):
+        try:
+            return reader(sol, s)
+        except (OverflowError, ZeroDivisionError):
+            raise IllConditionedError(
+                math.inf, f"a value overflows or a denominator underflows at s = {s!r}"
+            ) from None
+
+    return named
+
+
 def _potential(sol: RadialSolution, s, g, g_a):
     """A log(s / s_a) + G(g) - G(g_a), with g = g(s) and g_a = g(s_a)."""
     G = sol.G()
@@ -185,6 +207,7 @@ def metric_tensor(sol: RadialSolution, z) -> np.ndarray:
     return _tensor(up, upp, z)
 
 
+@_names_s
 def scalar_curvature(sol: RadialSolution, s: float) -> float:
     """Scalar curvature at s through the analytic derivative chain.
 
@@ -195,6 +218,7 @@ def scalar_curvature(sol: RadialSolution, s: float) -> float:
     return _curvature(sol.ode, s, _kahler_point(sol, s)[0])
 
 
+@_names_s
 def curvature_fd(sol: RadialSolution, s: float) -> float:
     """Curvature (R/n) [g^n]' / (g^{n-1} g'), [g^n]' differenced across
     neighbours of s, each inverted on its own: it tests g where R != 0.
@@ -207,6 +231,7 @@ def curvature_fd(sol: RadialSolution, s: float) -> float:
     return _richardson(sol.ode, g, g1, h, gn)
 
 
+@_names_s
 def metric_sample(sol: RadialSolution, s) -> MetricSample:
     """Assemble the full radial record at s; rejects non-Kahler data.
 
@@ -215,7 +240,7 @@ def metric_sample(sol: RadialSolution, s) -> MetricSample:
     and the curvature chain; the potential's anchor value is the
     solution's own g(s_a). For an array s, a field whose arithmetic
     overflows or divides 0 by 0 reads inf or nan, with no numpy warning;
-    a float s can raise OverflowError there instead.
+    a float s raises IllConditionedError naming s there.
     """
     ode = sol.ode
     with np.errstate(all="ignore"):

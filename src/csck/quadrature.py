@@ -22,6 +22,7 @@ independent cross check.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -377,7 +378,8 @@ class RadialSolution:
     to cancel) raises IllConditionedError, and a c for which that end
     underflows to 0 raises OutOfDomainError. It keeps three things from
     first use, all fixed by the solution alone: the potential's
-    antiderivative G, g(s_a), and solve_g's walks with F at their points.
+    antiderivative G, g(s_a), and solve_g's two walks, each with the
+    running maximum of F (up) or -F (down) along it.
     """
 
     __slots__ = ("ode", "branch", "F", "c", "s_domain", "_G", "_g_anchor", "_walks")
@@ -446,7 +448,8 @@ def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
     The bracket F(lo) <= t <= F(hi), t = log s + c, is a step of the
     solution's kept _walk (F is evaluated only where it walks further):
     down toward A while F > t at the probe point, up toward B otherwise,
-    to the first point that crosses t. From its midpoint, each
+    to the first point that crosses t, found by one binary search on the
+    running maximum of -F or F that the walk keeps. From its midpoint, each
     step evaluates F at the iterate g, moves the bracket end on g's side
     of t to g, and goes to the Newton point g - (F(g) - t) / F'(g) when
     that lies strictly inside the bracket, to the bracket midpoint
@@ -461,8 +464,8 @@ def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
     A numpy array of s (any order, repeats allowed) returns the array of
     g in the same shape. The solution's two walks serve all entries, down
     to the least t and up to the greatest, and each entry takes the
-    bracket of its own first crossing; the Newton steps then run in lockstep, each one pass
-    over F and F' for all entries still iterating.
+    bracket of its own first crossing; the Newton steps then run in
+    lockstep, each one pass over F and F' for all entries still iterating.
     """
     if isinstance(s, np.ndarray):
         return _solve_g_array(sol, s)
@@ -471,14 +474,7 @@ def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
         raise _outside(s, sol)
     t = math.log(s) + sol.c
     F = sol.F
-    xs, _, i = _walk(sol, False, t)
-    rising = i == 0  # F <= t at the probe point
-    if rising:
-        xs, _, i = _walk(sol, True, t)
-    if i is None:
-        raise OutOfDomainError(f"no {'upper' if rising else 'lower'} bracket for s = {s!r}")
-    # the probe point on t brackets with itself
-    lo, hi = sorted((xs[max(i - 1, 0)], xs[i]))
+    lo, hi = _bracket(sol, t, s)
 
     g = 0.5 * (lo + hi)
     for _ in range(_ITER_CAP):
@@ -519,31 +515,29 @@ def _F_dF_array(F: AntiderivativeF, x: np.ndarray):
     return value, slope
 
 
-def _walk(sol: RadialSolution, up: bool, target: float):
-    """(xs, fs, i): the solution's walk toward B (up) or toward A, F at its
-    points, and the index of the first of its first _EXPAND_CAP points (a
-    cap read at each call) where F >= target up, F <= target down; i is
-    None when none of them crosses.
+def _walk(sol: RadialSolution, up: bool, key: float):
+    """(xs, ms): the solution's walk toward B (up) or toward A, and the
+    running maximum of F (up) or -F (down) along it, which skips a nan F,
+    extended until that maximum reaches key.
 
     Both walks start at the probe point. Down, each next point halves the
     distance to A; up, it halves the distance to B, or on a ray doubles
-    the distance to A - 1. A walk sticks at the first point its step
-    leaves fixed, where no later point could cross. The solution keeps
-    the walks, fixed by it alone, and a call extends one only to its first
-    crossing, into new tuples stored at once: a concurrent call reads a
-    whole walk, and gets back the one it read or built.
+    the distance to A - 1. A walk ends at _EXPAND_CAP points, or at the
+    first point its step leaves fixed. The solution keeps the walks, fixed
+    by it alone, and a call extends one into new tuples stored at once: a
+    concurrent call reads a whole walk, and gets back one it read or built.
     """
     A, B = sol.branch.A, sol.branch.B
     walks = sol._walks
     if walks is None:
         x = probe_point(A, B)
-        walks = sol._walks = [((x,), (eval_F(sol.F, x),))] * 2
-    xs, fs = walks[up]
-    for i, f in enumerate(fs[:_EXPAND_CAP]):
-        if f >= target if up else f <= target:
-            return xs, fs, i
-    i, x, new_xs, new_fs = None, xs[-1], [], []
-    while i is None and len(xs) + len(new_xs) < _EXPAND_CAP:
+        f = eval_F(sol.F, x)
+        walks = sol._walks = [((x,), (max(-math.inf, -f),)), ((x,), (max(-math.inf, f),))]
+    xs, ms = walks[up]
+    if ms[-1] >= key:
+        return xs, ms
+    x, m, sign, new_xs, new_ms = xs[-1], ms[-1], 1.0 if up else -1.0, [], []
+    while m < key and len(xs) + len(new_xs) < _EXPAND_CAP:
         if not up:
             step = A + 0.5 * (x - A)
         elif math.isinf(B):
@@ -552,45 +546,50 @@ def _walk(sol: RadialSolution, up: bool, target: float):
             step = B - 0.5 * (B - x)
         if step == x:
             break
-        x, f = step, eval_F(sol.F, step)
+        x, f = step, sign * eval_F(sol.F, step)
+        m = f if f > m else m
         new_xs.append(x)
-        new_fs.append(f)
-        if f >= target if up else f <= target:
-            i = len(xs) + len(new_xs) - 1
-    xs, fs = xs + tuple(new_xs), fs + tuple(new_fs)
-    walks[up] = (xs, fs)
-    return xs, fs, i
+        new_ms.append(m)
+    xs, ms = xs + tuple(new_xs), ms + tuple(new_ms)
+    walks[up] = (xs, ms)
+    return xs, ms
+
+
+def _bracket(sol: RadialSolution, t: float, s: float):
+    """solve_g's bracket [lo, hi] for one s at t = log s + c: the first
+    crossing is the first of the walk's first _EXPAND_CAP points (a cap
+    read at each call) whose running maximum reaches -t down, t up."""
+    for up, side in ((False, "lower"), (True, "upper")):
+        key = t if up else -t
+        xs, ms = _walk(sol, up, key)
+        end = min(len(ms), _EXPAND_CAP)
+        i = bisect_left(ms, key, 0, end)
+        if i == end or not ms[i] >= key:  # a nan t crosses nowhere
+            raise OutOfDomainError(f"no {side} bracket for s = {s!r}")
+        if i or up:
+            # the probe point on t brackets with itself
+            return sorted((xs[max(i - 1, 0)], xs[i]))
 
 
 def _brackets(sol: RadialSolution, s: np.ndarray, t: np.ndarray):
-    """solve_g's bracket for every entry of s at once: arrays lo, hi.
+    """_bracket for every entry of s at once: arrays lo, hi.
 
-    Each entry's bracket is the one the scalar path finds: down from the
-    probe point to its first F(x) <= t, or, when the probe point is
-    already there, up to its first F(x) >= t. It reads the prefixes of
-    the solution's walks down to the least t's crossing and up to the
-    greatest t's (at most _EXPAND_CAP points each), and the running
-    maximum of sign F makes each entry's first crossing a binary search,
-    whatever the rounding of F. A failure names the first entry without a bracket,
-    lower brackets first.
+    Each walk is extended to its farthest target only. A failure names
+    the first entry without a bracket, lower brackets first.
     """
-    walks = []
-    for up, target in ((False, t.min(initial=math.inf)), (True, t.max(initial=-math.inf))):
-        xs, fs, i = _walk(sol, up, target)
-        end = _EXPAND_CAP if i is None else i + 1
-        walks.append((xs[:end], fs[:end]))
-    rising = walks[0][1][0] <= t
     lo, hi = np.empty(t.size), np.empty(t.size)
-    sides = zip(("lower", "upper"), (-1.0, 1.0), (~rising, rising), walks)
-    for side, sign, pick, (xs, fs) in sides:
-        xs = np.array(xs)
-        i = np.searchsorted(np.maximum.accumulate(sign * np.array(fs)), sign * t[pick])
-        miss = np.flatnonzero(i == xs.size)
+    todo = np.arange(t.size)
+    for up, side in ((False, "lower"), (True, "upper")):
+        keys = t[todo] if up else -t
+        xs, ms = (np.array(v[:_EXPAND_CAP]) for v in _walk(sol, up, keys.max(initial=-math.inf)))
+        i = np.searchsorted(ms, keys)
+        miss = np.flatnonzero(i == ms.size)
         if miss.size:
-            raise OutOfDomainError(f"no {side} bracket for s = {float(s[pick][miss[0]])!r}")
-        # the walk point before the crossing closes the bracket
+            raise OutOfDomainError(f"no {side} bracket for s = {float(s[todo[miss[0]]])!r}")
+        # the probe point on t brackets with itself
         near, x = xs[np.maximum(i - 1, 0)], xs[i]
-        lo[pick], hi[pick] = np.minimum(near, x), np.maximum(near, x)
+        lo[todo], hi[todo] = np.minimum(near, x), np.maximum(near, x)
+        todo = todo[i == 0]  # F <= t at the probe point
     return lo, hi
 
 

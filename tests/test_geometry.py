@@ -1,15 +1,18 @@
 """Potential reconstruction, metric assembly, and curvature verification."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from csck import (
+    IllConditionedError,
     NotKahlerError,
     OutOfDomainError,
     RadialProblem,
+    RadialSolution,
     admissible_branches,
     ball_normalize,
     build_ode,
@@ -242,6 +245,27 @@ def test_curvature_where_g_is_pinned_to_the_left_end(s):
     for fn, arg in inputs:
         with pytest.raises(NotKahlerError, match="u' \\+ s u'' = 0 at s"):
             fn(sol, arg)
+
+
+@pytest.mark.parametrize("n, R, lam, mu, gauge, s", [
+    # the solve reproducer of CI: the curvature chain overflows at s = 0.05
+    (8, -144.0, 1038.71237825877, -7.497399737611692e-11, 0.02229321223490252, 0.05),
+    # the flat metric of C^3, g = s: (s g^2)^2 underflows to 0 at s = 1e-55
+    (3, 0.0, 0.0, 0.0, (1.0, 1.0), 1e-55),
+])
+def test_float_geometry_names_s_where_it_leaves_the_float_range(n, R, lam, mu, gauge, s):
+    ode = build_ode(RadialProblem(n, R, lam, mu))
+    br = admissible_branches(ode)[0]
+    F = partial_fractions(ode, br)
+    if isinstance(gauge, tuple):
+        sol = gauge_from_anchor(ode, br, F, gauge)
+    else:
+        sol = RadialSolution(ode, br, F, gauge)
+    for fn in (scalar_curvature, metric_sample):
+        with pytest.raises(IllConditionedError, match=re.escape(f"at s = {s!r}")):
+            fn(sol, s)
+    # an array holding s reads nan there instead
+    assert math.isnan(metric_sample(sol, np.array([s])).R_num[0])
 
 
 def test_metric_sample_fields():

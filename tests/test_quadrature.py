@@ -31,11 +31,14 @@ from csck import (
     ball_normalize,
     build_ode,
     classify,
+    curvature_fd,
     eval_F,
     gauge_from_anchor,
     get_case,
     metric_sample,
     partial_fractions,
+    potential_u,
+    scalar_curvature,
     shoot_ode,
     solve_g,
     verify_solution,
@@ -519,6 +522,20 @@ def test_pipeline_fuzz_metric_sample_reports_without_warning(pipeline_fuzz):
             pass
 
 
+def test_pipeline_fuzz_float_geometry_raises_only_named_errors(pipeline_fuzz):
+    # a float reader raises only named errors: where its arithmetic leaves
+    # the float range, IllConditionedError names s
+    _, solutions, _ = pipeline_fuzz
+    for sol in solutions:
+        hi = sol.s_domain[1]
+        for s in np.geomspace(0.05, 0.9 * hi if math.isfinite(hi) else 20.0, 5):
+            for reader in (scalar_curvature, curvature_fd, metric_sample, potential_u):
+                try:
+                    reader(sol, float(s))
+                except CsckError:
+                    pass
+
+
 @pytest.mark.parametrize("n, R, lam, mu, detail", [
     # a root near -1.3e120, where x^9's Taylor coefficients overflow
     (10, -8.25843157851535e-119, -1.2552599957618862e-28, 2.6608374738678816e-220,
@@ -880,6 +897,8 @@ def test_array_bracket_is_the_walk(label):
     s, t = np.append(s, np.exp(ties - sol.c)), np.append(t, ties)
     order = np.random.default_rng(11).permutation(s.size)
     s, t = s[order], t[order]
+    # the scalar bracket of each target, on a solution of its own
+    scalar = _fresh(sol)
     walks, failures = [], {"lower": [], "upper": []}
     for v, tv in zip(s, t):
         try:
@@ -887,6 +906,10 @@ def test_array_bracket_is_the_walk(label):
         except OutOfDomainError as exc:
             walks.append(None)
             failures["lower" if "lower" in str(exc) else "upper"].append(str(exc))
+            with pytest.raises(OutOfDomainError, match=re.escape(str(exc))):
+                quadrature._bracket(scalar, float(tv), float(v))
+        else:
+            assert tuple(quadrature._bracket(scalar, float(tv), float(v))) == walks[-1]
     # a failure names the first entry without a bracket, lower ones first
     first = (failures["lower"] or failures["upper"] or [None])[0]
     if first is not None:
@@ -943,6 +966,15 @@ def test_array_solve_g_bracket_exhaustion(monkeypatch):
                 message = re.escape(f"no {side} bracket for s = {far!r}")
                 with pytest.raises(OutOfDomainError, match=message):
                     solve_g(sol, s)
+
+
+def test_a_nan_gauge_constant_finds_no_bracket():
+    # every target t = log s + c is nan, and no walk point crosses it
+    ray = solution_for("1.1.1")
+    sol = RadialSolution(ray.ode, ray.branch, ray.F, math.nan)
+    for s in (0.5, np.array([0.5, 2.0])):
+        with pytest.raises(OutOfDomainError, match=re.escape("no lower bracket for s = 0.5")):
+            solve_g(sol, s)
 
 
 @pytest.mark.parametrize("s, side", [(1e-5, "lower"), (1e6, "upper")])
