@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Optional
 
 from .cases import match_label
+from .errors import IllConditionedError
 from .reduction import OdeData, RadialProblem, build_ode
 
 # A multiple root this close to zero is treated as exactly zero so that
@@ -63,10 +64,19 @@ class CaseReport:
 
 
 def _snap_roots(real_roots):
+    """The increasing real roots, each multiple root within _ZERO_SNAP of
+    zero moved to 0.0 and merged with a root there. A move past a
+    neighbour, a simple root between it and 0, raises IllConditionedError."""
     snapped = []
-    for value, mult in real_roots:
+    for i, (value, mult) in enumerate(real_roots):
         if mult >= 2 and abs(value) <= _ZERO_SNAP:
             value = 0.0
+        if snapped and value < snapped[-1][0]:
+            raise IllConditionedError(
+                math.inf,
+                f"snapping a multiple root to 0 would move the roots "
+                f"{real_roots[i - 1][0]!r} and {real_roots[i][0]!r} past each other",
+            )
         if snapped and snapped[-1][0] == value:
             snapped[-1] = (value, snapped[-1][1] + mult)
         else:

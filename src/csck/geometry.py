@@ -22,7 +22,8 @@ that metric_tensor, metric_sample and the curvatures read; verify_solution
 reports instead of raising, so its whole-grid pass reads its own. Where
 the arithmetic of metric_sample or a curvature leaves the float range,
 an array s reads inf or nan and a float s raises IllConditionedError
-naming it (_names_s).
+naming it (_names_s); metric_tensor, at the float s = |z|^2, raises it
+too.
 """
 
 import functools
@@ -155,6 +156,12 @@ def _richardson(ode, g, g1, h, gn):
     return ode.problem.R / ode.problem.n * ((4.0 * d2 - d1) / 3.0) / (g**ode.k * g1)
 
 
+def _out_of_range(s) -> IllConditionedError:
+    return IllConditionedError(
+        math.inf, f"a value overflows or a denominator underflows at s = {s!r}"
+    )
+
+
 def _names_s(reader):
     """reader(sol, s), with an OverflowError or ZeroDivisionError of its
     float arithmetic raised as IllConditionedError naming s, the way
@@ -166,9 +173,7 @@ def _names_s(reader):
         try:
             return reader(sol, s)
         except (OverflowError, ZeroDivisionError):
-            raise IllConditionedError(
-                math.inf, f"a value overflows or a denominator underflows at s = {s!r}"
-            ) from None
+            raise _out_of_range(s) from None
 
     return named
 
@@ -194,7 +199,8 @@ def metric_tensor(sol: RadialSolution, z) -> np.ndarray:
     """Hermitian matrix delta_jk u' + u'' zbar_j z_k at the point z.
 
     Eigenvalues are u' (multiplicity n - 1, tangent to the sphere) and
-    u' + s u'' = g' (radial), both positive on a valid solution.
+    u' + s u'' = g' (radial), both positive on a valid solution. Where u'
+    or u'' leaves the float range, IllConditionedError names s = |z|^2.
     """
     n = sol.ode.problem.n
     z = np.asarray(z, dtype=complex)
@@ -203,8 +209,17 @@ def metric_tensor(sol: RadialSolution, z) -> np.ndarray:
     s = float(np.real(np.vdot(z, z)))
     if s == 0.0:
         raise OutOfDomainError("the metric is defined away from the origin")
-    _, up, upp, _ = _kahler_point(sol, s)
+    up, upp = _radial_derivatives(sol, s)
     return _tensor(up, upp, z)
+
+
+@_names_s
+def _radial_derivatives(sol: RadialSolution, s: float):
+    """u' and u'' at a float s, both finite."""
+    _, up, upp, _ = _kahler_point(sol, s)
+    if not (math.isfinite(up) and math.isfinite(upp)):
+        raise _out_of_range(s)
+    return up, upp
 
 
 @_names_s

@@ -23,6 +23,21 @@ value by at most tol ||p||inf sum |z|^j: a larger gap (beyond rounding)
 rules it out, a necessary condition for the gate that never changes the
 clustering taken.
 
+Most inputs have simple roots only, and for them the scan is skipped
+when inclusion discs prove up front that the finest clustering wins
+(Smith 1970; the test of MPSolve, Bini & Fiorentino 2000). Every
+coarser clustering's product has a multiple root: a real cluster of two
+or more candidates, or a repeated quadratic factor. A product that
+passes the gate has the leading coefficient of p and coefficients within
+eps of p's, eps being tol ||p||inf plus the rounding of its expansion
+(as _misses bounds it). By Smith's theorem, when the discs about the
+candidates z_i of radius d (|p(z_i)| + eps sum |z_i|^j) / (|lead|
+prod_{j != i} |z_i - z_j|) are pairwise disjoint, every polynomial
+within eps of p with its leading coefficient has exactly one root in
+each, so none has a multiple root and no coarser clustering can pass.
+Overlapping discs, an overflow or two exact zeros leave the choice to
+the scan, so the certificate never changes a profile.
+
 What is certified is that backward error: every profile is rebuilt from
 its factors and compared coefficientwise with the input, relative to the
 coefficient inf-norm. Inputs that no clustering reconstructs within tol
@@ -80,16 +95,13 @@ def _deflate_linear(cs, r: complex) -> tuple[tuple[complex, ...], complex]:
     return tuple(q), acc
 
 
-def _taylor(cs, r: complex) -> list[complex]:
+def _taylor(cs, r: complex, order: int | None = None) -> list[complex]:
     """Coefficients of p(r + t) in powers of t, via repeated synthetic
-    division; r may be real or complex."""
-    work = list(cs)
-    out = []
-    for _ in range(len(cs)):
+    division, r real or complex: the first order of them, or all."""
+    work, out = list(cs), []
+    while work and len(out) != order:
         work, rem = _deflate_linear(work, r)
         out.append(rem)
-        if not work:
-            break
     return out
 
 
@@ -240,10 +252,20 @@ def _candidates(cs) -> list[complex]:
         comp = np.eye(d, k=-1)
         comp[:, -1] = [-c / tail[-1] for c in tail[:-1]]
         try:
-            zs.extend(complex(w) for w in np.linalg.eigvals(comp))
+            zs.extend(np.linalg.eigvals(comp).astype(complex).tolist())
         except np.linalg.LinAlgError as exc:
             raise IllConditionedError(math.inf, f"companion eigenvalues failed: {exc}") from None
     return zs
+
+
+def _conjugates(zs) -> list[int]:
+    """Index of each candidate's conjugate: its neighbour in a complex
+    pair as _candidates lists it, itself for a real candidate."""
+    conj = list(range(len(zs)))
+    for i, w in enumerate(zs):
+        if w.imag > 0.0:
+            conj[i], conj[i + 1] = i + 1, i
+    return conj
 
 
 def _clusterings(zs) -> tuple[list[int], list[list[int]]]:
@@ -256,10 +278,7 @@ def _clusterings(zs) -> tuple[list[int], list[list[int]]]:
     merge with a nonzero candidate. The last partition is one cluster, or
     the zeros and one cluster of the rest.
     """
-    conj = list(range(len(zs)))
-    for i, w in enumerate(zs):
-        if w.imag > 0.0:
-            conj[i], conj[i + 1] = i + 1, i
+    conj = _conjugates(zs)
     mags = [abs(w) for w in zs]
     pairs = sorted(
         (abs(zi - zj) / (1.0 + max(mags[i], mags[j])), i, j)
@@ -313,6 +332,26 @@ def _factors(zs, conj, label):
     return reals, quads
 
 
+def _value_and_power_sum(cs, z: complex) -> tuple[complex, float]:
+    """p(z) by Horner, and S = sum_{j<=d} |z|^j, which bounds |e(z)| /
+    ||e||inf for any coefficients e of degree <= d."""
+    pz, s, r = 0j, 0.0, abs(z)
+    for a in reversed(cs):
+        pz = pz * z + a
+        s = s * r + 1.0
+    return pz, s
+
+
+def _gate_reach(cs, lead_p: float, tol: float) -> float:
+    """2 (tol ||p||inf + gamma (lead_p + ||p||inf)), gamma = 4 (d + 1) eps.
+
+    Times S at z, it bounds how far Horner's p(z) lies from the value at z
+    of a product with |lead| P <= lead_p whose expansion passes the gate
+    (the rounding analysis is in _misses)."""
+    norm = _inf_norm(cs)
+    return 2.0 * (tol * norm + 4.0 * len(cs) * _EPS * (lead_p + norm))
+
+
 def _misses(cs, zs, label, tol: float) -> bool:
     """Whether the product of a clustering misses cs at one point by more
     than _residual <= tol allows; the gate can pass only when it does not.
@@ -347,14 +386,40 @@ def _misses(cs, zs, label, tol: float) -> bool:
             lead_p *= (1.0 + abs(c)) ** sizes[lb]
     except OverflowError:
         return False
-    pz, s, r = 0j, 0.0, abs(z)
-    for a in reversed(cs):
-        pz = pz * z + a
-        s = s * r + 1.0
-    norm = _inf_norm(cs)
-    bound = 2.0 * (tol * norm + 4.0 * len(cs) * _EPS * (lead_p + norm)) * s
+    pz, s = _value_and_power_sum(cs, z)
+    bound = _gate_reach(cs, lead_p, tol) * s
     gap = q - pz
     return bound < math.hypot(gap.real, gap.imag) < math.inf
+
+
+def _isolated(cs, zs, tol: float) -> bool:
+    """Whether Smith's inclusion discs prove that no clustering coarser
+    than the finest passes the gate (the argument is in the module
+    docstring): whether the discs about the candidates are pairwise
+    disjoint.
+
+    The disc about z_i has twice the radius
+    d (|p(z_i)| + eps S_i) / (|lead| prod_{j != i} |z_i - z_j|), with
+    S_i = sum_{j<=d} |z_i|^j and eps from _gate_reach at
+    P <= (1 + max |z_j|)^d, a bound for every clustering since no
+    centroid lies farther from 0 than its farthest member. The factor 2
+    covers the rounding of the radius and of the test. An overflow, or
+    two equal candidates such as two exact zeros, fails the test.
+    """
+    d, lead = len(zs), abs(cs[-1])
+    try:
+        eps = _gate_reach(cs, lead * (1.0 + max(map(abs, zs))) ** d, tol)
+        dist = [[abs(z - w) for w in zs] for z in zs]
+        radii = []
+        for i, (z, row) in enumerate(zip(zs, dist)):
+            row[i] = 1.0  # in place of |z_i - z_i| = 0, left out of the product
+            pz, s = _value_and_power_sum(cs, z)
+            radii.append(2.0 * d * (abs(pz) + eps * s) / math.prod(row, start=lead))
+    except (OverflowError, ZeroDivisionError):
+        return False
+    return all(
+        radii[i] + radii[j] < dist[i][j] for i in range(d) for j in range(i + 1, d)
+    )
 
 
 def _residual(cs, real_roots, quad_factors) -> float:
@@ -387,7 +452,9 @@ def real_root_profile(p: Poly, tol: float = 1e-9) -> RootProfile:
     and always with their conjugates; the coarsest clustering whose
     product, expanded from the cluster centroids, reconstructs p within
     tol relative to the coefficient inf-norm fixes the multiplicities.
-    A clustering whose product misses p at one point by more than that
+    When Smith's inclusion discs prove that no coarser clustering can
+    pass, the finest is taken without the scan (_isolated); in the scan,
+    a clustering whose product misses p at one point by more than that
     bound allows is ruled out before it is expanded (_misses). The
     factors are then polished, and the polished product is held to the
     same bound: IllConditionedError (with the residual attached) is
@@ -402,11 +469,14 @@ def real_root_profile(p: Poly, tol: float = 1e-9) -> RootProfile:
     if not all(map(math.isfinite, cs)):
         raise ValueError(f"coefficients must be finite, got {list(cs)}")
     zs = _candidates(cs)
-    conj, labels = _clusterings(zs)
-    for label in reversed(labels[1:]):
-        if not _misses(cs, zs, label, tol) and _residual(cs, *_factors(zs, conj, label)) <= tol:
-            break
+    if _isolated(cs, zs, tol):
+        conj, label = _conjugates(zs), list(range(len(zs)))
     else:
-        # the finest clustering stands, and _certified decides on it
-        label = labels[0]
+        conj, labels = _clusterings(zs)
+        for label in reversed(labels[1:]):
+            if not _misses(cs, zs, label, tol) and _residual(cs, *_factors(zs, conj, label)) <= tol:
+                break
+        else:
+            # the finest clustering stands, and _certified decides on it
+            label = labels[0]
     return _certified(cs, *_factors(zs, conj, label), tol)

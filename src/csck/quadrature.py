@@ -286,10 +286,11 @@ def _principal_part(H, k: int, z, mult: int, root: Optional[float]) -> list:
 
     P is x^k, or x^k (x - root) when root is given. a_mult, ..., a_1 are
     the first mult Taylor coefficients at z of P (x - z)^mult / H, from a
-    series division of P's Taylor coefficients at z by those of
-    H / (x - z)^mult; a_1 of a simple root is P(z) / H'(z).
+    series division of P's Taylor coefficients at z by the first mult of
+    H / (x - z)^mult, H's orders mult to 2 mult - 1; a_1 of a simple root
+    is P(z) / H'(z).
     """
-    denom = _taylor(H.coeffs, z)[mult:]
+    denom = _taylor(H.coeffs, z, 2 * mult)[mult:]
     if not (denom and denom[0] != 0.0):
         raise IllConditionedError(
             0.0, f"H's Taylor coefficient of order {mult} at its {mult}-fold root {z!r} is 0"

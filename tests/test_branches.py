@@ -9,6 +9,7 @@ import pytest
 from csck import (
     Branch,
     BranchKind,
+    IllConditionedError,
     RadialProblem,
     Verdict,
     admissible_branches,
@@ -124,6 +125,18 @@ def test_simple_root_next_to_zero_gives_a_singular_family():
     assert report.verdict is Verdict.SINGULAR_FAMILIES
     (b,) = report.branches
     assert b.A == pytest.approx(9.9999999999e-12, rel=1e-15)
+
+
+def test_zero_snap_never_moves_a_root_past_its_neighbour():
+    # the 11-fold root near 9.26e-35 would snap to 0, past the simple root
+    # 1.93e-45 between them, and leave a FullRay window (1.9e-45, 0)
+    problem = RadialProblem(n=11, R=-2.7882265258144573e34, lam=-0.24653091307659908,
+                            mu=4.765964238066422e-46)
+    moved = "snapping a multiple root to 0 would move the roots 1.933211611716053e-45 and "
+    with pytest.raises(IllConditionedError, match=moved):
+        classify(problem, allow_finite_extension=True)
+    with pytest.raises(IllConditionedError, match=moved):
+        admissible_branches(build_ode(problem))
 
 
 def test_simple_zero_root_does_not_absorb_its_neighbour():

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,22 @@ def test_float_geometry_names_s_where_it_leaves_the_float_range(n, R, lam, mu, g
             fn(sol, s)
     # an array holding s reads nan there instead
     assert math.isnan(metric_sample(sol, np.array([s])).R_num[0])
+
+
+def test_metric_tensor_names_s_where_u_prime_leaves_the_float_range():
+    # ball-normalized on its finite extension (0, inf), g(s) is near 1e82
+    # across (0.05, 0.9): H(g) and so u'' overflow, which would leave inf
+    # and nan in the matrix; no numpy warning may reach the caller
+    ode = build_ode(RadialProblem(4, -9.973207780401884e-83, 1.482602515902896e-166,
+                                  4.376432258089308e-232))
+    (br,) = admissible_branches(ode)
+    sol = ball_normalize(ode, br, partial_fractions(ode, br))
+    for s in np.geomspace(0.05, 0.9, 5):
+        z = (math.sqrt(s), 0.0, 0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditionedError, match=re.escape(f"at s = {abs(z[0]) ** 2!r}")):
+                metric_tensor(sol, z)
 
 
 def test_metric_sample_fields():

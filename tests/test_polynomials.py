@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from csck import RadialProblem, build_ode
 from csck.cases import CASES
+from csck import polynomials
 from csck.catalog import instantiate
 from csck.errors import IllConditionedError, ZeroPolyError
 from csck.polynomials import (
@@ -17,9 +18,11 @@ from csck.polynomials import (
     _certified,
     _clusterings,
     _factors,
+    _isolated,
     _misses,
     _polish,
     _residual,
+    _taylor,
     real_root_profile,
 )
 
@@ -485,3 +488,73 @@ def test_point_test_leaves_every_profile_as_the_full_scan_has_it():
     assert len(Hs) >= 3000
     for H in Hs:
         assert _outcome(real_root_profile, H) == _outcome(_scan_every_clustering, H), H
+
+
+def _sweep_H(seed, draws, scaled):
+    """H from the sweep recipe: n in 2..8, R in {0, +-1/2, +-1, +-2} n(n+1),
+    lambda and mu from N(0, 3^2), each times 10**U(-12, 0) when scaled."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(draws):
+        n = int(rng.integers(2, 9))
+        R = float(rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])) * n * (n + 1)
+        lam, mu = (float(v) for v in rng.normal(0.0, 3.0, 2))
+        if scaled:
+            lam, mu = (v * 10.0 ** rng.uniform(-12.0, 0.0) for v in (lam, mu))
+        out.append(_H(n, R, lam, mu))
+    return out
+
+
+def _hex_outcome(p):
+    try:
+        prof = real_root_profile(p)
+    except IllConditionedError as exc:
+        return ("IllConditionedError", str(exc), exc.residual.hex())
+    return tuple(
+        tuple(tuple(float(v).hex() for v in factor) for factor in part)
+        for part in (prof.real_roots, prof.quad_factors, ((prof.leading,),))
+    )
+
+
+def _certifies(p):
+    cs = p.coeffs
+    return _isolated(cs, _candidates(cs), 1e-9)
+
+
+def test_inclusion_discs_leave_every_profile_as_the_scan_has_it(monkeypatch):
+    sweep, scaled = _sweep_H(29, 1500, False), _sweep_H(30, 1500, True)
+    seeded = _seeded_H(31, 0, 300)
+    # H with an exact double or triple root comes first in each triple of _seeded_H
+    multiple = seeded[::3] + [
+        Poly.from_factors([(1.0, 2), (-0.5, 1)], leading=3.0),
+        Poly.from_factors([(0.75, 3), (-2.0, 1)]),
+        Poly.from_factors([(1.0, 6)]),
+        Poly.from_coeffs((1.0, 0.0, 2.0, 0.0, 1.0)),
+    ]
+    two_zeros = [
+        Poly.from_coeffs((0.0, 0.0, 1.0, -1.0)),
+        *(Poly.from_factors([(0.0, 2), (r, 1)], leading=-2.0) for r in (1e-12, -0.5, 3.0)),
+    ]
+    inputs = sweep + scaled + seeded + multiple + two_zeros
+
+    # the sweep draws are certified, so they never reach the scan
+    assert all(map(_certifies, sweep))
+    assert sum(map(_certifies, scaled)) >= 0.7 * len(scaled)
+    assert not any(map(_certifies, multiple + two_zeros))
+    with monkeypatch.context() as m:
+        for name in ("_clusterings", "_misses"):
+            m.setattr(polynomials, name, lambda *args: pytest.fail("the scan ran"))
+        for p in sweep:
+            real_root_profile(p)
+
+    shipped = [_hex_outcome(p) for p in inputs]
+    monkeypatch.setattr(polynomials, "_isolated", lambda cs, zs, tol: False)
+    assert [_hex_outcome(p) for p in inputs] == shipped
+
+
+def test_truncated_taylor_expansion_is_a_prefix_of_the_full_one():
+    for p in _sweep_H(32, 50, False) + _seeded_H(33, 0, 20):
+        for z in _candidates(p.coeffs) + [1.5, -0.25]:
+            full = _taylor(p.coeffs, z)
+            for k in range(len(full) + 2):
+                assert [repr(c) for c in _taylor(p.coeffs, z, k)] == [repr(c) for c in full[:k]]
