@@ -7,9 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from csck import RadialProblem, build_ode
+from csck import RadialProblem, build_ode, polynomials
 from csck.cases import CASES
-from csck import polynomials
 from csck.catalog import instantiate
 from csck.errors import IllConditionedError, ZeroPolyError
 from csck.polynomials import (

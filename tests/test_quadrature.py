@@ -36,6 +36,7 @@ from csck import (
     gauge_from_anchor,
     get_case,
     metric_sample,
+    metric_tensor,
     partial_fractions,
     potential_u,
     scalar_curvature,
@@ -524,14 +525,18 @@ def test_pipeline_fuzz_metric_sample_reports_without_warning(pipeline_fuzz):
 
 def test_pipeline_fuzz_float_geometry_raises_only_named_errors(pipeline_fuzz):
     # a float reader raises only named errors: where its arithmetic leaves
-    # the float range, IllConditionedError names s
+    # the float range, IllConditionedError names s; metric_tensor reads
+    # the point z with |z|^2 = s
     _, solutions, _ = pipeline_fuzz
     for sol in solutions:
         hi = sol.s_domain[1]
+        z = np.zeros(sol.ode.problem.n)
         for s in np.geomspace(0.05, 0.9 * hi if math.isfinite(hi) else 20.0, 5):
-            for reader in (scalar_curvature, curvature_fd, metric_sample, potential_u):
+            z[0] = math.sqrt(s)
+            readers = [(r, float(s)) for r in (scalar_curvature, curvature_fd, metric_sample, potential_u)]
+            for reader, arg in readers + [(metric_tensor, z)]:
                 try:
-                    reader(sol, float(s))
+                    reader(sol, arg)
                 except CsckError:
                     pass
 
