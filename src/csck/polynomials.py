@@ -15,7 +15,9 @@ would merge with 0.0 into a double root at e / 2 that passes the gate.
 Each factor is then polished by Newton's method on the derivative of
 matching order, where its root is simple, so that multiple roots reach
 full precision: a real root from its centroid on the real line, a
-quadratic factor (x - beta)^2 + gamma^2 from beta + i gamma.
+quadratic factor (x - beta)^2 + gamma^2 from beta + i gamma. One chain
+of derivatives, built up to the highest multiplicity, serves every
+factor of a profile.
 
 Most clusterings fail. Before one is expanded, its product is compared
 with the polynomial at one point, where coefficients within tol move the
@@ -36,7 +38,9 @@ prod_{j != i} |z_i - z_j|) are pairwise disjoint, every polynomial
 within eps of p with its leading coefficient has exactly one root in
 each, so none has a multiple root and no coarser clustering can pass.
 Overlapping discs, an overflow or two exact zeros leave the choice to
-the scan, so the certificate never changes a profile.
+the scan, so the certificate never changes a profile. The values p(z_i)
+that its Horner pass computes start the polish of each simple root,
+which then evaluates p at a new point only.
 
 What is certified is that backward error: every profile is rebuilt from
 its factors and compared coefficientwise with the input, relative to the
@@ -117,19 +121,23 @@ def _mul(a, b) -> tuple[float, ...]:
 
 def _expand(real_roots, quad_factors, leading: float) -> list[float]:
     """Coefficients of leading * prod (x-r)^m * prod ((x-b)^2+g^2)^m, each
-    factor multiplied in with the additions in the order of _mul (so the
-    same floats)."""
+    factor multiplied in place, top coefficient first, with the additions
+    in the order of _mul (so the same floats)."""
     cs = [float(leading)]
     for r, m in real_roots:
         for _ in range(m):
-            cs = [a - r * c for a, c in zip([0.0, *cs], [*cs, 0.0])]
+            cs.append(0.0)
+            for k in range(len(cs) - 1, 0, -1):
+                cs[k] = cs[k - 1] - r * cs[k]
+            cs[0] = 0.0 - r * cs[0]
     for b, g, m in quad_factors:
         u, v = -2.0 * b, b * b + g * g
         for _ in range(m):
-            cs = [
-                a + c * u + e * v
-                for a, c, e in zip([0.0, 0.0, *cs], [0.0, *cs, 0.0], [*cs, 0.0, 0.0])
-            ]
+            cs += (0.0, 0.0)
+            for k in range(len(cs) - 1, 1, -1):
+                cs[k] = cs[k - 2] + cs[k - 1] * u + cs[k] * v
+            cs[1] = 0.0 + cs[0] * u + cs[1] * v
+            cs[0] = 0.0 + 0.0 * u + cs[0] * v
     return cs
 
 
@@ -206,19 +214,20 @@ class RootProfile:
 # ---------------------------------------------------------------------------
 # root candidates, numerical multiplicity and polish
 
-def _polish(cs, z, m: int):
-    """Newton on the (m-1)-th derivative of cs, where a multiplicity-m
-    root is simple, from z (a float for a real root, beta + i gamma for a
-    quadratic factor; the arithmetic keeps a real z real).
+def _polish(chain, z, m: int, dz=None):
+    """Newton on chain[m - 1], the (m-1)-th derivative of the polynomial
+    whose derivative chain _certified builds, where a multiplicity-m root
+    is simple, from z (a float for a real root, beta + i gamma for a
+    quadratic factor; the arithmetic keeps a real z real). dz is that
+    derivative at z when the caller has it: _isolated's Horner value of
+    the polynomial at a simple root's candidate.
 
     A step is taken only while it shrinks |d(z)|, so the polished root
     is never a worse zero of d than its start.
     """
-    d = cs
-    for _ in range(m - 1):
-        d = _deriv(d)
-    dd = _deriv(d)
-    dz = _horner(d, z)
+    d, dd = chain[m - 1], chain[m]
+    if dz is None:
+        dz = _horner(d, z)
     for _ in range(_POLISH_STEPS):
         slope = _horner(dd, z)
         if dz == 0.0 or slope == 0.0:
@@ -249,10 +258,11 @@ def _candidates(cs) -> list[complex]:
     d = len(tail) - 1
     zs = [0j] * z
     if d > 0:
-        comp = np.eye(d, k=-1)
-        comp[:, -1] = [-c / tail[-1] for c in tail[:-1]]
+        comp = np.zeros(d * d)
+        comp[d::d + 1] = 1.0
+        comp[d - 1::d] = [-c / tail[-1] for c in tail[:-1]]
         try:
-            zs.extend(np.linalg.eigvals(comp).astype(complex).tolist())
+            zs.extend(np.linalg.eigvals(comp.reshape(d, d)).astype(complex).tolist())
         except np.linalg.LinAlgError as exc:
             raise IllConditionedError(math.inf, f"companion eigenvalues failed: {exc}") from None
     return zs
@@ -268,9 +278,9 @@ def _conjugates(zs) -> list[int]:
     return conj
 
 
-def _clusterings(zs) -> tuple[list[int], list[list[int]]]:
-    """Conjugate index of each candidate, and the candidates' partitions
-    from finest to coarsest, as one cluster label per candidate.
+def _clusterings(zs, conj) -> list[list[int]]:
+    """The candidates' partitions from finest to coarsest, as one cluster
+    label per candidate; conj is the conjugate index of each candidate.
 
     Pairs merge in order of increasing |zi - zj| / (1 + max(|zi|, |zj|)),
     each together with its conjugate pair, so every partition is closed
@@ -278,7 +288,6 @@ def _clusterings(zs) -> tuple[list[int], list[list[int]]]:
     merge with a nonzero candidate. The last partition is one cluster, or
     the zeros and one cluster of the rest.
     """
-    conj = _conjugates(zs)
     mags = [abs(w) for w in zs]
     pairs = sorted(
         (abs(zi - zj) / (1.0 + max(mags[i], mags[j])), i, j)
@@ -302,7 +311,7 @@ def _clusterings(zs) -> tuple[list[int], list[list[int]]]:
         if new is not label:
             label = new
             out.append(label)
-    return conj, out
+    return out
 
 
 def _centroids(zs, label) -> tuple[dict[int, complex], dict[int, int]]:
@@ -392,34 +401,64 @@ def _misses(cs, zs, label, tol: float) -> bool:
     return bound < math.hypot(gap.real, gap.imag) < math.inf
 
 
-def _isolated(cs, zs, tol: float) -> bool:
-    """Whether Smith's inclusion discs prove that no clustering coarser
-    than the finest passes the gate (the argument is in the module
-    docstring): whether the discs about the candidates are pairwise
-    disjoint.
+def _isolated(cs, zs, conj, tol: float) -> list[complex] | None:
+    """p(z_i) at each candidate when Smith's inclusion discs prove that no
+    clustering coarser than the finest passes the gate (the argument is in
+    the module docstring), that is when the discs about the candidates are
+    pairwise disjoint; None when they are not. _certified starts the
+    polish of each simple root from these values.
 
     The disc about z_i has twice the radius
     d (|p(z_i)| + eps S_i) / (|lead| prod_{j != i} |z_i - z_j|), with
     S_i = sum_{j<=d} |z_i|^j and eps from _gate_reach at
     P <= (1 + max |z_j|)^d, a bound for every clustering since no
     centroid lies farther from 0 than its farthest member. The factor 2
-    covers the rounding of the radius and of the test. An overflow, or
-    two equal candidates such as two exact zeros, fails the test.
+    covers the rounding of the radius and of the test, so a conjugate
+    takes its mirror's radius and the conjugate of its mirror's value.
+    An overflow, or two equal candidates such as two exact zeros, fails
+    the test.
     """
     d, lead = len(zs), abs(cs[-1])
     try:
         eps = _gate_reach(cs, lead * (1.0 + max(map(abs, zs))) ** d, tol)
-        dist = [[abs(z - w) for w in zs] for z in zs]
-        radii = []
-        for i, (z, row) in enumerate(zip(zs, dist)):
-            row[i] = 1.0  # in place of |z_i - z_i| = 0, left out of the product
+        # 1.0 on the diagonal, in place of |z_i - z_i| = 0, left out of the product
+        dist = [[1.0] * d for _ in zs]
+        for i, z in enumerate(zs):
+            for j in range(i + 1, d):
+                dist[i][j] = dist[j][i] = abs(z - zs[j])
+        values, radii = [], []
+        for i, z in enumerate(zs):
+            k = conj[i]
+            if k < i:
+                values.append(values[k].conjugate())
+                radii.append(radii[k])
+                continue
             pz, s = _value_and_power_sum(cs, z)
-            radii.append(2.0 * d * (abs(pz) + eps * s) / math.prod(row, start=lead))
+            values.append(pz)
+            radii.append(2.0 * d * (abs(pz) + eps * s) / math.prod(dist[i], start=lead))
     except (OverflowError, ZeroDivisionError):
-        return False
-    return all(
-        radii[i] + radii[j] < dist[i][j] for i in range(d) for j in range(i + 1, d)
-    )
+        return None
+    for i in range(d):
+        for j in range(i + 1, d):
+            if not radii[i] + radii[j] < dist[i][j]:
+                return None
+    return values
+
+
+def _singletons(zs, conj, values):
+    """The finest clustering's real roots and quadratic factors, as
+    _factors has them without its dicts, and p at each factor's start
+    from _isolated's values, the real roots' first. The centroid of one
+    candidate w is w, with -0.0 read as 0.0."""
+    reals, quads, real_at, quad_at = [], [], [], []
+    for i, (z, k, pz) in enumerate(zip(zs, conj, values)):
+        if k == i:
+            reals.append((z.real + 0.0, 1))
+            real_at.append(pz.real)
+        elif i < k:
+            quads.append((z.real + 0.0, z.imag, 1))
+            quad_at.append(pz)
+    return reals, quads, real_at + quad_at
 
 
 def _residual(cs, real_roots, quad_factors) -> float:
@@ -428,12 +467,23 @@ def _residual(cs, real_roots, quad_factors) -> float:
     return max(abs(a - b) for a, b in zip(recon, cs)) / _inf_norm(cs)
 
 
-def _certified(cs, reals, quads, tol: float) -> RootProfile:
-    """Polish the factors of a clustering and hold their product to tol."""
-    real_roots = sorted((_polish(cs, r, m), m) for r, m in reals)
+def _certified(cs, reals, quads, tol: float, starts=None) -> RootProfile:
+    """Polish the factors of a clustering and hold their product to tol.
+
+    One derivative chain of cs, up to the highest multiplicity, serves
+    every polish. starts, when given, are p at each factor's start, the
+    real roots' first, as _isolated computed them, so that no polish
+    evaluates p there again.
+    """
+    chain = [cs]
+    for _ in range(max(m for *_, m in (*reals, *quads))):
+        chain.append(_deriv(chain[-1]))
+    if starts is None:
+        starts = [None] * (len(reals) + len(quads))
+    real_roots = sorted((_polish(chain, r, m, v), m) for (r, m), v in zip(reals, starts))
     quad_factors = []
-    for beta, gamma, m in quads:
-        z = _polish(cs, complex(beta, gamma), m)
+    for (beta, gamma, m), v in zip(quads, starts[len(reals):]):
+        z = _polish(chain, complex(beta, gamma), m, v)
         quad_factors.append((z.real, abs(z.imag), m))
     quad_factors.sort()
 
@@ -469,14 +519,16 @@ def real_root_profile(p: Poly, tol: float = 1e-9) -> RootProfile:
     if not all(map(math.isfinite, cs)):
         raise ValueError(f"coefficients must be finite, got {list(cs)}")
     zs = _candidates(cs)
-    if _isolated(cs, zs, tol):
-        conj, label = _conjugates(zs), list(range(len(zs)))
+    conj = _conjugates(zs)
+    values = _isolated(cs, zs, conj, tol)
+    if values is not None:
+        reals, quads, starts = _singletons(zs, conj, values)
+        return _certified(cs, reals, quads, tol, starts)
+    labels = _clusterings(zs, conj)
+    for label in reversed(labels[1:]):
+        if not _misses(cs, zs, label, tol) and _residual(cs, *_factors(zs, conj, label)) <= tol:
+            break
     else:
-        conj, labels = _clusterings(zs)
-        for label in reversed(labels[1:]):
-            if not _misses(cs, zs, label, tol) and _residual(cs, *_factors(zs, conj, label)) <= tol:
-                break
-        else:
-            # the finest clustering stands, and _certified decides on it
-            label = labels[0]
+        # the finest clustering stands, and _certified decides on it
+        label = labels[0]
     return _certified(cs, *_factors(zs, conj, label), tol)

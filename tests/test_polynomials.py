@@ -16,6 +16,8 @@ from csck.polynomials import (
     _candidates,
     _certified,
     _clusterings,
+    _conjugates,
+    _deriv,
     _factors,
     _isolated,
     _misses,
@@ -303,7 +305,7 @@ def test_planted_structure_property(max_degree):
 def test_polish_lands_on_the_planted_quadratic_factor():
     # (x - 1)^2 + 4 times (x - 3)(x + 1), polished from a start 10% off
     p = Poly.from_factors([(3.0, 1), (-1.0, 1)], quad_factors=[(1.0, 2.0, 1)])
-    z = _polish(p.coeffs, complex(1.1, 1.8), 1)
+    z = _polish([p.coeffs, _deriv(p.coeffs)], complex(1.1, 1.8), 1)
     beta, gamma = z.real, abs(z.imag)
     assert abs(beta - 1.0) <= 1e-15 and abs(gamma - 2.0) <= 1e-15
 
@@ -446,7 +448,8 @@ def test_point_test_never_rejects_a_clustering_that_passes_the_gate():
     for H in _seeded_H(31, 300, 300) + _catalog_H():
         cs = H.coeffs
         zs = _candidates(cs)
-        conj, labels = _clusterings(zs)
+        conj = _conjugates(zs)
+        labels = _clusterings(zs, conj)
         for label in labels:
             residual = _residual(cs, *_factors(zs, conj, label))
             missed = _misses(cs, zs, label, tol)
@@ -467,7 +470,8 @@ def _scan_every_clustering(p, tol=1e-9):
     expanded, coarsest first, until one passes the gate."""
     cs = p.coeffs
     zs = _candidates(cs)
-    conj, labels = _clusterings(zs)
+    conj = _conjugates(zs)
+    labels = _clusterings(zs, conj)
     for label in reversed(labels):
         reals, quads = _factors(zs, conj, label)
         if _residual(cs, reals, quads) <= tol:
@@ -517,7 +521,8 @@ def _hex_outcome(p):
 
 def _certifies(p):
     cs = p.coeffs
-    return _isolated(cs, _candidates(cs), 1e-9)
+    zs = _candidates(cs)
+    return _isolated(cs, zs, _conjugates(zs), 1e-9) is not None
 
 
 def test_inclusion_discs_leave_every_profile_as_the_scan_has_it(monkeypatch):
@@ -534,7 +539,7 @@ def test_inclusion_discs_leave_every_profile_as_the_scan_has_it(monkeypatch):
         Poly.from_coeffs((0.0, 0.0, 1.0, -1.0)),
         *(Poly.from_factors([(0.0, 2), (r, 1)], leading=-2.0) for r in (1e-12, -0.5, 3.0)),
     ]
-    inputs = sweep + scaled + seeded + multiple + two_zeros
+    inputs = sweep + scaled + seeded + multiple + two_zeros + _catalog_H()
 
     # the sweep draws are certified, so they never reach the scan
     assert all(map(_certifies, sweep))
@@ -547,8 +552,34 @@ def test_inclusion_discs_leave_every_profile_as_the_scan_has_it(monkeypatch):
             real_root_profile(p)
 
     shipped = [_hex_outcome(p) for p in inputs]
-    monkeypatch.setattr(polynomials, "_isolated", lambda cs, zs, tol: False)
+    monkeypatch.setattr(polynomials, "_isolated", lambda cs, zs, conj, tol: None)
     assert [_hex_outcome(p) for p in inputs] == shipped
+
+
+def test_one_derivative_chain_serves_a_profile(monkeypatch):
+    # the polish of every root reads one chain of H's derivatives, built
+    # up to the highest multiplicity, on the certified path and the scan
+    calls = []
+
+    def counted(cs):
+        calls.append(cs)
+        return deriv(cs)
+
+    deriv = polynomials._deriv
+    monkeypatch.setattr(polynomials, "_deriv", counted)
+    planted = _seeded_H(31, 0, 300)
+    checked = multiple = 0
+    for p in _sweep_H(34, 500, False) + planted[::3]:
+        calls.clear()
+        try:
+            prof = real_root_profile(p)
+        except IllConditionedError:
+            continue
+        top = max(m for *_, m in prof.real_roots + prof.quad_factors)
+        assert len(calls) <= top, (p, prof, len(calls))
+        checked += 1
+        multiple += top > 1
+    assert checked >= 550 and multiple >= 50
 
 
 def test_truncated_taylor_expansion_is_a_prefix_of_the_full_one():
