@@ -9,7 +9,8 @@ so everything reduces to three steps: split x^k / H into tagged
 closed-form terms (logs, reciprocal powers, arctangents), fix the gauge
 constant c (through an anchor point, or by normalizing a finite
 extension so its boundary sits at s = 1), and invert the relation with
-Newton steps kept inside a verified bracket. The split follows one
+Newton steps kept inside a verified bracket, started at the inverse
+cubic Hermite point of the bracket's walk step. The split follows one
 residue rule: a Taylor series division at each root of H, real or
 complex, gives the principal part there, and the logs at a conjugate
 pair combine into a log of the quadratic factor and an arctangent. The
@@ -17,8 +18,9 @@ same split applied to x^k (x - A) / H gives the potential in closed
 form (RadialSolution.G). One value-and-slope loop over the terms serves
 floats and arrays alike; eval_F keeps a value-only loop (see there).
 A direct Runge-Kutta shoot of the first order equation s g^k g' = H(g),
-a plain-float Dormand-Prince 5(4) integrator, is provided as an
-independent cross check.
+a plain-float Dormand-Prince 5(4) integrator in the window's log chart
+u = log(g - A) (log((g - A)/(B - g)) on a finite window), is provided
+as an independent cross check.
 """
 
 import math
@@ -37,7 +39,7 @@ from .errors import (
     OutOfDomainError,
     UnsupportedMultiplicityError,
 )
-from .polynomials import _taylor
+from .polynomials import _horner, _taylor
 from .reduction import OdeData
 
 __all__ = [
@@ -67,11 +69,13 @@ _BISECT_REL = 1e-13
 _EXPAND_CAP = 300
 # inversion steps (Newton or bisection) before the iterate is returned
 _ITER_CAP = 200
+# inversion steps an array of s takes in lockstep before the entries left
+# go on one at a time
+_LOCKSTEP = 5
 # g value treated as a blow-up while shooting
 _SHOOT_GCAP = 1e9
-# the shoot's error tolerances: relative to |g|, and absolute
-_SHOOT_RTOL = 1e-10
-_SHOOT_ATOL = 1e-12
+# the shoot's error tolerance, absolute in its chart u: relative in g - A
+_SHOOT_TOL = 1e-10
 # row kinds of AntiderivativeF.table, the commonest first
 _LOG, _LOGQ, _ATAN, _POLE, _LIN = range(5)
 
@@ -450,23 +454,28 @@ def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
     solution's kept _walk (F is evaluated only where it walks further):
     down toward A while F > t at the probe point, up toward B otherwise,
     to the first point that crosses t, found by one binary search on the
-    running maximum of -F or F that the walk keeps. From its midpoint, each
-    step evaluates F at the iterate g, moves the bracket end on g's side
-    of t to g, and goes to the Newton point g - (F(g) - t) / F'(g) when
-    that lies strictly inside the bracket, to the bracket midpoint
-    otherwise (rtsafe, Numerical Recipes 9.4). It stops when the Newton
-    step is at most 2**-52 |g|, so that a Newton point that rounds back to
-    g always stops, or when the Newton point falls outside a bracket
-    already narrower than 1e-13 |g| (g > 0 on every window), and returns
-    the Newton point clipped into the bracket: in the second case, the
-    bracket end it crossed. The result depends on s alone, not on earlier
-    calls, stored walk or not.
+    running maximum of -F or F that the walk keeps. The first iterate is
+    the point where the step's inverse cubic Hermite interpolant, x as a
+    function of F through the two ends with the slopes 1/F' = H/x^k that
+    the walk keeps, reads t; where that point is not strictly inside the
+    bracket, the bracket midpoint. From there each step evaluates F at the
+    iterate g, moves the bracket end on g's side of t to g, and goes to the
+    Newton point g - (F(g) - t) / F'(g) when that lies strictly inside the
+    bracket, to the bracket midpoint otherwise (rtsafe, Numerical Recipes
+    9.4). It stops when the Newton step is at most 2**-52 |g|, so that a
+    Newton point that rounds back to g always stops, or when the Newton
+    point falls outside a bracket already narrower than 1e-13 |g| (g > 0
+    on every window), and returns the Newton point clipped into the
+    bracket: in the second case, the bracket end it crossed. The result
+    depends on s alone, not on earlier calls, stored walk or not.
 
     A numpy array of s (any order, repeats allowed) returns the array of
     g in the same shape. The solution's two walks serve all entries, down
     to the least t and up to the greatest, and each entry takes the
-    bracket of its own first crossing; the Newton steps then run in
-    lockstep, each one pass over F and F' for all entries still iterating.
+    bracket and first iterate of its own first crossing; the first
+    _LOCKSTEP Newton steps then run in lockstep, each one pass over F and
+    F' for all entries still iterating, and the entries left after them
+    go on one at a time in the float loop of a single s.
     """
     if isinstance(s, np.ndarray):
         return _solve_g_array(sol, s)
@@ -474,11 +483,13 @@ def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
     if not (s_lo < s < s_hi):
         raise _outside(s, sol)
     t = math.log(s) + sol.c
-    F = sol.F
-    lo, hi = _bracket(sol, t, s)
+    return _newton(sol.F, t, *_bracket(sol, t, s), _ITER_CAP)
 
-    g = 0.5 * (lo + hi)
-    for _ in range(_ITER_CAP):
+
+def _newton(F: AntiderivativeF, t: float, lo: float, hi: float, g: float, steps: int) -> float:
+    """At most steps of solve_g's safeguarded Newton iteration from the
+    iterate g in the bracket [lo, hi], on floats."""
+    for _ in range(steps):
         value, slope = _value_and_slope(F, g)
         r = value - t
         if r < 0.0:
@@ -517,9 +528,10 @@ def _F_dF_array(F: AntiderivativeF, x: np.ndarray):
 
 
 def _walk(sol: RadialSolution, up: bool, key: float):
-    """(xs, ms): the solution's walk toward B (up) or toward A, and the
+    """(xs, ms, ds): the solution's walk toward B (up) or toward A, the
     running maximum of F (up) or -F (down) along it, which skips a nan F,
-    extended until that maximum reaches key.
+    and 1/F' = H/x^k at each point (_dx_dF), extended until that maximum
+    reaches key.
 
     Both walks start at the probe point. Down, each next point halves the
     distance to A; up, it halves the distance to B, or on a ray doubles
@@ -532,12 +544,13 @@ def _walk(sol: RadialSolution, up: bool, key: float):
     walks = sol._walks
     if walks is None:
         x = probe_point(A, B)
-        f = eval_F(sol.F, x)
-        walks = sol._walks = [((x,), (max(-math.inf, -f),)), ((x,), (max(-math.inf, f),))]
-    xs, ms = walks[up]
+        f, d = eval_F(sol.F, x), _dx_dF(sol.ode, x)
+        walks = sol._walks = [((x,), (max(-math.inf, -f),), (d,)),
+                              ((x,), (max(-math.inf, f),), (d,))]
+    xs, ms, ds = walks[up]
     if ms[-1] >= key:
-        return xs, ms
-    x, m, sign, new_xs, new_ms = xs[-1], ms[-1], 1.0 if up else -1.0, [], []
+        return xs, ms, ds
+    x, m, sign, new_xs, new_ms, new_ds = xs[-1], ms[-1], 1.0 if up else -1.0, [], [], []
     while m < key and len(xs) + len(new_xs) < _EXPAND_CAP:
         if not up:
             step = A + 0.5 * (x - A)
@@ -551,51 +564,86 @@ def _walk(sol: RadialSolution, up: bool, key: float):
         m = f if f > m else m
         new_xs.append(x)
         new_ms.append(m)
-    xs, ms = xs + tuple(new_xs), ms + tuple(new_ms)
-    walks[up] = (xs, ms)
-    return xs, ms
+        new_ds.append(_dx_dF(sol.ode, x))
+    walk = walks[up] = (xs + tuple(new_xs), ms + tuple(new_ms), ds + tuple(new_ds))
+    return walk
+
+
+def _dx_dF(ode: OdeData, x: float) -> float:
+    """1/F'(x) = H(x)/x^k by Horner, nan where x^k leaves the float range;
+    not from F.table, whose pole slope c/d**(p + 1) overflows where the
+    value is finite."""
+    try:
+        return ode.H(x) / x**ode.k
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
+
+
+def _hermite(t, p, fp, dp, q, fq, dq):
+    """Where the cubic Hermite interpolant of x as a function of F, through
+    (fp, p) and (fq, q) with the slopes dx/dF dp and dq, reads F = t; floats
+    with fp != fq, or arrays."""
+    h = fq - fp
+    u = (t - fp) / h
+    return p + u * u * (3.0 - 2.0 * u) * (q - p) + h * u * (1.0 - u) * ((1.0 - u) * dp - u * dq)
 
 
 def _bracket(sol: RadialSolution, t: float, s: float):
-    """solve_g's bracket [lo, hi] for one s at t = log s + c: the first
-    crossing is the first of the walk's first _EXPAND_CAP points (a cap
-    read at each call) whose running maximum reaches -t down, t up."""
+    """solve_g's bracket lo, hi and first iterate for one s at t = log s + c.
+
+    The first crossing is the first of the walk's first _EXPAND_CAP points
+    (a cap read at each call) whose running maximum reaches -t down, t up.
+    The first iterate is _hermite's point on that step when it is strictly
+    inside, the midpoint otherwise.
+    """
     for up, side in ((False, "lower"), (True, "upper")):
-        key = t if up else -t
-        xs, ms = _walk(sol, up, key)
+        sign = 1.0 if up else -1.0
+        key = sign * t
+        xs, ms, ds = _walk(sol, up, key)
         end = min(len(ms), _EXPAND_CAP)
         i = bisect_left(ms, key, 0, end)
         if i == end or not ms[i] >= key:  # a nan t crosses nowhere
             raise OutOfDomainError(f"no {side} bracket for s = {s!r}")
         if i or up:
             # the probe point on t brackets with itself
-            return sorted((xs[max(i - 1, 0)], xs[i]))
+            j = max(i - 1, 0)
+            lo, hi = sorted((xs[j], xs[i]))
+            g = _hermite(t, xs[j], sign * ms[j], ds[j], xs[i], sign * ms[i], ds[i]) if i else lo
+            return lo, hi, g if lo < g < hi else 0.5 * (lo + hi)
 
 
 def _brackets(sol: RadialSolution, s: np.ndarray, t: np.ndarray):
-    """_bracket for every entry of s at once: arrays lo, hi.
+    """_bracket for every entry of s at once: arrays lo, hi and the first
+    iterates.
 
     Each walk is extended to its farthest target only. A failure names
     the first entry without a bracket, lower brackets first.
     """
-    lo, hi = np.empty(t.size), np.empty(t.size)
+    lo, hi, g = np.empty(t.size), np.empty(t.size), np.empty(t.size)
     todo = np.arange(t.size)
     for up, side in ((False, "lower"), (True, "upper")):
-        keys = t[todo] if up else -t
-        xs, ms = (np.array(v[:_EXPAND_CAP]) for v in _walk(sol, up, keys.max(initial=-math.inf)))
+        sign = 1.0 if up else -1.0
+        keys = sign * t[todo]
+        xs, ms, ds = (np.array(v[:_EXPAND_CAP])
+                      for v in _walk(sol, up, keys.max(initial=-math.inf)))
         i = np.searchsorted(ms, keys)
         miss = np.flatnonzero(i == ms.size)
         if miss.size:
             raise OutOfDomainError(f"no {side} bracket for s = {float(s[todo[miss[0]]])!r}")
-        # the probe point on t brackets with itself
-        near, x = xs[np.maximum(i - 1, 0)], xs[i]
-        lo[todo], hi[todo] = np.minimum(near, x), np.maximum(near, x)
+        # the probe point on t brackets with itself, and its 0/0 start is nan
+        j = np.maximum(i - 1, 0)
+        near, x = xs[j], xs[i]
+        a, b = np.minimum(near, x), np.maximum(near, x)
+        start = _hermite(t[todo], near, sign * ms[j], ds[j], x, sign * ms[i], ds[i])
+        lo[todo], hi[todo] = a, b
+        g[todo] = np.where((a < start) & (start < b), start, 0.5 * (a + b))
         todo = todo[i == 0]  # F <= t at the probe point
-    return lo, hi
+    return lo, hi, g
 
 
 def _solve_g_array(sol: RadialSolution, s: np.ndarray) -> np.ndarray:
-    """solve_g of every entry of s, with the iteration run in lockstep."""
+    """solve_g of every entry of s: _LOCKSTEP rounds for all entries at
+    once, then _newton for each entry left."""
     shape = s.shape
     s = np.asarray(s, dtype=float).ravel()
     s_lo, s_hi = sol.s_domain
@@ -605,12 +653,12 @@ def _solve_g_array(sol: RadialSolution, s: np.ndarray) -> np.ndarray:
     t = np.log(s) + sol.c
     F = sol.F
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lo, hi = _brackets(sol, s, t)
+        lo, hi, g = _brackets(sol, s, t)
 
         # the entries still iterating, compacted only when some of them stop
         out = np.empty(s.size)
-        idx, g = np.arange(s.size), 0.5 * (lo + hi)
-        for _ in range(_ITER_CAP):
+        idx = np.arange(s.size)
+        for _ in range(_LOCKSTEP):
             if not idx.size:
                 break
             value, slope = _F_dF_array(F, g)
@@ -631,7 +679,8 @@ def _solve_g_array(sol: RadialSolution, s: np.ndarray) -> np.ndarray:
                     v[go] for v in (idx, g, cand, inside, lo, hi, t)
                 )
             g = np.where(inside, cand, 0.5 * (lo + hi))
-    out[idx] = g
+    for i, *state in zip(idx.tolist(), t.tolist(), lo.tolist(), hi.tolist(), g.tolist()):
+        out[i] = _newton(F, *state, _ITER_CAP - _LOCKSTEP)
     return out.reshape(shape)
 
 
@@ -761,7 +810,7 @@ def _dopri(rhs, t: float, y: float, ts, floor: float, cap: float):
                 h = t_new - t
                 h_abs = abs(h)
                 y_new, f_new, err = _dp_step(rhs, y, f, h)
-                norm = abs(err) / (_SHOOT_ATOL + max(abs(y), abs(y_new)) * _SHOOT_RTOL)
+                norm = abs(err) / _SHOOT_TOL
                 # a nan norm (the rhs left its domain) fails this test and
                 # shrinks the step by the largest factor
                 if norm < 1.0:
@@ -783,14 +832,21 @@ def shoot_ode(ode, s0: float, g0: float, s_targets) -> ShootResult:
     """Integrate s g^k g' = H(g) from (s0, g0) to each target abscissa.
 
     Runs an adaptive Dormand-Prince 5(4) in t = log s on plain floats,
-    backward and then forward from the anchor, with rtol 1e-10 and atol
-    1e-12; each side's first trial step is the whole way to its nearest
-    target. It uses only H, never F or solve_g, so it checks the inversion
-    independently. Integration stops when g falls to the window's left
-    endpoint or, on a finite extension, rises to 1e9; the crossing is
-    located on the cubic Hermite interpolant of the step. The result then
-    keeps the partial samples and records the reached abscissa in
-    domain_end, as it does when the step size underflows.
+    backward and then forward from the anchor, in the window's log chart:
+    u = log(g - A) on a ray or a finite extension, u = log((g - A)/(B - g))
+    on a finite window (A, B). Near an end, where g - A behaves like
+    C s^alpha, u is close to linear in t. The error norm is absolute in u,
+    1e-10, which is relative in g - A (and B - g). The right side takes H
+    from its Taylor coefficients at the nearer window end, that end's
+    rounded H value dropped, so it keeps its digits where g presses
+    against the end. Each side's first trial step is the whole way to its
+    nearest target. It uses only H, never F or solve_g, so it checks the
+    inversion independently. Integration stops when g falls to the floor
+    A + 1e-12 (1 + |A|) or, on a finite extension, rises to 1e9, both
+    mapped into u; the crossing is located on the cubic Hermite
+    interpolant of the step. The result then keeps the partial samples
+    and records the reached abscissa in domain_end, as it does when the
+    step size underflows.
     """
     if not (s0 > 0.0 and math.isfinite(s0)):
         raise BadAnchorError(f"shoot abscissa s0 = {s0!r} must be positive and finite")
@@ -802,20 +858,42 @@ def shoot_ode(ode, s0: float, g0: float, s_targets) -> ShootResult:
     if window is None:
         raise BadAnchorError(f"g0 = {g0!r} lies in no admissible window")
 
-    k = ode.k
-    coeffs = ode.H.coeffs[::-1]
+    k, A, B = ode.k, window.A, window.B
+    ray = math.isinf(B)
+    # H(A + d) / d and H(B + d) / d from H's Taylor coefficients at the
+    # window ends, its roots: the constant term, H's rounding there, is dropped
+    at_A = _taylor(ode.H.coeffs, A)[1:]
+    at_B = None if ray else _taylor(ode.H.coeffs, B)[1:]
 
-    def rhs(g):
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * g + c
+    def point(u):
+        """(g, du/dt) at u."""
+        if ray:
+            d = math.exp(u)
+            g, p = A + d, _horner(at_A, d)
+        else:
+            # d is the distance to the nearer end, and with w = B - A,
+            # du/dt = H(g) w / (g^k (g - A) (B - g)), w / (the farther
+            # distance) = 1 + e
+            e = math.exp(-abs(u))
+            d = (B - A) * e / (1.0 + e)
+            g, p = (A + d, _horner(at_A, d)) if u <= 0.0 else (B - d, -_horner(at_B, -d))
+            p *= 1.0 + e
+        return g, p / g**k
+
+    def rhs(u):
         try:
-            return acc / g**k
+            return point(u)[1]
         except (ZeroDivisionError, OverflowError):
             return math.nan  # a trial stage left the domain; the step is rejected
 
-    floor = window.A + 1e-12 * (1.0 + abs(window.A))
-    cap = math.inf if window.diverges_right else _SHOOT_GCAP
+    def chart(g):
+        """u at g; -inf at or below A, inf at or above B."""
+        if not A < g < B:
+            return -math.inf if g <= A else math.inf
+        return math.log(g - A) if ray else math.log((g - A) / (B - g))
+
+    floor = chart(A + 1e-12 * (1.0 + abs(A)))
+    cap = chart(math.inf if window.diverges_right else _SHOOT_GCAP)
 
     t0 = math.log(s0)
     targets = sorted(set(float(s) for s in s_targets))
@@ -830,8 +908,8 @@ def shoot_ode(ode, s0: float, g0: float, s_targets) -> ShootResult:
     for side in (below, above):
         if not side:
             continue
-        values, stop = _dopri(rhs, t0, g0, [math.log(s) for s in side], floor, cap)
-        samples += zip(side, values)
+        values, stop = _dopri(rhs, t0, chart(g0), [math.log(s) for s in side], floor, cap)
+        samples += ((s, point(u)[0]) for s, u in zip(side, values))
         if stop is not None:
             domain_end = math.exp(stop[0])
             message = f"DomainEnd(s_reached={domain_end!r}): {stop[1]}"
