@@ -19,28 +19,23 @@ quadratic factor (x - beta)^2 + gamma^2 from beta + i gamma. One chain
 of derivatives, built up to the highest multiplicity, serves every
 factor of a profile.
 
-Most clusterings fail. Before one is expanded, its product is compared
-with the polynomial at one point, where coefficients within tol move the
-value by at most tol ||p||inf sum |z|^j: a larger gap (beyond rounding)
-rules it out, a necessary condition for the gate that never changes the
-clustering taken.
-
-Most inputs have simple roots only, and for them the scan is skipped
-when inclusion discs prove up front that the finest clustering wins
-(Smith 1970; the test of MPSolve, Bini & Fiorentino 2000). Every
-coarser clustering's product has a multiple root: a real cluster of two
-or more candidates, or a repeated quadratic factor. A product that
-passes the gate has the leading coefficient of p and coefficients within
-eps of p's, eps being tol ||p||inf plus the rounding of its expansion
-(as _misses bounds it). By Smith's theorem, when the discs about the
-candidates z_i of radius d (|p(z_i)| + eps sum |z_i|^j) / (|lead|
-prod_{j != i} |z_i - z_j|) are pairwise disjoint, every polynomial
-within eps of p with its leading coefficient has exactly one root in
-each, so none has a multiple root and no coarser clustering can pass.
-Overlapping discs, an overflow or two exact zeros leave the choice to
-the scan, so the certificate never changes a profile. The values p(z_i)
-that its Horner pass computes start the polish of each simple root,
-which then evaluates p at a new point only.
+The scan expands the clusterings' products, coarsest first, until one
+passes the gate. Most inputs have simple roots only, and for them the
+scan is skipped when inclusion discs prove up front that the finest
+clustering wins (Smith 1970; the test of MPSolve, Bini & Fiorentino
+2000). Every coarser clustering's product has a multiple root: a real
+cluster of two or more candidates, or a repeated quadratic factor. A
+product that passes the gate has the leading coefficient of p and
+coefficients within eps of p's, eps being tol ||p||inf plus the rounding
+of its expansion (as _gate_reach bounds it). By Smith's theorem, when
+the discs about the candidates z_i of radius d (|p(z_i)| + eps sum
+|z_i|^j) / (|lead| prod_{j != i} |z_i - z_j|) are pairwise disjoint,
+every polynomial within eps of p with its leading coefficient has
+exactly one root in each, so none has a multiple root and no coarser
+clustering can pass. Overlapping discs, an overflow or two exact zeros
+leave the choice to the scan, so the certificate never changes a
+profile. The values p(z_i) that its Horner pass computes start the
+polish of each simple root, which then evaluates p at a new point only.
 
 What is certified is that backward error: every profile is rebuilt from
 its factors and compared coefficientwise with the input, relative to the
@@ -314,26 +309,22 @@ def _clusterings(zs, conj) -> list[list[int]]:
     return out
 
 
-def _centroids(zs, label) -> tuple[dict[int, complex], dict[int, int]]:
-    """Centroid and size of each cluster, by label in order of first member."""
-    sums, sizes = {}, {}
-    for w, lb in zip(zs, label):
-        sums[lb] = sums.get(lb, 0j) + w
-        sizes[lb] = sizes.get(lb, 0) + 1
-    return {lb: w / sizes[lb] for lb, w in sums.items()}, sizes
-
-
 def _factors(zs, conj, label):
-    """Real roots and quadratic factors at the centroids of the clusters.
+    """Real roots and quadratic factors at the centroids of the clusters,
+    in the order of each cluster's first member.
 
     A cluster closed under conjugation is a real root; of any other
     cluster and its mirror, the one with the smaller label stands for
     the quadratic factor.
     """
-    cent, sizes = _centroids(zs, label)
+    sums, sizes = {}, {}
+    for w, lb in zip(zs, label):
+        sums[lb] = sums.get(lb, 0j) + w
+        sizes[lb] = sizes.get(lb, 0) + 1
     mirror = {lb: label[conj[i]] for i, lb in enumerate(label)}
     reals, quads = [], []
-    for lb, c in cent.items():
+    for lb, w in sums.items():
+        c = w / sizes[lb]
         if mirror[lb] == lb:
             reals.append((c.real, sizes[lb]))
         elif lb < mirror[lb]:
@@ -354,51 +345,25 @@ def _value_and_power_sum(cs, z: complex) -> tuple[complex, float]:
 def _gate_reach(cs, lead_p: float, tol: float) -> float:
     """2 (tol ||p||inf + gamma (lead_p + ||p||inf)), gamma = 4 (d + 1) eps.
 
-    Times S at z, it bounds how far Horner's p(z) lies from the value at z
-    of a product with |lead| P <= lead_p whose expansion passes the gate
-    (the rounding analysis is in _misses)."""
+    Times S = sum_{j<=d} |z|^j, it bounds how far Horner's p(z) lies from
+    the value at z of a product q = lead prod_k (x - c_k)^m_k with
+    |lead| P <= lead_p, P = prod_k (1 + |c_k|)^m_k, whose expansion q~
+    passes the gate. Since |e(z)| <= ||e||inf S for any coefficients e, a
+    passing gate puts q~(z) within tol ||p||inf S of p(z). Rounding
+    (u = eps/2, first order, no underflow or overflow) adds, with
+    prod_k (|z| + |c_k|)^m_k <= P S:
+    - 2d u |lead| P S for the expansion, at 2 roundings per degree;
+    - (sqrt 5 + 1)(d + 1) u |lead| P S for q(z) taken factor by factor,
+      which rounds at most d times (CPython raises a complex to an
+      integer power m by repeated squaring, which rounds at most m - 1
+      times);
+    - (sqrt 5 + 1) d u ||p||inf S for Horner at z.
+    So (tol ||p||inf + gamma (|lead| P + ||p||inf)) S bounds the gap, and
+    the factor 2 covers the rounding of this bound and of the gate's
+    quotient.
+    """
     norm = _inf_norm(cs)
     return 2.0 * (tol * norm + 4.0 * len(cs) * _EPS * (lead_p + norm))
-
-
-def _misses(cs, zs, label, tol: float) -> bool:
-    """Whether the product of a clustering misses cs at one point by more
-    than _residual <= tol allows; the gate can pass only when it does not.
-
-    q = lead * prod_k (x - c_k)^m_k over the clusters' centroids (exactly
-    real for a cluster closed under conjugation) is compared with p at
-    the candidate z farthest from its centroid, where p nearly vanishes.
-    Since |e(z)| <= ||e||inf S for any coefficients e, S = sum_{j<=d} |z|^j,
-    a passing gate puts its expansion q~ within tol ||p||inf S of p(z).
-    Rounding (u = eps/2, first order, no underflow or overflow) adds, with
-    P = prod_k (1 + |c_k|)^m_k and prod_k (|z| + |c_k|)^m_k <= P S:
-    - 2d u |lead| P S for the expansion, at 2 roundings per degree;
-    - (sqrt 5 + 1)(d + 1) u |lead| P S for the product at z, which rounds
-      at most d times (CPython raises a complex to an integer power m by
-      repeated squaring, which rounds at most m - 1 times);
-    - (sqrt 5 + 1) d u ||p||inf S for Horner at z.
-    So with gamma = 4 (d + 1) eps the clustering is ruled out only when
-    the gap exceeds twice
-        (tol ||p||inf + gamma (|lead| P + ||p||inf)) S,
-    the factor 2 covering the rounding of this bound and of the gate's
-    quotient. A gap that is not finite, or an overflow, rules nothing out.
-    """
-    cent, sizes = _centroids(zs, label)
-    far = -1.0
-    for w, lb in zip(zs, label):
-        if abs(w - cent[lb]) > far:
-            far, z = abs(w - cent[lb]), w
-    q, lead_p = cs[-1], abs(cs[-1])
-    try:
-        for lb, c in cent.items():
-            q *= (z - c) ** sizes[lb]
-            lead_p *= (1.0 + abs(c)) ** sizes[lb]
-    except OverflowError:
-        return False
-    pz, s = _value_and_power_sum(cs, z)
-    bound = _gate_reach(cs, lead_p, tol) * s
-    gap = q - pz
-    return bound < math.hypot(gap.real, gap.imag) < math.inf
 
 
 def _isolated(cs, zs, conj, tol: float) -> list[complex] | None:
@@ -503,13 +468,12 @@ def real_root_profile(p: Poly, tol: float = 1e-9) -> RootProfile:
     product, expanded from the cluster centroids, reconstructs p within
     tol relative to the coefficient inf-norm fixes the multiplicities.
     When Smith's inclusion discs prove that no coarser clustering can
-    pass, the finest is taken without the scan (_isolated); in the scan,
-    a clustering whose product misses p at one point by more than that
-    bound allows is ruled out before it is expanded (_misses). The
-    factors are then polished, and the polished product is held to the
-    same bound: IllConditionedError (with the residual attached) is
-    raised when it misses p by more than tol, or when the residual is
-    nan. A coefficient that is not finite raises ValueError.
+    pass, the finest is taken without the scan (_isolated), so the scan
+    runs only where the discs overlap. The factors are then polished,
+    and the polished product is held to the same bound:
+    IllConditionedError (with the residual attached) is raised when it
+    misses p by more than tol, or when the residual is nan. A
+    coefficient that is not finite raises ValueError.
     """
     if p.is_zero:
         raise ZeroPolyError("cannot factor the zero polynomial")
@@ -524,11 +488,9 @@ def real_root_profile(p: Poly, tol: float = 1e-9) -> RootProfile:
     if values is not None:
         reals, quads, starts = _singletons(zs, conj, values)
         return _certified(cs, reals, quads, tol, starts)
-    labels = _clusterings(zs, conj)
-    for label in reversed(labels[1:]):
-        if not _misses(cs, zs, label, tol) and _residual(cs, *_factors(zs, conj, label)) <= tol:
+    for label in reversed(_clusterings(zs, conj)):
+        reals, quads = _factors(zs, conj, label)
+        if _residual(cs, reals, quads) <= tol:
             break
-    else:
-        # the finest clustering stands, and _certified decides on it
-        label = labels[0]
-    return _certified(cs, *_factors(zs, conj, label), tol)
+    # when no clustering passes, the finest stands and _certified decides on it
+    return _certified(cs, reals, quads, tol)

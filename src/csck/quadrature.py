@@ -897,9 +897,9 @@ def shoot_ode(ode, s0: float, g0: float, s_targets) -> ShootResult:
 
     t0 = math.log(s0)
     targets = sorted(set(float(s) for s in s_targets))
-    bad = [s for s in targets if not s > 0.0]
+    bad = [s for s in targets if not 0.0 < s < math.inf]
     if bad:
-        raise ValueError(f"shoot targets must be positive, got s = {bad[0]!r}")
+        raise ValueError(f"shoot targets must be positive and finite, got s = {bad[0]!r}")
     below = [s for s in targets if s < s0][::-1]
     above = [s for s in targets if s > s0]
     samples = [(s, g0) for s in targets if s == s0]

@@ -1,10 +1,12 @@
 """Instantiation and full-pipeline cross checks for the catalogued families."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 import csck.catalog as catalog_module
+from csck.branches import Verdict, classify
 from csck.cases import CASES
 from csck.catalog import cross_check, enumerate_cases, instantiate
 from csck.errors import ConstraintViolationError, NotClassifiedError, StageError
@@ -181,6 +183,22 @@ def test_stage_failures_carry_the_stage_tag(monkeypatch):
         cross_check("1.2.2")
     assert err.value.stage == "verify"
     assert isinstance(err.value.original, RuntimeError)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"verdict": Verdict.NONEXISTENT}, "verdict Nonexistent, catalogue expects SingularFamilies"),
+    ({"branches": ()}, "no admissible branch matches the expected window"),
+])
+def test_classify_disagreement_is_a_classify_stage_error(monkeypatch, change, message):
+    def altered(problem, **kwargs):
+        return replace(classify(problem, **kwargs), **change)
+
+    monkeypatch.setattr(catalog_module, "classify", altered)
+    with pytest.raises(StageError) as err:
+        cross_check("1.2.2")
+    assert err.value.stage == "classify"
+    assert isinstance(err.value.original, NotClassifiedError)
+    assert message in str(err.value.original)
 
 
 def test_enumerate_case_lists():

@@ -181,6 +181,23 @@ def test_solve_nonexistent_exits_2(validator):
     assert payload["verdict"] == "Nonexistent"
 
 
+def test_verify_nonexistent_exits_2(validator):
+    code, out, _ = run_cli(
+        ["verify", "--n", "2", "--scalar", "-6", "--lambda", "0", "--mu", "1", "--anchor", "1,0.5"]
+    )
+    assert code == 2
+    payload = valid(validator, json.loads(out))
+    assert payload["verdict"] == "Nonexistent"
+
+
+def test_branch_index_out_of_range_exits_1():
+    code, out, err = run_cli(
+        ["solve", "--n", "2", "--scalar", "6", "--anchor", "1,0.5", "--branch-index", "5"]
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["detail"] == "branch index 5 out of range: 1 admissible branch(es)"
+
+
 def test_solve_writes_output_file(tmp_path):
     path = tmp_path / "samples.csv"
     args = [
@@ -199,6 +216,9 @@ def test_flag_errors_exit_64():
     assert run_cli(["solve", "--n", "2", "--scalar", "6"])[0] == 64  # no gauge
     assert run_cli(["classify", "--n", "2", "--bogus", "1"])[0] == 64
     assert run_cli(["classify", "--n", "2"])[0] == 64  # no curvature
+    assert run_cli(["classify", "--n", "2", "--scalar", "0", "--grid=a:b"])[0] == 64
+    for params in ("{bad", "[1]"):  # not JSON, not an object
+        assert run_cli(["catalog", "--label", "1.2.1", "--params", params])[0] == 64, params
     assert run_cli(["lemmas", "--samples", "10"])[0] == 64  # no --which
     # lemmas has no sampling knobs
     assert run_cli(["lemmas", "--which", "J", "--seed", "1"])[0] == 64
@@ -355,6 +375,34 @@ def test_verify_rejects_foreign_header(tmp_path):
     code, out, err = run_cli(["verify", "--input", str(path), "--n", "2", "--scalar", "6"])
     assert code == 1
     assert "header" in json.loads(err)["detail"]
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        (None, "cannot read"),
+        (CSV_HEADER + "\n", "no sample rows"),
+        (CSV_HEADER + "\n1,2,3\n", "malformed row"),
+        (CSV_HEADER + "\n1,2,3,4,5,x,6\n", "malformed row"),
+    ],
+)
+def test_verify_input_that_cannot_be_read_exits_1(tmp_path, text, detail):
+    path = tmp_path / "rows.csv"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(["verify", "--input", str(path), "--n", "2", "--scalar", "6"])
+    assert code == 1 and out == ""
+    assert json.loads(err)["detail"].startswith(detail)
+
+
+def test_verify_input_with_a_negative_g_fails(tmp_path, validator):
+    path = tmp_path / "rows.csv"
+    path.write_text(CSV_HEADER + "\n1,-1,0,1,1,0,6\n")
+    code, out, _ = run_cli(["verify", "--input", str(path), "--n", "2", "--scalar", "6"])
+    assert code == 1
+    payload = valid(validator, json.loads(out))
+    assert payload["passed"] is False
+    assert payload["max_f_mismatch"] == "inf"
 
 
 def test_verify_pipeline_mode(validator):
@@ -576,6 +624,9 @@ def test_config_unknown_key_exits_64(tmp_path):
         ('{"samples": "abc"}', True),
         ('{"n": 2.5, "scalar": 6, "anchor": "1,0.5"}', False),
         ('{"n": 1, "scalar": 6, "anchor": "1,0.5"}', False),
+        ('{bad', True),
+        ('[1]', True),
+        ('{"config": "other.json"}', True),
     ],
 )
 def test_config_values_take_the_flag_types(tmp_path, config, flags):
@@ -588,6 +639,24 @@ def test_config_values_take_the_flag_types(tmp_path, config, flags):
     code, out, err = run_cli(args)
     assert code == 64 and out == ""
     assert "Traceback" not in err
+
+
+def test_config_that_cannot_be_read_exits_64(tmp_path):
+    code, out, err = run_cli(["solve", "--config", str(tmp_path / "missing.json"),
+                              "--n", "2", "--scalar", "6", "--anchor", "1,0.5"])
+    assert code == 64 and out == ""
+    assert "--config" in err and "Traceback" not in err
+
+
+def test_config_object_is_read_as_its_json_text(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"a": 2}}))
+    base = ["catalog", "--label", "1.2.1"]
+    code, out, _ = run_cli(base + ["--config", str(cfg)])
+    assert code == 0
+    assert json.loads(out)["params"]["a"] == 2.0
+    assert (code, out) == run_cli(base + ["--params", '{"a": 2}'])[:2]
+    assert out != run_cli(base)[1]
 
 
 def test_repeated_runs_are_byte_identical():

@@ -628,7 +628,7 @@ def test_shoot_bad_anchor():
 
 def test_shoot_rejects_a_target_that_is_not_positive():
     ode = build_ode(RadialProblem(2, 6.0, 0.0, 0.0))
-    for bad in (0.0, -1.0, math.nan):
+    for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive"):
             shoot_ode(ode, 1.0, 0.5, [2.0, bad])
 

@@ -70,6 +70,12 @@ def test_f_of_rejects_nonpositive_slope():
         f(1.0)
 
 
+def test_recover_constants_rejects_a_negative_g():
+    g = FunctionHandle(value=lambda s: -1.0, deriv=lambda s: 1.0)
+    with pytest.raises(NotKahlerError):
+        recover_constants(g, 2, 0.0)
+
+
 def test_recover_constants_fubini_study():
     rec = recover_constants(fubini_study(), n=2, R=6.0)
     lam, mu = rec
