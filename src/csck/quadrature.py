@@ -19,8 +19,9 @@ form (RadialSolution.G). One value-and-slope loop over the terms serves
 floats and arrays alike; eval_F keeps a value-only loop (see there).
 A direct Runge-Kutta shoot of the first order equation s g^k g' = H(g),
 a plain-float Dormand-Prince 5(4) integrator in the window's log chart
-u = log(g - A) (log((g - A)/(B - g)) on a finite window), is provided
-as an independent cross check.
+u = log(g - A) (log((g - A)/(B - g)) on a finite window) that reads its
+targets off each step's continuous extension, is provided as an
+independent cross check.
 """
 
 import math
@@ -381,13 +382,14 @@ class RadialSolution:
     it ends at inf, or on a finite extension at exp(F(inf) - c). A finite
     extension whose F has no finite limit at infinity (its log terms fail
     to cancel) raises IllConditionedError, and a c for which that end
-    underflows to 0 raises OutOfDomainError. It keeps three things from
-    first use, all fixed by the solution alone: the potential's
-    antiderivative G, g(s_a), and solve_g's two walks, each with the
-    running maximum of F (up) or -F (down) along it.
+    underflows to 0 raises OutOfDomainError. It keeps these from first
+    use, all fixed by the solution alone: the potential's antiderivative
+    G, g(s_a), solve_g's walks toward A and toward B, each with the
+    running maximum of F (up) or -F (down) along it, and the table of
+    both walks that an array of s searches (_walk_table).
     """
 
-    __slots__ = ("ode", "branch", "F", "c", "s_domain", "_G", "_g_anchor", "_walks")
+    __slots__ = ("ode", "branch", "F", "c", "s_domain", "_G", "_g_anchor", "_walks", "_table")
 
     def __init__(self, ode, branch, F, c):
         hi = math.inf
@@ -410,6 +412,7 @@ class RadialSolution:
         self._G = None
         self._g_anchor = None
         self._walks = None
+        self._table = None
 
     @property
     def s_anchor(self) -> float:
@@ -470,12 +473,13 @@ def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
     depends on s alone, not on earlier calls, stored walk or not.
 
     A numpy array of s (any order, repeats allowed) returns the array of
-    g in the same shape. The solution's two walks serve all entries, down
-    to the least t and up to the greatest, and each entry takes the
-    bracket and first iterate of its own first crossing; the first
-    _LOCKSTEP Newton steps then run in lockstep, each one pass over F and
-    F' for all entries still iterating, and the entries left after them
-    go on one at a time in the float loop of a single s.
+    g in the same shape. Each walk is extended to the farthest t on its
+    side, and each entry takes the bracket and first iterate of its own
+    first crossing, from one search of the table of both walks that the
+    solution keeps; the first _LOCKSTEP Newton steps then run in
+    lockstep, each one pass over F and F' for all entries still
+    iterating, and the entries left after them go on one at a time in
+    the float loop of a single s.
     """
     if isinstance(s, np.ndarray):
         return _solve_g_array(sol, s)
@@ -591,54 +595,71 @@ def _hermite(t, p, fp, dp, q, fq, dq):
 def _bracket(sol: RadialSolution, t: float, s: float):
     """solve_g's bracket lo, hi and first iterate for one s at t = log s + c.
 
-    The first crossing is the first of the walk's first _EXPAND_CAP points
-    (a cap read at each call) whose running maximum reaches -t down, t up.
-    The first iterate is _hermite's point on that step when it is strictly
-    inside, the midpoint otherwise.
+    The side is down when F at the probe point exceeds t (or t is nan), up
+    otherwise. The first crossing is the first of that walk's first
+    _EXPAND_CAP points (a cap read at each call) whose running maximum
+    reaches -t down, t up. The first iterate is _hermite's point on that
+    step when it is strictly inside, the midpoint otherwise.
     """
-    for up, side in ((False, "lower"), (True, "upper")):
-        sign = 1.0 if up else -1.0
-        key = sign * t
-        xs, ms, ds = _walk(sol, up, key)
-        end = min(len(ms), _EXPAND_CAP)
-        i = bisect_left(ms, key, 0, end)
-        if i == end or not ms[i] >= key:  # a nan t crosses nowhere
-            raise OutOfDomainError(f"no {side} bracket for s = {s!r}")
-        if i or up:
-            # the probe point on t brackets with itself
-            j = max(i - 1, 0)
-            lo, hi = sorted((xs[j], xs[i]))
-            g = _hermite(t, xs[j], sign * ms[j], ds[j], xs[i], sign * ms[i], ds[i]) if i else lo
-            return lo, hi, g if lo < g < hi else 0.5 * (lo + hi)
+    up = _walk(sol, False, -math.inf)[1][0] >= -t
+    sign = 1.0 if up else -1.0
+    key = sign * t
+    xs, ms, ds = _walk(sol, up, key)
+    end = min(len(ms), _EXPAND_CAP)
+    i = bisect_left(ms, key, 0, end)
+    if i == end or not ms[i] >= key:  # a nan t crosses nowhere
+        raise OutOfDomainError(f"no {'upper' if up else 'lower'} bracket for s = {s!r}")
+    # down, i >= 1; up, the probe point on t brackets with itself
+    j = max(i - 1, 0)
+    lo, hi = sorted((xs[j], xs[i]))
+    g = _hermite(t, xs[j], sign * ms[j], ds[j], xs[i], sign * ms[i], ds[i]) if i else lo
+    return lo, hi, g if lo < g < hi else 0.5 * (lo + hi)
+
+
+def _walk_table(down, up):
+    """(nd, nu, x, f, d): the two walks as one table of nd + nu entries,
+    the down walk reversed and then the up walk, so that x increases and f,
+    the running minimum of F down and maximum of F up, does not decrease;
+    d is 1/F' = H/x^k. The probe point is entry nd - 1 and entry nd."""
+    (dx, dm, dd), (ux, um, ud) = down, up
+    return (len(dx), len(ux), np.array(dx[::-1] + ux),
+            np.array([-m for m in dm[::-1]] + list(um)), np.array(dd[::-1] + ud))
 
 
 def _brackets(sol: RadialSolution, s: np.ndarray, t: np.ndarray):
     """_bracket for every entry of s at once: arrays lo, hi and the first
     iterates.
 
-    Each walk is extended to its farthest target only. A failure names
-    the first entry without a bracket, lower brackets first.
+    Each walk is extended to its farthest target only, and the entries
+    read the solution's table of both walks (_walk_table), rebuilt only
+    when a walk has grown: one searchsorted per side, on the down part's
+    first _EXPAND_CAP points with side="right" and on the up part's with
+    side="left", and one _hermite over all entries. A failure names the
+    first entry without a bracket, lower brackets first.
     """
-    lo, hi, g = np.empty(t.size), np.empty(t.size), np.empty(t.size)
-    todo = np.arange(t.size)
-    for up, side in ((False, "lower"), (True, "upper")):
-        sign = 1.0 if up else -1.0
-        keys = sign * t[todo]
-        xs, ms, ds = (np.array(v[:_EXPAND_CAP])
-                      for v in _walk(sol, up, keys.max(initial=-math.inf)))
-        i = np.searchsorted(ms, keys)
-        miss = np.flatnonzero(i == ms.size)
-        if miss.size:
-            raise OutOfDomainError(f"no {side} bracket for s = {float(s[todo[miss[0]]])!r}")
-        # the probe point on t brackets with itself, and its 0/0 start is nan
-        j = np.maximum(i - 1, 0)
-        near, x = xs[j], xs[i]
-        a, b = np.minimum(near, x), np.maximum(near, x)
-        start = _hermite(t[todo], near, sign * ms[j], ds[j], x, sign * ms[i], ds[i])
-        lo[todo], hi[todo] = a, b
-        g[todo] = np.where((a < start) & (start < b), start, 0.5 * (a + b))
-        todo = todo[i == 0]  # F <= t at the probe point
-    return lo, hi, g
+    down = _walk(sol, False, -t.min(initial=math.inf))
+    up = _walk(sol, True, t.max(initial=-math.inf))
+    table = sol._table
+    if table is None or table[0] < len(down[0]) or table[1] < len(up[0]):
+        table = sol._table = _walk_table(down, up)
+    nd, nu, x, f, d = table
+    first = max(nd - _EXPAND_CAP, 0)
+    # a down entry's crossing is its down walk's last point with f <= t,
+    # an up entry's its up walk's first point with f >= t
+    p = np.maximum(first + np.searchsorted(f[first:nd], t, "right") - 1, first)
+    q = np.minimum(nd + np.searchsorted(f[nd:nd + _EXPAND_CAP], t, "left"),
+                   nd + min(nu, _EXPAND_CAP) - 1)
+    is_up = f[nd - 1] <= t
+    for miss, side in ((~is_up & ~(f[p] <= t), "lower"), (is_up & ~(f[q] >= t), "upper")):
+        if miss.any():
+            raise OutOfDomainError(f"no {side} bracket for s = {float(s[miss.argmax()])!r}")
+    # the step's end nearer the probe point, which on t brackets with itself
+    near = np.where(is_up, np.maximum(q - 1, nd), p + 1)
+    far = np.where(is_up, q, p)
+    x_near, x_far = x[near], x[far]
+    a, b = np.minimum(x_near, x_far), np.maximum(x_near, x_far)
+    start = _hermite(t, x_near, f[near], d[near], x_far, f[far], d[far])
+    return a, b, np.where((a < start) & (start < b), start, 0.5 * (a + b))
 
 
 def _solve_g_array(sol: RadialSolution, s: np.ndarray) -> np.ndarray:
@@ -742,8 +763,9 @@ def _dp_step(rhs, y: float, f: float, h: float):
     """One Dormand-Prince 5(4) step (the tableau of Dormand & Prince 1980).
 
     The equation is autonomous, so the stage nodes are not needed. Returns
-    the 5th order value, the slope there (first stage of the next step)
-    and the local error estimate, the 5th minus the embedded 4th order.
+    the 5th order value, the slope there (first stage of the next step),
+    the local error estimate, the 5th minus the embedded 4th order, and
+    the stage slopes k3 to k6 that the continuous extension reads.
     """
     k2 = rhs(y + h * (1 / 5 * f))
     k3 = rhs(y + h * (3 / 40 * f + 9 / 40 * k2))
@@ -757,7 +779,27 @@ def _dp_step(rhs, y: float, f: float, h: float):
     f_new = rhs(y_new)
     err = h * (-71 / 57600 * f + 71 / 16695 * k3 - 71 / 1920 * k4
                + 17253 / 339200 * k5 - 22 / 525 * k6 + 1 / 40 * f_new)
-    return y_new, f_new, err
+    return y_new, f_new, err, (k3, k4, k5, k6)
+
+
+def _dense(f, ks, f_new):
+    """(q2, q3, q4): the step's quartic continuous extension is
+    y + h th (f + th (q2 + th (q3 + th q4))) at th = (t - t_step) / h.
+
+    Shampine's coefficients for Dormand-Prince 5(4) (Shampine 1986; the P
+    of scipy's RK45 and the interpolant of MATLAB's ode45); k2 has none.
+    """
+    k3, k4, k5, k6 = ks
+    q2 = (-8048581381 / 2820520608 * f + 131558114200 / 32700410799 * k3
+          - 1754552775 / 470086768 * k4 + 127303824393 / 49829197408 * k5
+          - 282668133 / 205662961 * k6 + 40617522 / 29380423 * f_new)
+    q3 = (8663915743 / 2820520608 * f - 68118460800 / 10900136933 * k3
+          + 14199869525 / 1410260304 * k4 - 318862633887 / 49829197408 * k5
+          + 2019193451 / 616988883 * k6 - 110615467 / 29380423 * f_new)
+    q4 = (-12715105075 / 11282082432 * f + 87487479700 / 32700410799 * k3
+          - 10690763975 / 1880347072 * k4 + 701980252875 / 199316789632 * k5
+          - 1453857185 / 822651844 * k6 + 69997945 / 29380423 * f_new)
+    return q2, q3, q4
 
 
 def _crossing(level, t, y, f, t_new, y_new, f_new) -> float:
@@ -786,45 +828,60 @@ def _dopri(rhs, t: float, y: float, ts, floor: float, cap: float):
     """Adaptive Dormand-Prince 5(4) from (t, y) through the abscissae ts.
 
     ts is ordered away from t. The first trial step is the whole way to
-    ts[0]; the error test shrinks it from there. Each step is clamped so
-    that t lands on the next target exactly. Returns the values at the
-    targets reached and, when integration stopped early, (abscissa,
-    reason): y fell through floor or rose through cap during a step, or
-    the step size underflowed.
+    ts[0]; from there the error test alone sets each step, which is
+    clamped only so that t lands on ts[-1] exactly. Each other target an
+    accepted step passes is read off that step's quartic continuous
+    extension (_dense). Returns the values at the targets reached and,
+    when integration stopped early, (abscissa, reason): y fell through
+    floor or rose through cap during a step, the targets before that
+    crossing being read off the step, or the step size underflowed.
     """
     direction = 1.0 if ts[-1] > t else -1.0
+    end = ts[-1]
     f = rhs(y)
     h_abs = abs(ts[0] - t)
     values = []
-    for target in ts:
-        while t != target:
-            min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-            h_abs = max(h_abs, min_step)
-            rejected = False
-            while True:
-                if h_abs < min_step:
-                    return values, (t, "step size underflow")
-                t_new = t + direction * h_abs
-                if direction * (t_new - target) > 0.0:
-                    t_new = target
-                h = t_new - t
-                h_abs = abs(h)
-                y_new, f_new, err = _dp_step(rhs, y, f, h)
-                norm = abs(err) / _SHOOT_TOL
-                # a nan norm (the rhs left its domain) fails this test and
-                # shrinks the step by the largest factor
-                if norm < 1.0:
-                    factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm ** -0.2)
-                    h_abs *= min(1.0, factor) if rejected else factor
-                    break
-                h_abs *= max(0.2, 0.9 * norm ** -0.2)
-                rejected = True
-            if y >= floor >= y_new or y <= cap <= y_new:
-                level = floor if floor >= y_new else cap
-                return values, (_crossing(level, t, y, f, t_new, y_new, f_new),
-                                "g left the admissible window")
-            t, y, f = t_new, y_new, f_new
-        values.append(y)
+    while t != end:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return values, (t, "step size underflow")
+            t_new = t + direction * h_abs
+            if direction * (t_new - end) > 0.0:
+                t_new = end
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, f_new, err, ks = _dp_step(rhs, y, f, h)
+            norm = abs(err) / _SHOOT_TOL
+            # a nan norm (the rhs left its domain) fails this test and
+            # shrinks the step by the largest factor
+            if norm < 1.0:
+                factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * norm ** -0.2)
+            rejected = True
+        stop = None
+        if y >= floor >= y_new or y <= cap <= y_new:
+            level = floor if floor >= y_new else cap
+            stop = (_crossing(level, t, y, f, t_new, y_new, f_new),
+                    "g left the admissible window")
+        # the targets this step passes: up to t_new, or short of the crossing
+        i = j = len(values)
+        while j < len(ts) and (direction * (ts[j] - t_new) <= 0.0 if stop is None
+                               else direction * (ts[j] - stop[0]) < 0.0):
+            j += 1
+        if j > i:
+            q2, q3, q4 = _dense(f, ks, f_new)
+            for target in ts[i:j]:
+                th = (target - t) / h
+                values.append(y_new if target == t_new
+                              else y + h * th * (f + th * (q2 + th * (q3 + th * q4))))
+        if stop is not None:
+            return values, stop
+        t, y, f = t_new, y_new, f_new
     return values, None
 
 
@@ -840,13 +897,24 @@ def shoot_ode(ode, s0: float, g0: float, s_targets) -> ShootResult:
     from its Taylor coefficients at the nearer window end, that end's
     rounded H value dropped, so it keeps its digits where g presses
     against the end. Each side's first trial step is the whole way to its
-    nearest target. It uses only H, never F or solve_g, so it checks the
-    inversion independently. Integration stops when g falls to the floor
-    A + 1e-12 (1 + |A|) or, on a finite extension, rises to 1e9, both
-    mapped into u; the crossing is located on the cubic Hermite
-    interpolant of the step. The result then keeps the partial samples
-    and records the reached abscissa in domain_end, as it does when the
-    step size underflows.
+    nearest target; after it, the error test alone sets the steps, and
+    only the side's last target is landed on exactly. Every other target
+    is read off the quartic continuous extension of the step that passes
+    it, whose error is of the order of the step's error estimate rather
+    than of its 5th order value. It uses only H, never F or solve_g, so
+    it checks the inversion independently. Integration stops when g
+    falls to the floor A + 1e-12 (1 + |A|) or, on a finite extension,
+    rises to 1e9, both mapped into u; the crossing is located on the
+    cubic Hermite interpolant of the step. The result then keeps the
+    samples before it and records the reached abscissa in domain_end, as
+    it does when the step size underflows. An anchor g0 at or past the
+    floor or the cap raises BadAnchorError.
+
+    Near a blow-up at t*, the error tolerance bounds the error in t*
+    rather than in g, so the relative error in g grows like the error in
+    t* divided by t* - t. On R = -6 (n = 2) from (0.5, 1), g(0.999999)
+    reads 999951.93 against the exact s/(1 - s) = 999999, 4.7e-5
+    relative.
     """
     if not (s0 > 0.0 and math.isfinite(s0)):
         raise BadAnchorError(f"shoot abscissa s0 = {s0!r} must be positive and finite")
@@ -865,26 +933,31 @@ def shoot_ode(ode, s0: float, g0: float, s_targets) -> ShootResult:
     at_A = _taylor(ode.H.coeffs, A)[1:]
     at_B = None if ray else _taylor(ode.H.coeffs, B)[1:]
 
-    def point(u):
-        """(g, du/dt) at u."""
-        if ray:
-            d = math.exp(u)
-            g, p = A + d, _horner(at_A, d)
-        else:
+    def rhs(u):
+        """du/dt at u; nan where a trial stage left the domain, which
+        rejects the step."""
+        try:
+            if ray:
+                d = math.exp(u)
+                return _horner(at_A, d) / (A + d) ** k
             # d is the distance to the nearer end, and with w = B - A,
             # du/dt = H(g) w / (g^k (g - A) (B - g)), w / (the farther
             # distance) = 1 + e
             e = math.exp(-abs(u))
             d = (B - A) * e / (1.0 + e)
-            g, p = (A + d, _horner(at_A, d)) if u <= 0.0 else (B - d, -_horner(at_B, -d))
-            p *= 1.0 + e
-        return g, p / g**k
-
-    def rhs(u):
-        try:
-            return point(u)[1]
+            if u <= 0.0:
+                return _horner(at_A, d) * (1.0 + e) / (A + d) ** k
+            return -_horner(at_B, -d) * (1.0 + e) / (B - d) ** k
         except (ZeroDivisionError, OverflowError):
-            return math.nan  # a trial stage left the domain; the step is rejected
+            return math.nan
+
+    def g_at(u):
+        """g at u, the inverse of chart."""
+        if ray:
+            return A + math.exp(u)
+        e = math.exp(-abs(u))
+        d = (B - A) * e / (1.0 + e)
+        return A + d if u <= 0.0 else B - d
 
     def chart(g):
         """u at g; -inf at or below A, inf at or above B."""
@@ -892,8 +965,13 @@ def shoot_ode(ode, s0: float, g0: float, s_targets) -> ShootResult:
             return -math.inf if g <= A else math.inf
         return math.log(g - A) if ray else math.log((g - A) / (B - g))
 
-    floor = chart(A + 1e-12 * (1.0 + abs(A)))
-    cap = chart(math.inf if window.diverges_right else _SHOOT_GCAP)
+    g_floor = A + 1e-12 * (1.0 + abs(A))
+    g_cap = math.inf if window.diverges_right else _SHOOT_GCAP
+    floor, cap, u0 = chart(g_floor), chart(g_cap), chart(g0)
+    if u0 <= floor:
+        raise BadAnchorError(f"g0 = {g0!r} is at or below the shoot's floor {g_floor!r}")
+    if u0 >= cap:
+        raise BadAnchorError(f"g0 = {g0!r} is at or above the shoot's cap {g_cap!r}")
 
     t0 = math.log(s0)
     targets = sorted(set(float(s) for s in s_targets))
@@ -908,8 +986,8 @@ def shoot_ode(ode, s0: float, g0: float, s_targets) -> ShootResult:
     for side in (below, above):
         if not side:
             continue
-        values, stop = _dopri(rhs, t0, chart(g0), [math.log(s) for s in side], floor, cap)
-        samples += ((s, point(u)[0]) for s, u in zip(side, values))
+        values, stop = _dopri(rhs, t0, u0, [math.log(s) for s in side], floor, cap)
+        samples += ((s, g_at(u)) for s, u in zip(side, values))
         if stop is not None:
             domain_end = math.exp(stop[0])
             message = f"DomainEnd(s_reached={domain_end!r}): {stop[1]}"

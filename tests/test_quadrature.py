@@ -626,6 +626,20 @@ def test_shoot_bad_anchor():
         shoot_ode(ode, 0.0, 0.5, [2.0])
 
 
+def test_shoot_rejects_an_anchor_past_its_floor_or_cap():
+    # g = s: shot from (1, 1) the shoot stops at the floor s = 1e-12, so an
+    # anchor below it returned samples down to 1e-20 with no domain end
+    flat = build_ode(RadialProblem(2, 0.0, 0.0, 0.0))
+    assert shoot_ode(flat, 1.0, 1.0, [1e-20, 1e-14]).samples == ()
+    with pytest.raises(BadAnchorError, match="at or below the shoot's floor 1e-12"):
+        shoot_ode(flat, 1e-13, 1e-13, [1e-20, 1e-14])
+    # g = s / (1 - s) blows up at s = 1; from above the 1e9 cap the shoot ran
+    # on past it into a step size underflow
+    berg = build_ode(RadialProblem(2, -6.0, 0.0, 0.0))
+    with pytest.raises(BadAnchorError, match="at or above the shoot's cap 1000000000.0"):
+        shoot_ode(berg, 0.9999999999, 2e9, [0.99999999999, 2.0])
+
+
 def test_shoot_rejects_a_target_that_is_not_positive():
     ode = build_ode(RadialProblem(2, 6.0, 0.0, 0.0))
     for bad in (0.0, -1.0, math.nan, math.inf):
@@ -692,6 +706,31 @@ def test_shoot_matches_scipy_rk45(label):
     want[s0] = g0
     for s, g in res.samples:
         assert abs(g - want[s]) <= 1e-8 * abs(want[s]), (s, g, want[s])
+
+
+def test_shoot_steps_are_set_by_the_error_test_alone(monkeypatch):
+    # clamping a step onto each of the 40 targets took 79.4 step attempts
+    # per shoot on these grids, against 49.3 to the grid's two ends
+    steps = []
+    step = quadrature._dp_step
+    monkeypatch.setattr(quadrature, "_dp_step", lambda *a: steps.append(a) or step(*a))
+    grid_steps = end_steps = 0
+    for label in BRANCHED:
+        sol = solution_for(label)
+        hi = sol.s_domain[1]
+        finite = not math.isinf(hi)
+        grid = [float(s) for s in np.geomspace(0.01, 0.95 * hi if finite else 100.0, 40)]
+        s0 = grid[-1] if finite else grid[20]
+        g0 = solve_g(sol, s0)
+        for targets in (grid, [grid[0], grid[-1]]):
+            steps.clear()
+            assert len(shoot_ode(sol.ode, s0, g0, targets).samples) == len(targets)
+            if targets is grid:
+                grid_steps += len(steps)
+            else:
+                end_steps += len(steps)
+    assert grid_steps <= 50 * len(BRANCHED)
+    assert grid_steps <= end_steps + 2 * len(BRANCHED)
 
 
 def test_shoot_blowup_matches_scipy_event():
@@ -929,7 +968,7 @@ def _walk_copy(sol, s, t):
 
 
 @pytest.mark.parametrize("label", BRANCHED + ["wall"])
-def test_array_bracket_is_the_walk(label):
+def test_array_bracket_is_the_walk(monkeypatch, label):
     if label == "wall":
         # on the window (0.305, 1.93) of this problem, g presses against
         # both ends within the s-range, and the walk finds no bracket there
@@ -957,7 +996,7 @@ def test_array_bracket_is_the_walk(label):
     s, t = s[order], t[order]
     # the scalar bracket of each target, on a solution of its own
     scalar = _fresh(sol)
-    walks, failures = [], {"lower": [], "upper": []}
+    walks, brackets, failures = [], [], {"lower": [], "upper": []}
     for v, tv in zip(s, t):
         try:
             walks.append(_walk_copy(sol, float(v), tv))
@@ -967,7 +1006,8 @@ def test_array_bracket_is_the_walk(label):
             with pytest.raises(OutOfDomainError, match=re.escape(str(exc))):
                 quadrature._bracket(scalar, float(tv), float(v))
         else:
-            assert quadrature._bracket(scalar, float(tv), float(v))[:2] == walks[-1]
+            brackets.append(quadrature._bracket(scalar, float(tv), float(v)))
+            assert brackets[-1][:2] == walks[-1]
     # a failure names the first entry without a bracket, lower ones first
     first = (failures["lower"] or failures["upper"] or [None])[0]
     if first is not None:
@@ -979,6 +1019,19 @@ def test_array_bracket_is_the_walk(label):
         got = quadrature._brackets(sol, s[ok], t[ok])
     want = np.array([w for w in walks if w is not None]).T
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # lo, hi and the first iterate are the scalar path's, bit for bit
+    assert [_hex(v) for v in got] == [_hex(v) for v in zip(*brackets)]
+    # a second call within the walks' reach reads the kept table
+    builds = []
+    table = quadrature._walk_table
+    monkeypatch.setattr(quadrature, "_walk_table", lambda *w: builds.append(w) or table(*w))
+    with _quiet():
+        again = quadrature._brackets(sol, s[ok][::-1], t[ok][::-1])
+    assert builds == []
+    assert [_hex(v[::-1]) for v in again] == [_hex(v) for v in got]
+    # a nan t crosses nowhere, and is named on the lower side
+    with _quiet(), pytest.raises(OutOfDomainError, match="no lower bracket for s = 0.5"):
+        quadrature._brackets(sol, np.array([0.5]), np.array([math.nan]))
 
 
 @pytest.mark.parametrize("label", ["1.1.1", "1.7.1", "1.4.4"])
