@@ -10,22 +10,25 @@ closed-form terms (logs, reciprocal powers, arctangents), fix the gauge
 constant c (through an anchor point, or by normalizing a finite
 extension so its boundary sits at s = 1), and invert the relation with
 Newton steps kept inside a verified bracket, started at the inverse
-cubic Hermite point of the bracket's walk step. The split follows one
-residue rule: a Taylor series division at each root of H, real or
-complex, gives the principal part there, and the logs at a conjugate
-pair combine into a log of the quadratic factor and an arctangent. The
-same split applied to x^k (x - A) / H gives the potential in closed
-form (RadialSolution.G). One value-and-slope loop over the terms serves
-floats and arrays alike; eval_F keeps a value-only loop (see there).
+cubic Hermite point of the bracket's step on the solution's one walk
+table, which a float s and an array of s both search. The split
+follows one residue rule: a Taylor series division at each root of H,
+real or complex, gives the principal part there, and the logs at a
+conjugate pair combine into a log of the quadratic factor and an
+arctangent. The same split applied to x^k (x - A) / H gives the
+potential in closed form (RadialSolution.G). One value-and-slope loop
+over the terms serves floats and arrays alike; eval_F keeps a
+value-only loop (see there).
 A direct Runge-Kutta shoot of the first order equation s g^k g' = H(g),
 a plain-float Dormand-Prince 5(4) integrator in the window's log chart
 u = log(g - A) (log((g - A)/(B - g)) on a finite window) that reads its
-targets off each step's continuous extension, is provided as an
+targets off each step's continuous extension and stops at the inverse
+cubic Hermite point of a floor or cap crossing, is provided as an
 independent cross check.
 """
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -384,12 +387,12 @@ class RadialSolution:
     to cancel) raises IllConditionedError, and a c for which that end
     underflows to 0 raises OutOfDomainError. It keeps these from first
     use, all fixed by the solution alone: the potential's antiderivative
-    G, g(s_a), solve_g's walks toward A and toward B, each with the
-    running maximum of F (up) or -F (down) along it, and the table of
-    both walks that an array of s searches (_walk_table).
+    G, g(s_a), and solve_g's walk table (_walk), the walks toward A and
+    toward B out of the probe point with the running minimum and maximum
+    of F along them, which the scalar and the array path both search.
     """
 
-    __slots__ = ("ode", "branch", "F", "c", "s_domain", "_G", "_g_anchor", "_walks", "_table")
+    __slots__ = ("ode", "branch", "F", "c", "s_domain", "_G", "_g_anchor", "_walk")
 
     def __init__(self, ode, branch, F, c):
         hi = math.inf
@@ -411,8 +414,7 @@ class RadialSolution:
         self.s_domain = (0.0, hi)
         self._G = None
         self._g_anchor = None
-        self._walks = None
-        self._table = None
+        self._walk = None
 
     @property
     def s_anchor(self) -> float:
@@ -454,14 +456,15 @@ def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
     """Invert F(g) = log s + c by Newton steps kept inside a bracket.
 
     The bracket F(lo) <= t <= F(hi), t = log s + c, is a step of the
-    solution's kept _walk (F is evaluated only where it walks further):
-    down toward A while F > t at the probe point, up toward B otherwise,
-    to the first point that crosses t, found by one binary search on the
-    running maximum of -F or F that the walk keeps. The first iterate is
-    the point where the step's inverse cubic Hermite interpolant, x as a
-    function of F through the two ends with the slopes 1/F' = H/x^k that
-    the walk keeps, reads t; where that point is not strictly inside the
-    bracket, the bracket midpoint. From there each step evaluates F at the
+    solution's one walk table (_walk; F is evaluated only where the walk
+    goes further): down toward A while F > t at the probe point, up
+    toward B otherwise, to the first point that crosses t, found by one
+    binary search of the running minimum (down) or maximum (up) of F
+    that the table keeps. The first iterate is the point where the step's
+    inverse cubic Hermite interpolant, x as a function of F through the
+    two ends with the slopes 1/F' = H/x^k that the table keeps, reads t;
+    where that point is not strictly inside the bracket, the bracket
+    midpoint. From there each step evaluates F at the
     iterate g, moves the bracket end on g's side of t to g, and goes to the
     Newton point g - (F(g) - t) / F'(g) when that lies strictly inside the
     bracket, to the bracket midpoint otherwise (rtsafe, Numerical Recipes
@@ -473,13 +476,12 @@ def solve_g(sol: RadialSolution, s: "float | np.ndarray"):
     depends on s alone, not on earlier calls, stored walk or not.
 
     A numpy array of s (any order, repeats allowed) returns the array of
-    g in the same shape. Each walk is extended to the farthest t on its
-    side, and each entry takes the bracket and first iterate of its own
-    first crossing, from one search of the table of both walks that the
-    solution keeps; the first _LOCKSTEP Newton steps then run in
-    lockstep, each one pass over F and F' for all entries still
-    iterating, and the entries left after them go on one at a time in
-    the float loop of a single s.
+    g in the same shape. The table is extended to the lowest and the
+    highest t, and each entry takes the bracket and first iterate of its
+    own first crossing, from one search per side of that table; the
+    first _LOCKSTEP Newton steps then run in lockstep, each one pass over
+    F and F' for all entries still iterating, and the entries left after
+    them go on one at a time in the float loop of a single s.
     """
     if isinstance(s, np.ndarray):
         return _solve_g_array(sol, s)
@@ -531,31 +533,47 @@ def _F_dF_array(F: AntiderivativeF, x: np.ndarray):
     return value, slope
 
 
-def _walk(sol: RadialSolution, up: bool, key: float):
-    """(xs, ms, ds): the solution's walk toward B (up) or toward A, the
-    running maximum of F (up) or -F (down) along it, which skips a nan F,
-    and 1/F' = H/x^k at each point (_dx_dF), extended until that maximum
-    reaches key.
+def _walk(sol: RadialSolution, low: float, high: float):
+    """(nd, xs, fs, ds): the solution's walk table, extended until
+    fs[0] <= low and fs[-1] >= high, or until a side holds _EXPAND_CAP
+    points or its step leaves its end fixed.
 
-    Both walks start at the probe point. Down, each next point halves the
-    distance to A; up, it halves the distance to B, or on a ray doubles
-    the distance to A - 1. A walk ends at _EXPAND_CAP points, or at the
-    first point its step leaves fixed. The solution keeps the walks, fixed
-    by it alone, and a call extends one into new tuples stored at once: a
-    concurrent call reads a whole walk, and gets back one it read or built.
+    The table is the walk toward A reversed and then the walk toward B,
+    both out of the probe point, which is entries nd - 1 and nd. So xs
+    increases but from entry nd - 1 to nd, and fs, the running minimum
+    of F toward A and its running maximum toward B (both skip a nan F),
+    does not decrease; ds is 1/F' = H/x^k at each point (_dx_dF). Toward
+    A each next point halves the distance to A; toward B it halves the
+    distance to B, or on a ray doubles the distance to A - 1. The
+    solution keeps the table, fixed by it alone, and a call stores its
+    extension in one assignment of new tuples: a concurrent call reads a
+    whole table, and gets back one it read or built. Two calls that
+    extend opposite sides at once may drop one extension, which a later
+    call walks again through the same points.
     """
-    A, B = sol.branch.A, sol.branch.B
-    walks = sol._walks
-    if walks is None:
-        x = probe_point(A, B)
+    table = sol._walk
+    if table is None:
+        x = probe_point(sol.branch.A, sol.branch.B)
         f, d = eval_F(sol.F, x), _dx_dF(sol.ode, x)
-        walks = sol._walks = [((x,), (max(-math.inf, -f),), (d,)),
-                              ((x,), (max(-math.inf, f),), (d,))]
-    xs, ms, ds = walks[up]
-    if ms[-1] >= key:
-        return xs, ms, ds
-    x, m, sign, new_xs, new_ms, new_ds = xs[-1], ms[-1], 1.0 if up else -1.0, [], [], []
-    while m < key and len(xs) + len(new_xs) < _EXPAND_CAP:
+        # min and max skip a nan F, as the running values do
+        table = sol._walk = (1, (x, x), (min(math.inf, f), max(-math.inf, f)), (d, d))
+    nd, xs, fs, ds = table
+    dx, dm, dd = _steps(sol, False, xs[0], fs[0], low, _EXPAND_CAP - nd)
+    ux, um, ud = _steps(sol, True, xs[-1], fs[-1], high, _EXPAND_CAP - len(xs) + nd)
+    if dx or ux:
+        table = sol._walk = (nd + len(dx), tuple(dx[::-1]) + xs + tuple(ux),
+                             tuple(dm[::-1]) + fs + tuple(um), tuple(dd[::-1]) + ds + tuple(ud))
+    return table
+
+
+def _steps(sol: RadialSolution, up: bool, x: float, m: float, reach: float, room: int):
+    """Lists of x, of F's running maximum (up) or minimum, and of 1/F'
+    at the points that _walk adds to one side past its end x, where the
+    running value is m: toward B (up) or toward A, at most room points,
+    until the running value reaches reach."""
+    A, B = sol.branch.A, sol.branch.B
+    xs, ms, ds = [], [], []
+    while (m < reach if up else m > reach) and len(xs) < room:
         if not up:
             step = A + 0.5 * (x - A)
         elif math.isinf(B):
@@ -564,13 +582,12 @@ def _walk(sol: RadialSolution, up: bool, key: float):
             step = B - 0.5 * (B - x)
         if step == x:
             break
-        x, f = step, sign * eval_F(sol.F, step)
-        m = f if f > m else m
-        new_xs.append(x)
-        new_ms.append(m)
-        new_ds.append(_dx_dF(sol.ode, x))
-    walk = walks[up] = (xs + tuple(new_xs), ms + tuple(new_ms), ds + tuple(new_ds))
-    return walk
+        x, f = step, eval_F(sol.F, step)
+        m = f if (f > m if up else f < m) else m
+        xs.append(x)
+        ms.append(m)
+        ds.append(_dx_dF(sol.ode, x))
+    return xs, ms, ds
 
 
 def _dx_dF(ode: OdeData, x: float) -> float:
@@ -596,59 +613,45 @@ def _bracket(sol: RadialSolution, t: float, s: float):
     """solve_g's bracket lo, hi and first iterate for one s at t = log s + c.
 
     The side is down when F at the probe point exceeds t (or t is nan), up
-    otherwise. The first crossing is the first of that walk's first
-    _EXPAND_CAP points (a cap read at each call) whose running maximum
-    reaches -t down, t up. The first iterate is _hermite's point on that
-    step when it is strictly inside, the midpoint otherwise.
+    otherwise, and _walk extends only that side. The step that brackets t
+    ends at the far entry of the walk table: down, the last entry before
+    the probe point with fs <= t; up, the first entry from the probe point
+    on with fs >= t. The first iterate is _hermite's point on that step
+    when it is strictly inside, the midpoint otherwise.
     """
-    up = _walk(sol, False, -math.inf)[1][0] >= -t
-    sign = 1.0 if up else -1.0
-    key = sign * t
-    xs, ms, ds = _walk(sol, up, key)
-    end = min(len(ms), _EXPAND_CAP)
-    i = bisect_left(ms, key, 0, end)
-    if i == end or not ms[i] >= key:  # a nan t crosses nowhere
-        raise OutOfDomainError(f"no {'upper' if up else 'lower'} bracket for s = {s!r}")
-    # down, i >= 1; up, the probe point on t brackets with itself
-    j = max(i - 1, 0)
-    lo, hi = sorted((xs[j], xs[i]))
-    g = _hermite(t, xs[j], sign * ms[j], ds[j], xs[i], sign * ms[i], ds[i]) if i else lo
+    nd, xs, fs, ds = _walk(sol, t, t)
+    if fs[nd - 1] <= t:
+        far = bisect_left(fs, t, nd)
+        if far == len(fs):
+            raise OutOfDomainError(f"no upper bracket for s = {s!r}")
+        # the probe point on t brackets with itself
+        near = max(far - 1, nd)
+    else:
+        far = bisect_right(fs, t, 0, nd) - 1
+        if far < 0 or not fs[far] <= t:  # a nan t crosses nowhere
+            raise OutOfDomainError(f"no lower bracket for s = {s!r}")
+        near = far + 1
+    lo, hi = sorted((xs[near], xs[far]))
+    g = _hermite(t, xs[near], fs[near], ds[near], xs[far], fs[far], ds[far]) if far != near else lo
     return lo, hi, g if lo < g < hi else 0.5 * (lo + hi)
-
-
-def _walk_table(down, up):
-    """(nd, nu, x, f, d): the two walks as one table of nd + nu entries,
-    the down walk reversed and then the up walk, so that x increases and f,
-    the running minimum of F down and maximum of F up, does not decrease;
-    d is 1/F' = H/x^k. The probe point is entry nd - 1 and entry nd."""
-    (dx, dm, dd), (ux, um, ud) = down, up
-    return (len(dx), len(ux), np.array(dx[::-1] + ux),
-            np.array([-m for m in dm[::-1]] + list(um)), np.array(dd[::-1] + ud))
 
 
 def _brackets(sol: RadialSolution, s: np.ndarray, t: np.ndarray):
     """_bracket for every entry of s at once: arrays lo, hi and the first
     iterates.
 
-    Each walk is extended to its farthest target only, and the entries
-    read the solution's table of both walks (_walk_table), rebuilt only
-    when a walk has grown: one searchsorted per side, on the down part's
-    first _EXPAND_CAP points with side="right" and on the up part's with
-    side="left", and one _hermite over all entries. A failure names the
-    first entry without a bracket, lower brackets first.
+    One _walk call extends the walk table to the lowest and the highest
+    t, and the entries read arrays built from it for this call: one
+    searchsorted per side, on the down part with side="right" and on the
+    up part with side="left", and one _hermite over all entries. A
+    failure names the first entry without a bracket, lower brackets first.
     """
-    down = _walk(sol, False, -t.min(initial=math.inf))
-    up = _walk(sol, True, t.max(initial=-math.inf))
-    table = sol._table
-    if table is None or table[0] < len(down[0]) or table[1] < len(up[0]):
-        table = sol._table = _walk_table(down, up)
-    nd, nu, x, f, d = table
-    first = max(nd - _EXPAND_CAP, 0)
+    nd, xs, fs, ds = _walk(sol, t.min(initial=math.inf), t.max(initial=-math.inf))
+    x, f, d = np.array(xs), np.array(fs), np.array(ds)
     # a down entry's crossing is its down walk's last point with f <= t,
     # an up entry's its up walk's first point with f >= t
-    p = np.maximum(first + np.searchsorted(f[first:nd], t, "right") - 1, first)
-    q = np.minimum(nd + np.searchsorted(f[nd:nd + _EXPAND_CAP], t, "left"),
-                   nd + min(nu, _EXPAND_CAP) - 1)
+    p = np.maximum(np.searchsorted(f[:nd], t, "right") - 1, 0)
+    q = np.minimum(nd + np.searchsorted(f[nd:], t, "left"), f.size - 1)
     is_up = f[nd - 1] <= t
     for miss, side in ((~is_up & ~(f[p] <= t), "lower"), (is_up & ~(f[q] >= t), "upper")):
         if miss.any():
@@ -802,28 +805,6 @@ def _dense(f, ks, f_new):
     return q2, q3, q4
 
 
-def _crossing(level, t, y, f, t_new, y_new, f_new) -> float:
-    """Abscissa where the step's cubic Hermite interpolant reaches level.
-
-    Bisects [t, t_new] until no float lies strictly between the ends; y
-    is on one side of level and y_new on the other (or on it).
-    """
-    h = t_new - t
-    c2 = 3.0 * (y_new - y) - h * (2.0 * f + f_new)
-    c3 = 2.0 * (y - y_new) + h * (f + f_new)
-    before = y < level
-    a, b = t, t_new
-    while True:
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            return b
-        th = (m - t) / h
-        if (y + th * (h * f + th * (c2 + th * c3)) < level) == before:
-            a = m
-        else:
-            b = m
-
-
 def _dopri(rhs, t: float, y: float, ts, floor: float, cap: float):
     """Adaptive Dormand-Prince 5(4) from (t, y) through the abscissae ts.
 
@@ -865,9 +846,16 @@ def _dopri(rhs, t: float, y: float, ts, floor: float, cap: float):
             rejected = True
         stop = None
         if y >= floor >= y_new or y <= cap <= y_new:
-            level = floor if floor >= y_new else cap
-            stop = (_crossing(level, t, y, f, t_new, y_new, f_new),
-                    "g left the admissible window")
+            # y is strictly inside (floor, cap), so y_new != y; a zero
+            # slope, where H underflows at a multiple end, or a nan point
+            # keeps t_new, and a point before t is clipped to t
+            at = t_new
+            if f and f_new:
+                level = floor if floor >= y_new else cap
+                x = _hermite(level, t, y, 1.0 / f, t_new, y_new, 1.0 / f_new)
+                if direction * (x - t_new) < 0.0:
+                    at = x if direction * (x - t) > 0.0 else t
+            stop = (at, "g left the admissible window")
         # the targets this step passes: up to t_new, or short of the crossing
         i = j = len(values)
         while j < len(ts) and (direction * (ts[j] - t_new) <= 0.0 if stop is None
@@ -904,8 +892,10 @@ def shoot_ode(ode, s0: float, g0: float, s_targets) -> ShootResult:
     than of its 5th order value. It uses only H, never F or solve_g, so
     it checks the inversion independently. Integration stops when g
     falls to the floor A + 1e-12 (1 + |A|) or, on a finite extension,
-    rises to 1e9, both mapped into u; the crossing is located on the
-    cubic Hermite interpolant of the step. The result then keeps the
+    rises to 1e9, both mapped into u; the crossing is where the step's
+    inverse cubic Hermite interpolant, t as a function of u with the
+    slopes dt/du = 1/u', reads the level, clipped into the step (the
+    step's end where a slope is 0). The result then keeps the
     samples before it and records the reached abscissa in domain_end, as
     it does when the step size underflows. An anchor g0 at or past the
     floor or the cap raises BadAnchorError.

@@ -712,6 +712,20 @@ def test_readme_commands_run(tmp_path, monkeypatch, validator):
             assert out.startswith(CSV_HEADER + "\n"), argv
 
 
+def test_readme_library_quick_start_runs():
+    # the ```python block, run as written, gives the values its comments state
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    names = {}
+    exec(compile(block, str(README), "exec"), names)
+    np = names["np"]
+    assert names["report"].verdict.value == "SmoothFamily"
+    assert (names["branch"].A, names["branch"].B) == (0.0, 1.0)
+    solve_g, sol = names["solve_g"], names["sol"]
+    assert solve_g(sol, 3.0) == 0.75
+    assert solve_g(sol, np.array([3.0, 1.0])).tolist() == [0.75, 0.5]
+    assert names["verify_solution"](sol, 200).max_curvature_residual <= 1e-12
+
+
 def run_process(args, *flags):
     """`python *flags -m csck.cli *args` as a fresh process, with Python's
     default warning filters."""

@@ -967,16 +967,18 @@ def _walk_copy(sol, s, t):
     raise OutOfDomainError(f"no upper bracket for s = {s!r}")
 
 
+def _wall():
+    """A solution on the window (0.305, 1.93) of a problem where g presses
+    against both ends within the s-range: the walk sticks one ulp from
+    either end after about 53 points and finds no bracket past it."""
+    ode = build_ode(RadialProblem(2, 6.0, 2.18, -0.73))
+    br = admissible_branches(ode)[0]
+    return gauge_from_anchor(ode, br, partial_fractions(ode, br), (1.0, 0.5 * (br.A + br.B)))
+
+
 @pytest.mark.parametrize("label", BRANCHED + ["wall"])
 def test_array_bracket_is_the_walk(monkeypatch, label):
-    if label == "wall":
-        # on the window (0.305, 1.93) of this problem, g presses against
-        # both ends within the s-range, and the walk finds no bracket there
-        ode = build_ode(RadialProblem(2, 6.0, 2.18, -0.73))
-        br = admissible_branches(ode)[0]
-        sol = gauge_from_anchor(ode, br, partial_fractions(ode, br), (1.0, 0.5 * (br.A + br.B)))
-    else:
-        sol = solution_for(label)
+    sol = _wall() if label == "wall" else solution_for(label)
     lo, hi = sol.s_domain
     bottom = lo * (1.0 + 1e-6) if lo > 0.0 else 1e-12
     top = 1e6 if math.isinf(hi) else hi * (1.0 - 1e-6)
@@ -1022,12 +1024,12 @@ def test_array_bracket_is_the_walk(monkeypatch, label):
     # lo, hi and the first iterate are the scalar path's, bit for bit
     assert [_hex(v) for v in got] == [_hex(v) for v in zip(*brackets)]
     # a second call within the walks' reach reads the kept table
-    builds = []
-    table = quadrature._walk_table
-    monkeypatch.setattr(quadrature, "_walk_table", lambda *w: builds.append(w) or table(*w))
+    calls = []
+    kernel = quadrature.eval_F
+    monkeypatch.setattr(quadrature, "eval_F", lambda F, x: calls.append(x) or kernel(F, x))
     with _quiet():
         again = quadrature._brackets(sol, s[ok][::-1], t[ok][::-1])
-    assert builds == []
+    assert calls == []
     assert [_hex(v[::-1]) for v in again] == [_hex(v) for v in got]
     # a nan t crosses nowhere, and is named on the lower side
     with _quiet(), pytest.raises(OutOfDomainError, match="no lower bracket for s = 0.5"):
@@ -1066,17 +1068,14 @@ def test_array_solve_g_out_of_domain():
 
 def test_array_solve_g_bracket_exhaustion(monkeypatch):
     # with one expansion step allowed, far targets run out of bracket the
-    # same way on both paths, naming the first such entry, also on a
-    # solution whose walk was stored at the full cap
-    warm = solution_for("1.1.2")
-    solve_g(warm, np.array([1e-6, 1e6]))
+    # same way on both paths, naming the first such entry
     monkeypatch.setattr(quadrature, "_EXPAND_CAP", 1)
-    for sol in (solution_for("1.1.2"), warm):
-        for far, side in ((1e-6, "lower"), (1e6, "upper")):
-            for s in (far, np.array([sol.s_domain[0] + 1.0, far, far * 2.0])):
-                message = re.escape(f"no {side} bracket for s = {far!r}")
-                with pytest.raises(OutOfDomainError, match=message):
-                    solve_g(sol, s)
+    sol = solution_for("1.1.2")
+    for far, side in ((1e-6, "lower"), (1e6, "upper")):
+        for s in (far, np.array([sol.s_domain[0] + 1.0, far, far * 2.0])):
+            message = re.escape(f"no {side} bracket for s = {far!r}")
+            with pytest.raises(OutOfDomainError, match=message):
+                solve_g(sol, s)
 
 
 def test_a_nan_gauge_constant_finds_no_bracket():
@@ -1090,12 +1089,9 @@ def test_a_nan_gauge_constant_finds_no_bracket():
 
 @pytest.mark.parametrize("s, side", [(1e-5, "lower"), (1e6, "upper")])
 def test_scalar_walk_stops_where_it_cannot_move(monkeypatch, s, side):
-    # the "wall" window of test_array_bracket_is_the_walk: the walk sticks
-    # one ulp from an end after about 53 points, and evaluating F there
-    # again until the cap of 300 points cannot cross
-    ode = build_ode(RadialProblem(2, 6.0, 2.18, -0.73))
-    br = admissible_branches(ode)[0]
-    sol = gauge_from_anchor(ode, br, partial_fractions(ode, br), (1.0, 0.5 * (br.A + br.B)))
+    # evaluating F where the walk sticks again until the cap of 300 points
+    # cannot cross
+    sol = _wall()
     calls = []
 
     def counted(F, x):
@@ -1139,6 +1135,39 @@ def test_a_solution_walks_its_brackets_once(monkeypatch, label):
         solve_g(sol, float(v))
     solve_g(sol, np.random.default_rng(2).permutation(s[10:-10]))
     assert points == []
+
+
+def _table_hex(table):
+    nd, *columns = table
+    return nd, [[float(v).hex() for v in column] for column in columns]
+
+
+@pytest.mark.parametrize("label", BRANCHED + ["wall"])
+def test_the_walk_table_keeps_its_invariants(label):
+    # after scalar and array calls, a nan target and failing far targets,
+    # the one table is the one an array call at the far targets builds
+    sol = _wall() if label == "wall" else solution_for(label)
+    hi = sol.s_domain[1]
+    far = [1e-300, 1e300 if math.isinf(hi) else hi * (1.0 - 1e-15)]
+    s = np.geomspace(1e-6, 1e6 if math.isinf(hi) else 0.9 * hi, 25)
+    with pytest.raises(OutOfDomainError, match="no lower bracket for s = 0.5"):
+        quadrature._bracket(sol, math.nan, 0.5)
+    for v in far + [float(s[3]), float(s[20])]:
+        _outcome(sol, v)
+    _outcome(sol, s[5:15])
+    _outcome(sol, np.array(far))
+    _outcome(sol, s)
+    nd, xs, fs, ds = sol._walk
+    assert xs[nd - 1] == xs[nd] == probe_point(sol.branch.A, sol.branch.B)
+    assert fs[nd - 1] == fs[nd] == eval_F(sol.F, xs[nd])
+    assert all(a < b for a, b in zip(xs[:nd], xs[1:nd])) and all(
+        a < b for a, b in zip(xs[nd:], xs[nd + 1:]))
+    assert all(a <= b for a, b in zip(fs, fs[1:]))
+    assert len(xs) == len(fs) == len(ds)
+    assert nd <= quadrature._EXPAND_CAP and len(xs) - nd <= quadrature._EXPAND_CAP
+    fresh = _fresh(sol)
+    _outcome(fresh, np.array(far))
+    assert _table_hex(fresh._walk) == _table_hex(sol._walk)
 
 
 @pytest.mark.parametrize("label", BRANCHED)
