@@ -1,8 +1,10 @@
 """Classification and verification engine for rotation-invariant csck metrics.
 
-Every name of ``__all__`` and every layer (``csck.geometry`` ...) is an
-attribute of the package, but a layer is imported on the first use of
-one of its names (PEP 562), so ``import csck`` itself loads no numpy.
+``_LAYERS`` is the one list of public names, ``__all__`` is read off it,
+and the layers declare none. Every name of ``__all__`` and every layer
+(``csck.geometry`` ...) is an attribute of the package, but a layer is
+imported on the first use of one of its names (PEP 562), so
+``import csck`` itself loads no numpy.
 """
 
 import importlib

@@ -24,17 +24,11 @@ from .geometry import VerificationReport, verify_solution
 from .quadrature import ball_normalize, gauge_from_anchor, partial_fractions, probe_point
 from .reduction import RadialProblem
 
-__all__ = [
-    "CrossCheckReport",
-    "ExpectedBranch",
-    "cross_check",
-    "enumerate_cases",
-    "instantiate",
-]
-
 _ENDPOINT_TOL = 1e-8
 _REFERENCE_TOL = 1e-9
 _REFERENCE_POINTS = 50
+# the size of the grid that cross_check's verify stage samples
+_VERIFY_SAMPLES = 80
 
 
 @dataclass(frozen=True)
@@ -165,15 +159,15 @@ def cross_check(
     label: str,
     params: Optional[dict] = None,
     n: Optional[int] = None,
-    n_samples: int = 80,
 ) -> CrossCheckReport:
     """Run the full pipeline for a family and verify it against expectations.
 
     Stages: classify, partial_fractions, gauge (unit-ball normalization
     when the branch only extends over a finite ball, anchored gauge
-    otherwise), verify, and reference (printed-identity comparison, when
-    the family has one). A stage failure is wrapped in StageError with
-    the stage tag.
+    otherwise), verify (verify_solution on _VERIFY_SAMPLES = 80 grid
+    points), and reference (printed-identity comparison, when the family
+    has one). A stage failure is wrapped in StageError with the stage
+    tag.
     """
     fix = get_case(label)
     p, _ = merged_params(fix, params)
@@ -221,7 +215,7 @@ def cross_check(
         reference = fix.reference_F(p)
         deviation = _run_stage("reference", _reference_deviation, F, reference, branch)
 
-    verification = _run_stage("verify", verify_solution, sol, n_samples)
+    verification = _run_stage("verify", verify_solution, sol, _VERIFY_SAMPLES)
 
     return CrossCheckReport(
         label=label,

@@ -27,8 +27,9 @@ from .branches import BranchKind, classify
 from .cases import get_case
 from .errors import CsckError
 from .inequalities import certify_negative
-from .reduction import RadialProblem, build_ode, ode_residual
+from .reduction import RadialProblem, _density, build_ode, ode_residual
 
+# the fields of geometry.MetricSample, in order: _sample_rows reads them by name
 CSV_HEADER = "s,g,u,up,upp,f,R_num"
 CSV_COLUMNS = CSV_HEADER.split(",")
 
@@ -368,8 +369,7 @@ def _sample_rows(sol, args):
     from .geometry import metric_sample
 
     ms = metric_sample(sol, np.geomspace(args.s_min, args.s_max, args.samples))
-    columns = (ms.s, ms.g, ms.u, ms.up, ms.upp, ms.f, ms.R_num)
-    return list(zip(*(column.tolist() for column in columns)))
+    return list(zip(*(getattr(ms, name).tolist() for name in CSV_COLUMNS)))
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +464,7 @@ def _cmd_verify(args):
             if g <= 0.0 or gd <= 0.0:
                 max_f = math.inf
                 break
-            rebuilt = (args.n - 1) * (math.log(g) - math.log(s)) + math.log(gd)
-            max_f = max(max_f, abs(f - rebuilt))
+            max_f = max(max_f, abs(f - _density(ode.k, s, g, gd)))
         passed = (
             max_curv <= args.tol
             and max_ode <= _ODE_CAP

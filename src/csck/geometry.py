@@ -16,9 +16,10 @@ is R times a ratio of slopes, (R/n) [g^n]' / (g^{n-1} g'), with [g^n]'
 differenced across neighbouring abscissae, each inverted on its own.
 It tests the inversion g(s) where R != 0; at R = 0 it reads 0 for any g.
 
-The formulas are written once, over numpy-broadcastable (s, g). One
-reader, _kahler_point, inverts and checks every point (float or array)
-that metric_tensor, metric_sample and the curvatures read; verify_solution
+The formulas are written once, over numpy-broadcastable (s, g); the
+density and the Richardson difference are reduction's. One reader,
+_kahler_point, inverts and checks every point (float or array) that
+metric_tensor, metric_sample and the curvatures read; verify_solution
 reports instead of raising, so its whole-grid pass reads its own. Where
 the arithmetic of metric_sample or a curvature leaves the float range,
 an array s reads inf or nan and a float s raises IllConditionedError
@@ -28,23 +29,17 @@ too.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IllConditionedError, NotKahlerError, OutOfDomainError
 from .quadrature import RadialSolution, solve_g
+from .reduction import _density, _richardson
 
-__all__ = [
-    "MetricSample",
-    "VerificationReport",
-    "curvature_fd",
-    "metric_sample",
-    "metric_tensor",
-    "potential_u",
-    "scalar_curvature",
-    "verify_solution",
-]
+# the step h of the finite-difference curvature, relative to s
+_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -142,18 +137,11 @@ def _curvature(ode, s, g):
     return -phi1 / (g**k * g1)
 
 
-def _neighbours(s):
-    """Step h = 1e-4 s and the abscissae s + h, s - h, s + h/2, s - h/2."""
-    h = 1e-4 * s
-    return h, (s + h, s - h, s + 0.5 * h, s - 0.5 * h)
-
-
-def _richardson(ode, g, g1, h, gn):
-    """(R/n) [g^n]' / (g^k g') at (s, g), with g' = g1 there and [g^n]'
-    the Richardson difference of the values gn at _neighbours(s)."""
-    d1 = (gn[0] - gn[1]) / (2.0 * h)
-    d2 = (gn[2] - gn[3]) / h
-    return ode.problem.R / ode.problem.n * ((4.0 * d2 - d1) / 3.0) / (g**ode.k * g1)
+def _fd_curvature(ode, g, g1, dgn):
+    """(R/n) [g^n]' / (g^k g') at (s, g), with g' = g1 there and [g^n]' = dgn,
+    the Richardson difference of g^n (reduction._richardson) with step
+    h = _FD_STEP s."""
+    return ode.problem.R / ode.problem.n * dgn / (g**ode.k * g1)
 
 
 def _out_of_range(s) -> IllConditionedError:
@@ -241,9 +229,9 @@ def curvature_fd(sol: RadialSolution, s: float) -> float:
     Non-Kahler data at s or at a neighbour raises NotKahlerError.
     """
     g, _, _, g1 = _kahler_point(sol, s)  # first, so an s outside the domain is named as such
-    h, near = _neighbours(s)
-    gn = [_kahler_point(sol, x)[0] ** sol.ode.problem.n for x in near]
-    return _richardson(sol.ode, g, g1, h, gn)
+    n = sol.ode.problem.n
+    dgn = _richardson(lambda near: [_kahler_point(sol, x)[0] ** n for x in near], s, _FD_STEP * s)
+    return _fd_curvature(sol.ode, g, g1, dgn)
 
 
 @_names_s
@@ -266,8 +254,7 @@ def metric_sample(sol: RadialSolution, s) -> MetricSample:
             u=_potential(sol, s, g, sol.g_anchor()),
             up=up,
             upp=upp,
-            # the density of reduction.f_of, from the g and g' at hand
-            f=ode.k * (np.log(g) - np.log(s)) + np.log(g1),
+            f=_density(ode.k, s, g, g1, np.log),
             R_num=_curvature(ode, s, g),
         )
 
@@ -275,13 +262,14 @@ def metric_sample(sol: RadialSolution, s) -> MetricSample:
 def verify_solution(sol: RadialSolution, n_samples: int) -> VerificationReport:
     """Residual maxima over a log-spaced grid: curvature, determinant, positivity.
 
-    Every domain starts at s = 0. The grid spans [0.01, 100] on ray
-    domains and [0.05, 0.998 s_hi] on finite ones (0, s_hi): near both
-    ends of a finite domain the profile is pinned against a singular
-    abscissa where float spacing makes the finite-difference cross-check
-    noise dominated, while the analytic values stay accurate. A finite
-    domain too short for that floor (0.998 s_hi at or below it) starts at
-    0.05 s_hi instead. Failures are reported, not raised.
+    n_samples is an integer, at least 1, or ValueError is raised. Every
+    domain starts at s = 0. The grid spans [0.01, 100] on ray domains and
+    [0.05, 0.998 s_hi] on finite ones (0, s_hi): near both ends of a
+    finite domain the profile is pinned against a singular abscissa where
+    float spacing makes the finite-difference cross-check noise dominated,
+    while the analytic values stay accurate. A finite domain too short for
+    that floor (0.998 s_hi at or below it) starts at 0.05 s_hi instead.
+    Failures are reported, not raised.
 
     The grid and its four Richardson neighbours are inverted by one array
     call of solve_g, the derivative chain runs on the grid row alone, and
@@ -289,8 +277,11 @@ def verify_solution(sol: RadialSolution, n_samples: int) -> VerificationReport:
     max_curvature_residual comes from the analytic chain, which returns R
     for any g; max_fd_mismatch tests the inversion where R != 0.
     """
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
+        raise ValueError(f"n_samples = {n_samples!r} must be an integer")
     if n_samples < 1:
         raise ValueError(f"n_samples = {n_samples!r} must be at least 1")
+    n_samples = int(n_samples)  # a numpy integer would not serialise to JSON
     hi = sol.s_domain[1]
     if math.isinf(hi):
         bottom, top = 0.01, 100.0
@@ -303,16 +294,21 @@ def verify_solution(sol: RadialSolution, n_samples: int) -> VerificationReport:
     n = ode.problem.n
     R_target = ode.problem.R
 
-    h, near = _neighbours(grid)
-    points = np.stack((grid, *near))
-    gs = solve_g(sol, points)
-    g = gs[0]
+    gs = None
+
+    def g_to_the_n(near):  # one array call inverts the grid and its neighbours
+        nonlocal gs
+        gs = solve_g(sol, np.stack((grid, *near)))
+        return gs[1:] ** n
+
     z = np.zeros((n_samples, n), dtype=complex)
     z[:, 0] = np.sqrt(grid)
     with np.errstate(all="ignore"):  # nan or inf where g' = 0 or a value overflows
+        dgn = _richardson(g_to_the_n, grid, _FD_STEP * grid)
+        g = gs[0]
         up, upp, g1 = _radial(ode, grid, g)
         curv = _curvature(ode, grid, g)
-        r_fd = _richardson(ode, g, g1, h, gs[1:] ** n)
+        r_fd = _fd_curvature(ode, g, g1, dgn)
         det = np.real(np.linalg.det(_tensor(up, upp, z)))
         want = up ** (n - 1) * g1
         margin = min(float(np.min(up)), float(np.min(g1)))

@@ -36,8 +36,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product
 
-__all__ = ["ConstraintSample", "I_value", "J_value", "certify_negative"]
-
 
 def J_value(alpha: float, beta: float, gamma: float, delta: float) -> float:
     """Sum of the six pairwise products of the four arguments."""

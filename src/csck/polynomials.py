@@ -26,12 +26,12 @@ clustering wins (Smith 1970; the test of MPSolve, Bini & Fiorentino
 2000). Every coarser clustering's product has a multiple root: a real
 cluster of two or more candidates, or a repeated quadratic factor. A
 product that passes the gate has the leading coefficient of p and
-coefficients within eps of p's, eps being tol ||p||inf plus the rounding
-of its expansion (as _gate_reach bounds it). By Smith's theorem, when
-the discs about the candidates z_i of radius d (|p(z_i)| + eps sum
-|z_i|^j) / (|lead| prod_{j != i} |z_i - z_j|) are pairwise disjoint,
-every polynomial within eps of p with its leading coefficient has
-exactly one root in each, so none has a multiple root and no coarser
+coefficients within eps of p's, eps being _GATE_TOL ||p||inf plus the
+rounding of its expansion (as _gate_reach bounds it). By Smith's
+theorem, when the discs about the candidates z_i of radius d (|p(z_i)| +
+eps sum |z_i|^j) / (|lead| prod_{j != i} |z_i - z_j|) are pairwise
+disjoint, every polynomial within eps of p with its leading coefficient
+has exactly one root in each, so none has a multiple root and no coarser
 clustering can pass. Overlapping discs, an overflow or two exact zeros
 leave the choice to the scan, so the certificate never changes a
 profile. The values p(z_i) that its Horner pass computes start the
@@ -39,8 +39,8 @@ polish of each simple root, which then evaluates p at a new point only.
 
 What is certified is that backward error: every profile is rebuilt from
 its factors and compared coefficientwise with the input, relative to the
-coefficient inf-norm. Inputs that no clustering reconstructs within tol
-raise IllConditionedError instead of returning a guess.
+coefficient inf-norm. Inputs that no clustering reconstructs within
+_GATE_TOL raise IllConditionedError instead of returning a guess.
 """
 from __future__ import annotations
 
@@ -51,6 +51,8 @@ from dataclasses import dataclass
 from .errors import IllConditionedError, ZeroPolyError
 
 _EPS = sys.float_info.epsilon
+# the gate: a profile's backward error bound, relative to the coefficient inf-norm
+_GATE_TOL = 1e-9
 # Newton converges quadratically from a cluster centroid; the cap only
 # bounds steps that keep shrinking |d| by rounding noise
 _POLISH_STEPS = 50
@@ -190,8 +192,8 @@ class RootProfile:
     """Real factorization of a polynomial, certified by its backward error.
 
     Rebuilding the polynomial from these factors reproduces the input's
-    coefficients within the tol of real_root_profile, relative to their
-    inf-norm; the multiplicities are the numerical ones at that tol.
+    coefficients within _GATE_TOL, relative to their inf-norm; the
+    multiplicities are the numerical ones at that tolerance.
 
     real_roots: ((value, multiplicity), ...) strictly increasing in value;
     quad_factors: ((beta, gamma, multiplicity), ...) with gamma > 0, sorted;
@@ -342,14 +344,14 @@ def _value_and_power_sum(cs, z: complex) -> tuple[complex, float]:
     return pz, s
 
 
-def _gate_reach(cs, lead_p: float, tol: float) -> float:
-    """2 (tol ||p||inf + gamma (lead_p + ||p||inf)), gamma = 4 (d + 1) eps.
+def _gate_reach(cs, lead_p: float) -> float:
+    """2 (_GATE_TOL ||p||inf + gamma (lead_p + ||p||inf)), gamma = 4 (d + 1) eps.
 
     Times S = sum_{j<=d} |z|^j, it bounds how far Horner's p(z) lies from
     the value at z of a product q = lead prod_k (x - c_k)^m_k with
     |lead| P <= lead_p, P = prod_k (1 + |c_k|)^m_k, whose expansion q~
     passes the gate. Since |e(z)| <= ||e||inf S for any coefficients e, a
-    passing gate puts q~(z) within tol ||p||inf S of p(z). Rounding
+    passing gate puts q~(z) within _GATE_TOL ||p||inf S of p(z). Rounding
     (u = eps/2, first order, no underflow or overflow) adds, with
     prod_k (|z| + |c_k|)^m_k <= P S:
     - 2d u |lead| P S for the expansion, at 2 roundings per degree;
@@ -358,15 +360,15 @@ def _gate_reach(cs, lead_p: float, tol: float) -> float:
       integer power m by repeated squaring, which rounds at most m - 1
       times);
     - (sqrt 5 + 1) d u ||p||inf S for Horner at z.
-    So (tol ||p||inf + gamma (|lead| P + ||p||inf)) S bounds the gap, and
+    So (_GATE_TOL ||p||inf + gamma (|lead| P + ||p||inf)) S bounds the gap, and
     the factor 2 covers the rounding of this bound and of the gate's
     quotient.
     """
     norm = _inf_norm(cs)
-    return 2.0 * (tol * norm + 4.0 * len(cs) * _EPS * (lead_p + norm))
+    return 2.0 * (_GATE_TOL * norm + 4.0 * len(cs) * _EPS * (lead_p + norm))
 
 
-def _isolated(cs, zs, conj, tol: float) -> list[complex] | None:
+def _isolated(cs, zs, conj) -> list[complex] | None:
     """p(z_i) at each candidate when Smith's inclusion discs prove that no
     clustering coarser than the finest passes the gate (the argument is in
     the module docstring), that is when the discs about the candidates are
@@ -385,7 +387,7 @@ def _isolated(cs, zs, conj, tol: float) -> list[complex] | None:
     """
     d, lead = len(zs), abs(cs[-1])
     try:
-        eps = _gate_reach(cs, lead * (1.0 + max(map(abs, zs))) ** d, tol)
+        eps = _gate_reach(cs, lead * (1.0 + max(map(abs, zs))) ** d)
         # 1.0 on the diagonal, in place of |z_i - z_i| = 0, left out of the product
         dist = [[1.0] * d for _ in zs]
         for i, z in enumerate(zs):
@@ -432,8 +434,8 @@ def _residual(cs, real_roots, quad_factors) -> float:
     return max(abs(a - b) for a, b in zip(recon, cs)) / _inf_norm(cs)
 
 
-def _certified(cs, reals, quads, tol: float, starts=None) -> RootProfile:
-    """Polish the factors of a clustering and hold their product to tol.
+def _certified(cs, reals, quads, starts=None) -> RootProfile:
+    """Polish the factors of a clustering and hold their product to _GATE_TOL.
 
     One derivative chain of cs, up to the highest multiplicity, serves
     every polish. starts, when given, are p at each factor's start, the
@@ -455,24 +457,24 @@ def _certified(cs, reals, quads, tol: float, starts=None) -> RootProfile:
     if any(g <= 0.0 for _, g, _ in quad_factors):
         raise IllConditionedError(1.0, "quadratic factor degenerated to a real pair")
     residual = _residual(cs, real_roots, quad_factors)
-    if not residual <= tol:
+    if not residual <= _GATE_TOL:
         raise IllConditionedError(residual, "reconstruction residual exceeds tolerance")
     return RootProfile(tuple(real_roots), tuple(quad_factors), cs[-1])
 
 
-def real_root_profile(p: Poly, tol: float = 1e-9) -> RootProfile:
-    """Real factorization of p with the coarsest multiplicities tol allows.
+def real_root_profile(p: Poly) -> RootProfile:
+    """Real factorization of p with the coarsest multiplicities the gate allows.
 
     The companion eigenvalues merge into clusters, closest pairs first
     and always with their conjugates; the coarsest clustering whose
     product, expanded from the cluster centroids, reconstructs p within
-    tol relative to the coefficient inf-norm fixes the multiplicities.
-    When Smith's inclusion discs prove that no coarser clustering can
-    pass, the finest is taken without the scan (_isolated), so the scan
-    runs only where the discs overlap. The factors are then polished,
+    _GATE_TOL = 1e-9 relative to the coefficient inf-norm fixes the
+    multiplicities. When Smith's inclusion discs prove that no coarser
+    clustering can pass, the finest is taken without the scan
+    (_isolated), so the scan runs only where the discs overlap. The factors are then polished,
     and the polished product is held to the same bound:
     IllConditionedError (with the residual attached) is raised when it
-    misses p by more than tol, or when the residual is nan. A
+    misses p by more than _GATE_TOL, or when the residual is nan. A
     coefficient that is not finite raises ValueError.
     """
     if p.is_zero:
@@ -484,13 +486,13 @@ def real_root_profile(p: Poly, tol: float = 1e-9) -> RootProfile:
         raise ValueError(f"coefficients must be finite, got {list(cs)}")
     zs = _candidates(cs)
     conj = _conjugates(zs)
-    values = _isolated(cs, zs, conj, tol)
+    values = _isolated(cs, zs, conj)
     if values is not None:
         reals, quads, starts = _singletons(zs, conj, values)
-        return _certified(cs, reals, quads, tol, starts)
+        return _certified(cs, reals, quads, starts)
     for label in reversed(_clusterings(zs, conj)):
         reals, quads = _factors(zs, conj, label)
-        if _residual(cs, reals, quads) <= tol:
+        if _residual(cs, reals, quads) <= _GATE_TOL:
             break
     # when no clustering passes, the finest stands and _certified decides on it
-    return _certified(cs, reals, quads, tol)
+    return _certified(cs, reals, quads)

@@ -46,22 +46,6 @@ from .errors import (
 from .polynomials import _horner, _taylor
 from .reduction import OdeData
 
-__all__ = [
-    "AntiderivativeF",
-    "ArcTan",
-    "LogLinear",
-    "LogQuadratic",
-    "RadialSolution",
-    "RecipPower",
-    "ShootResult",
-    "ball_normalize",
-    "eval_F",
-    "gauge_from_anchor",
-    "partial_fractions",
-    "shoot_ode",
-    "solve_g",
-]
-
 # tolerance for the analytic cancellation of log terms at infinity
 _LOG_CANCEL_TOL = 1e-9
 # relative bracket width at which a Newton point outside the bracket ends

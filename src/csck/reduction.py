@@ -6,8 +6,9 @@ curvature R in dimension n the whole problem collapses to
     s * g^{n-1}(s) * g'(s) = H(g(s)),
     H(x) = -R/(n(n+1)) * x^{n+1} + x^n + lambda*x + mu,
 
-with two free constants.  This module builds H, forms the volume-density
-log f = log(g^{n-1} g' / s^{n-1}), and recovers (lambda, mu) from any
+with two free constants.  This module builds H, writes the volume density
+f = (n-1)(log g - log s) + log g' and the Richardson difference once for
+every layer (_density, _richardson), and recovers (lambda, mu) from any
 candidate solution for round-trip validation.
 """
 from __future__ import annotations
@@ -20,6 +21,9 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import EndpointSampleError, NotCsckError, NotKahlerError
 from .polynomials import Poly, RootProfile, real_root_profile
+
+# recover_constants' bound on the spread of lambda and mu, per 1 + |mean|
+_CONSTANCY_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -64,10 +68,10 @@ class OdeData:
     Each problem has one OdeData, its ode attribute, so H is built and
     factored once per problem, whoever asks first. roots is the root
     profile of H, whose product is certified to reconstruct H within
-    real_root_profile's default tol. It is factored on first use;
-    classify, both closed antiderivatives and the shoot's window lookup
-    all read it. Hp and Hpp, the first two derivatives of H that the
-    curvature chain reads, are also built once.
+    real_root_profile's gate, polynomials._GATE_TOL. It is factored on
+    first use; classify, both closed antiderivatives and the shoot's
+    window lookup all read it. Hp and Hpp, the first two derivatives of
+    H that the curvature chain reads, are also built once.
     """
 
     problem: RadialProblem
@@ -105,8 +109,15 @@ class FunctionHandle:
     second: Optional[Callable[[float], float]] = None
 
 
+def _density(k, s, g, g1, log=math.log):
+    """The volume density f = k (log g - log s) + log g' at s, k = n - 1 and
+    g' = g1, with log math.log for floats or np.log for numpy values, the
+    way quadrature._value_and_slope takes it."""
+    return k * (log(g) - log(s)) + log(g1)
+
+
 def f_of(g: FunctionHandle, n: int) -> Callable[[float], float]:
-    """Volume-density log s |-> log(g^{n-1} g' / s^{n-1}).
+    """Volume-density log s |-> log(g^{n-1} g' / s^{n-1}), through _density.
 
     The returned handle raises NotKahler when g or g' is nonpositive at
     the queried point.
@@ -118,15 +129,23 @@ def f_of(g: FunctionHandle, n: int) -> Callable[[float], float]:
         gd = g.deriv(s)
         if gv <= 0.0 or gd <= 0.0:
             raise NotKahlerError(f"g={gv:.6g}, g'={gd:.6g} at s={s:.6g}")
-        return (n - 1) * (np.log(gv) - np.log(s)) + np.log(gd)
+        return _density(n - 1, s, gv, gd, np.log)
 
     return f
 
 
-def _fd1(fn: Callable[[float], float], s: float, h: float) -> float:
-    # centered first derivative with one Richardson step
-    d1 = (fn(s + h) - fn(s - h)) / (2.0 * h)
-    d2 = (fn(s + 0.5 * h) - fn(s - 0.5 * h)) / h
+def _richardson(values, s, h):
+    """Centered first derivative at s with one Richardson step,
+    (4 D_{h/2} - D_h) / 3 with D_t = (v(s + t) - v(s - t)) / (2t).
+
+    values maps the abscissae (s + h, s - h, s + h/2, s - h/2), in that
+    order, to their four values, so that an array s can be evaluated in
+    one call. The error term is O(h^4) times the fifth derivative, so a
+    quartic's derivative comes out exact up to rounding.
+    """
+    v = values((s + h, s - h, s + 0.5 * h, s - 0.5 * h))
+    d1 = (v[0] - v[1]) / (2.0 * h)
+    d2 = (v[2] - v[3]) / h
     return (4.0 * d2 - d1) / 3.0
 
 
@@ -149,16 +168,17 @@ def recover_constants(
     n: int,
     R: float,
     s_points: Optional[Iterable[float]] = None,
-    tol: float = 1e-7,
 ) -> RecoveredConstants:
     """Recover (lam, mu) from a candidate solution g, checking constancy.
 
     lam := s g^{n-1} f' + (R/n) g^n and
     mu  := s g^{n-1} g' + R/(n(n+1)) g^{n+1} - g^n - lam*g
     are evaluated on a sample window (default: 8 log-spaced points in
-    [1/2, 2]).  If either quantity varies across the window by more than
-    tol relative to its mean, g does not solve the constant-R equation
-    and NotCsck is raised with the spread attached.
+    [1/2, 2]). f' is analytic when g carries a second derivative, and
+    otherwise the Richardson difference of f_of with step h = 1e-5 s.
+    If either quantity varies across the window by more than
+    _CONSTANCY_TOL relative to its mean, g does not solve the constant-R
+    equation and NotCsck is raised with the spread attached.
     """
     import numpy as np
 
@@ -176,7 +196,7 @@ def recover_constants(
         if g.second is not None:
             fp = (n - 1) * gd / gv + g.second(s) / gd - (n - 1) / s
         else:
-            fp = _fd1(f, s, 1e-5 * s)
+            fp = _richardson(lambda near: [f(x) for x in near], s, 1e-5 * s)
         lam = s * gv ** (n - 1) * fp + (R / n) * gv**n
         mu = s * gv ** (n - 1) * gd + (R / (n * (n + 1))) * gv ** (n + 1) - gv**n - lam * gv
         lams.append(lam)
@@ -185,9 +205,9 @@ def recover_constants(
     mu_mean = float(np.mean(mus))
     lam_spread = float(np.max(lams) - np.min(lams))
     mu_spread = float(np.max(mus) - np.min(mus))
-    if lam_spread > tol * (1.0 + abs(lam_mean)):
+    if lam_spread > _CONSTANCY_TOL * (1.0 + abs(lam_mean)):
         raise NotCsckError(lam_spread)
-    if mu_spread > tol * (1.0 + abs(mu_mean)):
+    if mu_spread > _CONSTANCY_TOL * (1.0 + abs(mu_mean)):
         raise NotCsckError(mu_spread)
     return RecoveredConstants(lam_mean, mu_mean, lam_spread, mu_spread)
 

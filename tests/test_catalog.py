@@ -156,7 +156,7 @@ def test_cross_check_nonexistent_family():
 
 @pytest.mark.parametrize("label", BRANCHED)
 def test_cross_check_all_fixtures(label):
-    report = cross_check(label, n_samples=60)
+    report = cross_check(label)
     scale = 1.0 + abs(CASES[label].curvature())
     assert report.verification.kahler_ok
     assert report.verification.max_curvature_residual < 1e-5 * scale

@@ -1,5 +1,6 @@
 """Exit codes, report shapes, and determinism of the command-line front end."""
 
+import dataclasses
 import io
 import json
 import math
@@ -17,7 +18,8 @@ import jsonschema
 import pytest
 
 from csck import errors
-from csck.cli import CSV_HEADER, main
+from csck.cli import CSV_COLUMNS, CSV_HEADER, main
+from csck.geometry import MetricSample
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -114,6 +116,11 @@ def test_solve_log_grid_profile():
     gs = [row[1] for row in rows]
     assert all(a < b for a, b in zip(gs, gs[1:]))
     assert max(abs(row[6] - 6.0) for row in rows) < 1e-6
+
+
+def test_csv_columns_are_the_metric_sample_fields():
+    # _sample_rows reads each column from the MetricSample field of its name
+    assert CSV_COLUMNS == [field.name for field in dataclasses.fields(MetricSample)]
 
 
 def test_solve_json_report(validator):

@@ -1,5 +1,7 @@
 """Potential reconstruction, metric assembly, and curvature verification."""
 
+import dataclasses
+import json
 import math
 import re
 import warnings
@@ -434,9 +436,17 @@ def test_verify_matches_point_loop(label):
 
 def test_verify_rejects_empty_grid():
     sol = plain_solution(2, 6.0, 0.0, 0.0, (1.0, 0.5))
-    for n_samples in (0, -3):
-        with pytest.raises(ValueError):
+    for n_samples in (0, -3, np.int64(0)):
+        with pytest.raises(ValueError, match="must be at least 1"):
             verify_solution(sol, n_samples)
+    for n_samples in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            verify_solution(sol, n_samples)
+    # a numpy integer is a count; the report holds it as an int, for JSON
+    rep = verify_solution(sol, np.int64(3))
+    assert type(rep.n_samples) is int
+    assert rep == verify_solution(sol, 3)
+    json.dumps(dataclasses.asdict(rep))
 
 
 def _ddbar(fn, z):

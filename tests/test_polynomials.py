@@ -15,13 +15,10 @@ from csck.polynomials import (
     Poly,
     _candidates,
     _certified,
-    _clusterings,
     _conjugates,
     _deriv,
-    _factors,
     _isolated,
     _polish,
-    _residual,
     _taylor,
     real_root_profile,
 )
@@ -127,10 +124,11 @@ def test_reduced_ode_polynomial_fubini_study():
     assert [(round(r, 9), m) for r, m in prof.real_roots] == [(0.0, 2), (1.0, 1)]
 
 
-def test_reconstruction_residual_gate():
+def test_reconstruction_residual_gate(monkeypatch):
     p = Poly.from_coeffs((-2.0, 0.0, 1.0))
+    monkeypatch.setattr(polynomials, "_GATE_TOL", 1e-30)
     with pytest.raises(IllConditionedError) as exc:
-        real_root_profile(p, tol=1e-30)
+        real_root_profile(p)
     assert exc.value.residual > 1e-30
 
 
@@ -385,7 +383,7 @@ def test_nan_residual_fails_the_gate():
     # a nan factor gives a nan residual, which must fail the gate
     p = Poly.from_coeffs((-2.0, 0.0, 1.0))
     with pytest.raises(IllConditionedError) as exc:
-        _certified(p.coeffs, [(math.nan, 1), (1.0, 1)], [], 1e-9)
+        _certified(p.coeffs, [(math.nan, 1), (1.0, 1)], [])
     assert math.isnan(exc.value.residual)
     # on these finite coefficients Bairstow's polish runs to nan; a
     # profile that comes back must hold finite values only
@@ -409,9 +407,9 @@ def _H(n, R, lam, mu):
 def _seeded_H(seed, draws, planted):
     """H from sweep-like draws (n in 2..11, R in {0, +-1/2, +-1, +-2} n(n+1),
     lambda and mu from N(0, 3^2)), and H with a planted double or triple
-    root at a, each also with mu moved by t tol ||H||inf, t log-uniform in
-    [0.1, 10], which splits the root so that the residual of merging it
-    again lies within 10x of tol."""
+    root at a, each also with mu moved by t _GATE_TOL ||H||inf, t
+    log-uniform in [0.1, 10], which splits the root so that the residual
+    of merging it again lies within 10x of _GATE_TOL."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(draws):
@@ -446,34 +444,6 @@ def _catalog_H():
     ]
 
 
-def _scan_every_clustering(p, tol=1e-9):
-    """real_root_profile without the inclusion discs: every clustering is
-    expanded, coarsest first, until one passes the gate."""
-    cs = p.coeffs
-    zs = _candidates(cs)
-    conj = _conjugates(zs)
-    labels = _clusterings(zs, conj)
-    for label in reversed(labels):
-        reals, quads = _factors(zs, conj, label)
-        if _residual(cs, reals, quads) <= tol:
-            break
-    return _certified(cs, reals, quads, tol)
-
-
-def _outcome(profile_of, p):
-    try:
-        return profile_of(p)
-    except IllConditionedError as exc:
-        return ("IllConditionedError", repr(exc.residual))
-
-
-def test_point_test_leaves_every_profile_as_the_full_scan_has_it():
-    Hs = _seeded_H(2027, 2000, 500) + _catalog_H()
-    assert len(Hs) >= 3000
-    for H in Hs:
-        assert _outcome(real_root_profile, H) == _outcome(_scan_every_clustering, H), H
-
-
 def _sweep_H(seed, draws, scaled):
     """H from the sweep recipe: n in 2..8, R in {0, +-1/2, +-1, +-2} n(n+1),
     lambda and mu from N(0, 3^2), each times 10**U(-12, 0) when scaled."""
@@ -503,7 +473,7 @@ def _hex_outcome(p):
 def _certifies(p):
     cs = p.coeffs
     zs = _candidates(cs)
-    return _isolated(cs, zs, _conjugates(zs), 1e-9) is not None
+    return _isolated(cs, zs, _conjugates(zs)) is not None
 
 
 def test_inclusion_discs_leave_every_profile_as_the_scan_has_it(monkeypatch):
@@ -532,8 +502,18 @@ def test_inclusion_discs_leave_every_profile_as_the_scan_has_it(monkeypatch):
             real_root_profile(p)
 
     shipped = [_hex_outcome(p) for p in inputs]
-    monkeypatch.setattr(polynomials, "_isolated", lambda cs, zs, conj, tol: None)
+    monkeypatch.setattr(polynomials, "_isolated", lambda cs, zs, conj: None)
     assert [_hex_outcome(p) for p in inputs] == shipped
+
+
+def test_point_test_leaves_every_profile_as_the_full_scan_has_it(monkeypatch):
+    # near-multiple roots and the catalog, each factored with the inclusion
+    # discs and with every clustering scanned, agree to the last bit
+    Hs = _seeded_H(2027, 2000, 500) + _catalog_H()
+    assert len(Hs) >= 3000
+    shipped = [_hex_outcome(H) for H in Hs]
+    monkeypatch.setattr(polynomials, "_isolated", lambda cs, zs, conj: None)
+    assert [_hex_outcome(H) for H in Hs] == shipped
 
 
 def test_one_derivative_chain_serves_a_profile(monkeypatch):

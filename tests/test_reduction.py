@@ -110,6 +110,30 @@ def test_recover_constants_without_second_derivative():
     assert abs(mu) < 1e-8
 
 
+def test_richardson_differentiates_a_quartic_exactly():
+    # the error term is h^4 times the fifth derivative, which a quartic
+    # lacks, so only the rounding of the four values is left
+    def p(x):
+        return 3.0 * x**4 - 2.0 * x**3 + x**2 - 5.0 * x + 7.0
+
+    def dp(x):
+        return 12.0 * x**3 - 6.0 * x**2 + 2.0 * x - 5.0
+
+    def values(near):
+        return [p(x) for x in near]
+
+    for s in (-1.5, 0.3, 1.0, 2.5):
+        for h in (0.5, 1e-1, 1e-3):
+            rounding = 16.0 * np.finfo(float).eps * max(abs(p(s - h)), abs(p(s + h))) / h
+            assert abs(reduction._richardson(values, s, h) - dp(s)) <= rounding, (s, h)
+    # an array s is differentiated in one call, entry by entry as a float s is
+    s = np.array([-1.5, 0.3, 1.0, 2.5])
+    whole = reduction._richardson(values, s, 1e-3 * s)
+    assert [v.hex() for v in whole] == [
+        float(reduction._richardson(values, float(v), 1e-3 * float(v))).hex() for v in s
+    ]
+
+
 def test_recover_constants_rejects_non_solution():
     g = FunctionHandle(
         value=lambda s: s / (s + 1.0) + 0.01 * s**2,
