@@ -5,8 +5,12 @@ Every family is one factorization of the slope polynomial
     H(x) = -c x^(n+1) + x^n + lambda x + mu = lead * prod (x - r)^m * q,
 
 with c = R / (n (n + 1)) the curvature factor, lead = -c (or 1 when
-c = 0) and q an optional factor (x - beta)^2 + gamma^2. A family is one
-CaseFixture record, written once. Its root pattern is:
+c = 0) and q an optional factor (x - beta)^2 + gamma^2. The catalogue
+tabulates each family at c = -1, 0 or 1, the sign of R: the homothety
+g = sigma y with R -> sigma R maps every other R of that sign onto it.
+signed_curvature(sign, n) = sign n (n + 1) is the one rule from the sign
+to R, for the fixtures, the CLI's --curvature-sign and the unit ball.
+A family is one CaseFixture record, written once. Its root pattern is:
 
 - roots(p, n): the real roots and multiplicities, increasing in value;
 - quad: the names of the (beta, gamma) parameters of q, if present;
@@ -46,6 +50,15 @@ from .reduction import FunctionHandle
 # parameter sets satisfy them to round-off.
 _EQ_TOL = 1e-9
 
+# the curvature signs by name
+_SIGNS = {"neg": -1, "zero": 0, "pos": 1}
+
+
+def signed_curvature(sign, n) -> float:
+    """R = sign n (n + 1) for the sign -1, 0 or 1, in floats: an n past
+    1e154 gives an infinite R, which RadialProblem rejects."""
+    return sign * float(n) * float(n + 1)
+
 
 @dataclass(frozen=True)
 class CaseFixture:
@@ -54,7 +67,7 @@ class CaseFixture:
 
     label: str
     n: int
-    curv_factor: int  # R = curv_factor * n * (n + 1)
+    curv_factor: int  # the sign of R: R = signed_curvature(curv_factor, n)
     defaults: dict
     verdict: str
     kind: Optional[str]
@@ -77,8 +90,7 @@ class CaseFixture:
         return None if self.window is None else self._window_ends
 
     def curvature(self, n=None) -> float:
-        m = self.n if n is None else n
-        return float(self.curv_factor * m * (m + 1))
+        return signed_curvature(self.curv_factor, self.n if n is None else n)
 
     def _coeffs(self, p):
         # the dimension-free families have lambda = mu = 0 in every
@@ -113,7 +125,7 @@ class CaseFixture:
     def match_key(self, n):
         """What match_label sees of the default member in dimension n."""
         roots = self.roots(self.defaults, n)
-        return _match_key(n, self.curvature(n), roots, self.quad is not None)
+        return _match_key(n, self.curv_factor, roots, self.quad is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +424,9 @@ def _clause(text):
     return text, holds
 
 
-def _match_key(n, R, roots, has_quad):
+def _match_key(n, sign, roots, has_quad):
     # multiplicities in root order, each with whether that root is exactly 0
-    return n, R, tuple([(m, r == 0.0) for r, m in roots]), has_quad
+    return n, sign, tuple([(m, r == 0.0) for r, m in roots]), has_quad
 
 
 def _named(*names):
@@ -632,7 +644,6 @@ _MATCH = {
     if fix.branch_range is not None and not fix.n_is_free
 }
 _FREE = tuple(f for f in CASES.values() if f.n_is_free and f.branch_range is not None)
-_SIGNS = {"neg": -1, "zero": 0, "pos": 1}
 
 
 def get_case(label):
@@ -672,17 +683,21 @@ def labels_for(n, r_sign):
 
 
 def match_label(n, R, lam, mu, real_roots, has_quad, has_branch):
-    """Label of the catalogued family a classified problem falls into.
+    """Label of the catalogued family a classified problem falls into,
+    up to homothety.
 
     real_roots must be the root profile of the slope polynomial as
     classify reads it, sorted increasing: a multiple root within 1e-10
-    of zero snapped to 0.0, a simple one left where it is. Returns None
-    when the problem admits no branch, and 'unclassified' when branches
-    exist but no catalogued family covers the combination.
+    of zero snapped to 0.0, a simple one left where it is. The match
+    reads R's sign, not its value, and the pattern of the roots, so a
+    problem and its image under g = sigma y (sigma > 0) get one label.
+    Returns None when the problem admits no branch, and 'unclassified'
+    when branches exist but no catalogued family covers the combination.
     """
     if not has_branch:
         return None
-    label = _MATCH.get(_match_key(n, R, real_roots, has_quad))
+    sign = (R > 0.0) - (R < 0.0)
+    label = _MATCH.get(_match_key(n, sign, real_roots, has_quad))
     if label is None and lam == 0.0 and mu == 0.0:
-        label = next((f.label for f in _FREE if R == f.curvature(n)), None)
+        label = next((f.label for f in _FREE if f.curv_factor == sign), None)
     return label or "unclassified"

@@ -46,10 +46,10 @@ class CrossCheckReport:
     label: str
     n: int
     verdict: str
-    branch_window: Optional[tuple]
-    s_domain: Optional[tuple]
-    reference_deviation: Optional[float]
-    verification: Optional[VerificationReport]
+    branch_window: Optional[tuple] = None
+    s_domain: Optional[tuple] = None
+    reference_deviation: Optional[float] = None
+    verification: Optional[VerificationReport] = None
 
 
 def merged_params(fix, params):
@@ -186,15 +186,7 @@ def cross_check(
             NotClassifiedError(f"verdict {verdict}, catalogue expects {fix.verdict}"),
         )
     if expected is None:
-        return CrossCheckReport(
-            label=label,
-            n=problem.n,
-            verdict=verdict,
-            branch_window=None,
-            s_domain=None,
-            reference_deviation=None,
-            verification=None,
-        )
+        return CrossCheckReport(label=label, n=problem.n, verdict=verdict)
 
     branch = _run_stage("classify", _matching_branch, case_report.branches, expected)
 

@@ -19,12 +19,11 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from typing import Optional
 
 # only the layers that load no numpy; each handler imports what else it
 # calls, so that lemmas and verify --input never load numpy
 from .branches import BranchKind, classify
-from .cases import get_case
+from .cases import _SIGNS, get_case, labels_for, signed_curvature
 from .errors import CsckError
 from .inequalities import certify_negative
 from .reduction import RadialProblem, _density, build_ode, ode_residual
@@ -67,21 +66,15 @@ def _csv_text(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, path: Optional[str]):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _header(problem):
+    """The n, R, lambda and mu fields of a report on one problem."""
+    return {"n": problem.n, "R": problem.R, "lambda": problem.lam, "mu": problem.mu}
 
 
-def _classify_payload(args, report):
+def _classify_payload(report):
     return {
         "type": "classify",
-        "n": args.n,
-        "R": args.R,
-        "lambda": args.lam,
-        "mu": args.mu,
+        **_header(report.problem),
         "verdict": report.verdict.value,
         "matched_case": report.matched_case,
         "branches": [asdict(b) for b in report.branches],
@@ -165,9 +158,7 @@ def _add_problem_flags(sub):
     sub.add_argument("--n", type=_dimension, required=True)
     curvature = sub.add_mutually_exclusive_group(required=True)
     curvature.add_argument("--scalar", type=_finite_float)
-    curvature.add_argument(
-        "--curvature-sign", dest="curv_sign", choices=["neg", "zero", "pos"]
-    )
+    curvature.add_argument("--curvature-sign", dest="curv_sign", choices=list(_SIGNS))
     _add_lambda_mu(sub)
 
 
@@ -240,9 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--list", dest="list_cases", action="store_true")
     which.add_argument("--label")
     sub.add_argument("--n", type=int)
-    sub.add_argument(
-        "--curvature-sign", dest="curv_sign", choices=["neg", "zero", "pos", "smooth"]
-    )
+    sub.add_argument("--curvature-sign", dest="curv_sign", choices=[*_SIGNS, "smooth"])
     sub.add_argument("--params", type=_json_object, help="JSON object of case parameters")
     sub.add_argument("--check", action="store_true")
     _add_io_flags(sub)
@@ -305,10 +294,9 @@ def _parse_args(parser, argv):
         if args.scalar is not None:
             args.R = args.scalar
         else:
-            unit = {"neg": -1.0, "zero": 0.0, "pos": 1.0}[args.curv_sign]
-            args.R = unit * args.n * (args.n + 1)
+            args.R = signed_curvature(_SIGNS[args.curv_sign], args.n)
     elif args.subcommand == "ball":
-        args.R = -float(args.n * (args.n + 1))
+        args.R = signed_curvature(-1, args.n)
     if args.subcommand == "catalog" and args.list_cases and args.curv_sign is None:
         parser.error("catalog --list needs --curvature-sign")
     for command, mode, applies, flags in _UNREAD:
@@ -330,6 +318,10 @@ def _parse_args(parser, argv):
 # ---------------------------------------------------------------------------
 # pipeline helpers
 
+def _problem(args):
+    return RadialProblem(n=args.n, R=args.R, lam=args.lam, mu=args.mu)
+
+
 def _solution(args, finite_only=False):
     """Classified branch plus gauged solution; (None, report) if nothing exists.
 
@@ -339,8 +331,7 @@ def _solution(args, finite_only=False):
     """
     from .quadrature import RadialSolution, ball_normalize, gauge_from_anchor, partial_fractions
 
-    problem = RadialProblem(n=args.n, R=args.R, lam=args.lam, mu=args.mu)
-    report = classify(problem, allow_finite_extension=True)
+    report = classify(_problem(args), allow_finite_extension=True)
     branches = report.branches
     if finite_only:
         branches = [b for b in branches if b.kind == BranchKind.FINITE_EXTENSION]
@@ -396,24 +387,20 @@ def _cmd_classify(args):
             "verdict_counts": counts,
         }
         return payload, 0
-    problem = RadialProblem(n=args.n, R=args.R, lam=args.lam, mu=args.mu)
-    report = classify(problem, allow_finite_extension=args.allow_fe)
-    return _classify_payload(args, report), 0
+    report = classify(_problem(args), allow_finite_extension=args.allow_fe)
+    return _classify_payload(report), 0
 
 
 def _cmd_solve(args):
     sol, report = _solution(args)
     if sol is None:
-        return _classify_payload(args, report), 2
+        return _classify_payload(report), 2
     rows = _sample_rows(sol, args)
     if args.output_format == "csv":
         return _csv_text(rows), 0
     payload = {
         "type": "solve",
-        "n": args.n,
-        "R": args.R,
-        "lambda": args.lam,
-        "mu": args.mu,
+        **_header(report.problem),
         "branch": asdict(sol.branch),
         "c": sol.c,
         "s_domain": list(sol.s_domain),
@@ -452,8 +439,7 @@ def _read_samples(path):
 def _cmd_verify(args):
     if args.input is not None:
         rows = _read_samples(args.input)
-        problem = RadialProblem(n=args.n, R=args.R, lam=args.lam, mu=args.mu)
-        ode = build_ode(problem)
+        ode = build_ode(_problem(args))
         triples = [(s, g, up + s * upp) for s, g, u, up, upp, f, rn in rows]
         max_ode = ode_residual(triples, ode)
         max_curv = max(abs(rn - args.R) for *_, rn in rows)
@@ -488,7 +474,7 @@ def _cmd_verify(args):
 
     sol, report = _solution(args)
     if sol is None:
-        return _classify_payload(args, report), 2
+        return _classify_payload(report), 2
     ver = verify_solution(sol, args.samples)
     passed = ver.kahler_ok and ver.max_curvature_residual <= args.tol
     payload = {
@@ -502,17 +488,17 @@ def _cmd_verify(args):
 
 
 def _cmd_catalog(args):
-    from .catalog import cross_check, enumerate_cases, instantiate, merged_params
-
     if args.list_cases:
-        labels = enumerate_cases(args.n if args.n is not None else 2, args.curv_sign)
+        n = 2 if args.n is None else args.n
         payload = {
             "type": "catalog_list",
-            "n": args.n if args.n is not None else 2,
+            "n": n,
             "r_sign": args.curv_sign,
-            "labels": labels,
+            "labels": labels_for(n, args.curv_sign),
         }
         return payload, 0
+    from .catalog import cross_check, instantiate, merged_params
+
     label, params = args.label, args.params
     if args.check:
         report = cross_check(label, params, n=args.n)
@@ -522,10 +508,7 @@ def _cmd_catalog(args):
     payload = {
         "type": "catalog_case",
         "label": label,
-        "n": problem.n,
-        "R": problem.R,
-        "lambda": problem.lam,
-        "mu": problem.mu,
+        **_header(problem),
         "params": {key: float(value) for key, value in merged.items()},
         "expected_branch": None if expected is None else asdict(expected),
     }
@@ -537,16 +520,13 @@ def _cmd_ball(args):
 
     sol, report = _solution(args, finite_only=True)
     if sol is None:
-        return _classify_payload(args, report), 2
+        return _classify_payload(report), 2
     if args.output_format == "csv":
         return _csv_text(_sample_rows(sol, args)), 0
     ver = verify_solution(sol, args.samples)
     payload = {
         "type": "ball",
-        "n": args.n,
-        "R": args.R,
-        "lambda": args.lam,
-        "mu": args.mu,
+        **_header(report.problem),
         "c": sol.c,
         "s_domain": list(sol.s_domain),
         "verification": asdict(ver),
@@ -590,7 +570,11 @@ def main(argv=None) -> int:
     try:
         result, exit_code = _HANDLERS[args.subcommand](args)
         text = result if isinstance(result, str) else _dump_json(result)
-        _emit(text, args.output_path)
+        if args.output_path is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output_path, "w") as fh:
+                fh.write(text)
     except Exception as exc:
         sys.stderr.write(
             _dump_json(

@@ -1,6 +1,7 @@
 """Fixture catalog: constraints, Vieta maps, closed forms, identities."""
 
 import math
+import random
 
 import pytest
 
@@ -270,3 +271,41 @@ def test_match_label_without_branches_is_none():
     assert match_label(2, 0.0, 1.0, 1.0, (), True, False) is None
     # H = -x (x^2 - x + 1/2): only the simple root 0 is real, no window
     assert classify(RadialProblem(2, 6.0, -0.5, 0.0)).matched_case is None
+
+
+def _matched(n, R, lam, mu):
+    try:
+        return classify(RadialProblem(n, R, lam, mu), allow_finite_extension=True).matched_case
+    except Exception as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize(
+    "R, lam, mu, label",
+    [
+        (3.0, 2.418058581512252, -3.677648115669464, "1.3.3"),
+        (6.0, 1.209029290756126, -0.919412028917366, "1.3.3"),
+        (3.0, 0.0, 0.0, "1.3.1"),
+        (6.0, 0.0, 0.0, "1.3.1"),
+    ],
+)
+def test_matched_case_keys_on_the_sign_of_R(R, lam, mu, label):
+    # each R = 3 problem is the g = 2y image of the R = 6 one below it;
+    # the catalogue tabulates n = 2, R > 0 at R = 6
+    assert classify(RadialProblem(2, R, lam, mu)).matched_case == label
+
+
+def test_matched_case_is_invariant_under_a_homothety():
+    # g = 2y maps (n, R, lambda, mu) to (n, 2R, 2^(1-n) lambda, 2^-n mu),
+    # exactly in floats; the roots halve and their pattern stays
+    rng = random.Random(0)
+    moved = []
+    for _ in range(3000):
+        n = rng.randint(2, 5)
+        R = rng.choice((0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)) * n * (n + 1)
+        lam, mu = rng.gauss(0.0, 3.0), rng.gauss(0.0, 3.0)
+        here = _matched(n, R, lam, mu)
+        there = _matched(n, 2.0 * R, math.ldexp(lam, 1 - n), math.ldexp(mu, -n))
+        if here != there:
+            moved.append((n, R, lam, mu, here, there))
+    assert moved == []

@@ -77,6 +77,24 @@ def test_curvature_sign_maps_to_scalar():
     assert by_sign == by_value
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "--curvature-sign", "pos"],
+        ["ball"],
+        ["catalog", "--label", "1.1.2"],
+    ],
+)
+def test_a_dimension_whose_curvature_overflows_is_a_value_error(validator, args):
+    # R = n (n + 1) leaves the float range past n = 1.3e154: each command
+    # reports the infinite R, and none lets an OverflowError out
+    code, out, err = run_cli([*args, "--n", str(10**160)])
+    assert (code, out) == (1, "")
+    payload = valid(validator, json.loads(err))
+    assert payload["error"] == "ValueError"
+    assert re.fullmatch("R = -?inf must be finite", payload["detail"])
+
+
 def test_classify_grid_counts(validator):
     code, out, _ = run_cli(["classify", "--n", "2", "--scalar", "-6", "--grid=-10:10:11"])
     assert code == 0

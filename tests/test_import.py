@@ -105,6 +105,15 @@ def test_lemmas_and_verify_input_load_no_numpy(tmp_path):
     assert _numpy(names) == []
 
 
+def test_catalog_list_loads_no_numpy():
+    # the labels are the cases table's; the catalog layer drives the engine
+    code, names = _imports(
+        "-m", "csck.cli", "catalog", "--list", "--n", "2", "--curvature-sign", "pos"
+    )
+    assert code == 0 and "csck.cases" in names
+    assert _numpy(names) == [] and "csck.catalog" not in names
+
+
 def test_classify_loads_no_array_layer():
     # classify isolates roots with numpy, so the check sees numpy's modules
     code, names = _imports("-m", "csck.cli", "classify", "--n", "2", "--scalar", "-6")
@@ -136,6 +145,12 @@ def test_a_bare_import_lists_every_name_and_reaches_every_layer():
     names, loaded, geometry = json.loads(out.stdout)
     assert set(names) >= set(csck.__all__) | set(EXPORTS)
     assert loaded == [] and geometry == "csck.geometry"
+
+
+def test_dir_lists_every_public_name_and_layer():
+    names = dir(csck)
+    assert names == sorted(names)
+    assert set(names) >= set(csck.__all__) | set(EXPORTS)
 
 
 def test_unknown_name_raises_attribute_error():

@@ -887,6 +887,32 @@ def test_newton_polish_takes_the_crossed_bracket_end():
         assert np.all(np.abs(solve_g(sol, s) - want) <= 2e-16 * want)
 
 
+def test_newton_returns_its_iterate_when_the_step_budget_runs_out():
+    # F = log x on fixture 1.1.1 and t = F(2), in the bracket [1e-3, 1e3]:
+    # from g = 3 every step is a Newton step, from g = 999 every Newton
+    # point leaves the bracket, so the step bisects toward lo
+    F = solution_for("1.1.1").F
+    t = quadrature._value_and_slope(F, 2.0)[0]
+    newton, bisect = 3.0, 999.0
+    for steps in range(1, 5):
+        value, slope = quadrature._value_and_slope(F, newton)
+        newton -= (value - t) / slope
+        bisect = 0.5 * (1e-3 + bisect)
+        assert quadrature._newton(F, t, 1e-3, 1e3, 3.0, steps) == newton
+        assert quadrature._newton(F, t, 1e-3, 1e3, 999.0, steps) == bisect
+        assert 1e-3 < bisect < 1e3 and 1e-3 < newton < 1e3 and newton != 2.0
+
+
+def test_shoot_ends_where_the_rhs_overflows():
+    # on this ray the rhs's powers of d = e^u overflow past s ~ 4.3e153:
+    # each such trial stage reads nan and is rejected, until the step size
+    # underflows
+    res = shoot_ode(build_ode(RadialProblem(3, 0.0, 1.0, -1.0)), 1.0, 3.0, [1e300])
+    assert res.samples == ()
+    assert res.message.endswith("step size underflow")
+    assert 1e153 < res.domain_end < 1e154
+
+
 def _quiet():
     # the array kernels leave floating point errors to their caller
     return np.errstate(divide="ignore", invalid="ignore", over="ignore")
